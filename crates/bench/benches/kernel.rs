@@ -17,6 +17,7 @@
 
 use qmatch_bench::harness::Harness;
 use qmatch_bench::synth_tree::{balanced_tree_with_vocab, SCHEMA_VOCAB};
+use qmatch_core::algorithms::Algorithm;
 use qmatch_core::matrix::Precision;
 use qmatch_core::model::MatchConfig;
 use qmatch_core::session::MatchSession;
@@ -38,10 +39,10 @@ fn main() {
                 ..config
             });
             let (sp, tp) = (session.prepare(&tree), session.prepare(&tree));
-            let warm = session.hybrid(&sp, &tp);
+            let warm = session.run(&Algorithm::Hybrid, &sp, &tp).unwrap();
             session.recycle(warm);
             h.bench(&format!("kernel/warm/{}/{n}", precision.name()), || {
-                let outcome = session.hybrid(&sp, &tp);
+                let outcome = session.run(&Algorithm::Hybrid, &sp, &tp).unwrap();
                 black_box(outcome.total_qom);
                 session.recycle(outcome);
             });
@@ -51,9 +52,9 @@ fn main() {
         // scratch allocation. The gap to kernel/warm is the arena's win.
         let session = MatchSession::new(config);
         let (sp, tp) = (session.prepare(&tree), session.prepare(&tree));
-        black_box(session.hybrid(&sp, &tp).total_qom);
+        black_box(session.run(&Algorithm::Hybrid, &sp, &tp).unwrap().total_qom);
         h.bench(&format!("kernel/cold-alloc/f64/{n}"), || {
-            black_box(session.hybrid(&sp, &tp).total_qom)
+            black_box(session.run(&Algorithm::Hybrid, &sp, &tp).unwrap().total_qom)
         });
 
         // Prefilter sweep: 0.0 disables the band prunes (every child cell
@@ -66,10 +67,10 @@ fn main() {
                 ..config
             });
             let (sp, tp) = (session.prepare(&tree), session.prepare(&tree));
-            let warm = session.hybrid(&sp, &tp);
+            let warm = session.run(&Algorithm::Hybrid, &sp, &tp).unwrap();
             session.recycle(warm);
             h.bench(&format!("kernel/prefilter/t{threshold}/{n}"), || {
-                let outcome = session.hybrid(&sp, &tp);
+                let outcome = session.run(&Algorithm::Hybrid, &sp, &tp).unwrap();
                 black_box(outcome.total_qom);
                 session.recycle(outcome);
             });

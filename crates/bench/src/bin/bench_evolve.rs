@@ -24,6 +24,7 @@
 //! the low-intensity speedup headline lives: at ≤5% dirty nodes the
 //! incremental re-match must beat the full recompute by ≥5×.
 
+use qmatch_core::algorithms::Algorithm;
 use qmatch_core::model::MatchConfig;
 use qmatch_core::report::Table;
 use qmatch_core::session::MatchSession;
@@ -78,7 +79,9 @@ fn run_chain(workload: &Workload, intensity: f64, seed: u64) -> ChainStats {
     // artifacts carry across loop iterations.
     let mut prev_tree = std::sync::Arc::new(workload.base.clone());
     let mut prev = session.prepare_owned(prev_tree.clone());
-    let mut previous = session.hybrid(prev.prepared(), &target);
+    let mut previous = session
+        .run(&Algorithm::Hybrid, prev.prepared(), &target)
+        .unwrap();
     // The resident revision's label matrix, threaded through the chain so
     // each step copies unchanged label rows instead of re-walking the
     // session cache — the serve fast path's steady state.
@@ -112,7 +115,9 @@ fn run_chain(workload: &Workload, intensity: f64, seed: u64) -> ChainStats {
         // whichever runs first would absorb the misses for the revision's
         // fresh labels. Warm the cache outside both timed regions so the
         // split measures the DP work, not cache-arrival order.
-        let warm = session.hybrid(new.prepared(), &target);
+        let warm = session
+            .run(&Algorithm::Hybrid, new.prepared(), &target)
+            .unwrap();
         session.recycle(warm);
 
         let start = Instant::now();
@@ -128,7 +133,9 @@ fn run_chain(workload: &Workload, intensity: f64, seed: u64) -> ChainStats {
         end_to_end_secs += prep_secs + start.elapsed().as_secs_f64();
 
         let start = Instant::now();
-        let want = session.hybrid(new.prepared(), &target);
+        let want = session
+            .run(&Algorithm::Hybrid, new.prepared(), &target)
+            .unwrap();
         full_secs += start.elapsed().as_secs_f64();
 
         assert_eq!(

@@ -1,6 +1,7 @@
-//! Perf accounting for the parallel TreeMatch engine: times the sequential
-//! fallback against the wavefront engine on synthetic trees of 10²–10⁴
-//! nodes (self-matches, bounded label vocabulary) and writes the results to
+//! Perf accounting for the parallel TreeMatch engine: times a session pinned
+//! to one worker thread (`seq_ms`) against one at the default thread count
+//! (`par_ms`, [`par::num_threads`]) on synthetic trees of 10²–10⁴ nodes
+//! (self-matches, bounded label vocabulary) and writes the results to
 //! `BENCH_treematch.json` so future changes can track the trajectory.
 //!
 //! Also splits the session API into its two phases — `prepare_ms` is the
@@ -81,17 +82,16 @@ fn reset_peak_rss() {
     let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
-/// One-shot hybrid match through the session API: prepare + match, the same
-/// work the deprecated `hybrid_match` wrapper used to do.
-fn one_shot(tree: &SchemaTree, config: &MatchConfig, sequential: bool) -> f64 {
-    let session = MatchSession::new(*config);
+/// One-shot hybrid match on a fresh session pinned to `threads` workers:
+/// prepare both trees, then match.
+fn one_shot(tree: &SchemaTree, config: &MatchConfig, threads: usize) -> f64 {
+    let mut session = MatchSession::new(*config);
+    session.set_threads(threads);
     let (sp, tp) = (session.prepare(tree), session.prepare(tree));
-    let run = if sequential {
-        session.run_sequential(&Algorithm::Hybrid, &sp, &tp)
-    } else {
-        session.run(&Algorithm::Hybrid, &sp, &tp)
-    };
-    run.expect("hybrid is infallible").total_qom
+    session
+        .run(&Algorithm::Hybrid, &sp, &tp)
+        .expect("hybrid is infallible")
+        .total_qom
 }
 
 /// What one (shape, precision) measurement produces.
@@ -140,13 +140,13 @@ fn measure_precision(
     let mut traced_session = MatchSession::new(pconfig);
     traced_session.set_trace_sink(traced.clone());
     let (tsp, ttp) = (traced_session.prepare(tree), traced_session.prepare(tree));
-    let warm = traced_session.hybrid(&tsp, &ttp);
+    let warm = traced_session.run(&Algorithm::Hybrid, &tsp, &ttp).unwrap();
     std::hint::black_box(warm.total_qom);
     traced_session.recycle(warm);
 
     reset_peak_rss();
     let rss_floor = peak_rss_mib().unwrap_or(0.0);
-    let warm = session.hybrid(&sp, &tp);
+    let warm = session.run(&Algorithm::Hybrid, &sp, &tp).unwrap();
     std::hint::black_box(warm.total_qom);
     session.recycle(warm);
 
@@ -154,12 +154,12 @@ fn measure_precision(
     let mut phase_samples: Vec<(f64, f64, f64)> = Vec::with_capacity(runs);
     for _ in 0..runs {
         let start = Instant::now();
-        let outcome = session.hybrid(&sp, &tp);
+        let outcome = session.run(&Algorithm::Hybrid, &sp, &tp).unwrap();
         std::hint::black_box(outcome.total_qom);
         match_samples.push(start.elapsed());
         session.recycle(outcome);
         traced.reset();
-        let outcome = traced_session.hybrid(&tsp, &ttp);
+        let outcome = traced_session.run(&Algorithm::Hybrid, &tsp, &ttp).unwrap();
         std::hint::black_box(outcome.total_qom);
         traced_session.recycle(outcome);
         phase_samples.push((
@@ -241,10 +241,10 @@ fn main() {
         let runs = if n >= 5000 { 3 } else { 7 };
         // One untimed run per engine: thesaurus construction and allocator
         // warm-up would otherwise land entirely on the first sample.
-        std::hint::black_box(one_shot(&tree, &config, true));
-        std::hint::black_box(one_shot(&tree, &config, false));
-        let seq = time_median(runs, || one_shot(&tree, &config, true));
-        let par = time_median(runs, || one_shot(&tree, &config, false));
+        std::hint::black_box(one_shot(&tree, &config, 1));
+        std::hint::black_box(one_shot(&tree, &config, threads));
+        let seq = time_median(runs, || one_shot(&tree, &config, 1));
+        let par = time_median(runs, || one_shot(&tree, &config, threads));
 
         // Session split: prepare is the once-per-schema cost; the
         // per-precision runs below measure the warm-cache per-pair cost.
@@ -312,7 +312,7 @@ fn main() {
         }
     }
 
-    println!("TreeMatch engine: sequential vs wavefront ({threads} thread(s), {cores} core(s))\n");
+    println!("TreeMatch engine: one thread vs {threads} thread(s) ({cores} core(s))\n");
     print!("{}", table.render());
 
     if let Some(out_path) = out_path {

@@ -19,7 +19,7 @@ USAGE:
     qmatch validate <SCHEMA.xsd> <INSTANCE.xml>
     qmatch generate <SCHEMA.xsd> [--seed N] [--root NAME]
     qmatch fuzz [--seed N] [--cases N] [--budget-ms N] [--repro-dir PATH]
-    qmatch serve [--addr HOST:PORT] [--threads N] [--max-schemas N]
+    qmatch serve [--addr HOST:PORT] [--shards N] [--max-schemas N]
     qmatch help
 
 MATCH / EVALUATE OPTIONS:
@@ -67,8 +67,8 @@ FUZZ OPTIONS:
 
 SERVE OPTIONS:
     --addr <HOST:PORT>           listen address (default: 127.0.0.1:8080)
-    --shards <N>                 registry shards = worker threads (default:
-                                 0 = all cores; --threads is an alias)
+    --shards <N>                 registry shards, one request worker each
+                                 (default: 0 = all cores)
     --max-schemas <N>            LRU cap on resident prepared schemas, per
                                  shard (default: 64)
     --queue-depth <N>            max queued-or-executing match jobs before
@@ -164,9 +164,6 @@ pub struct MatchOptions {
     pub trace: bool,
     /// Candidate-index policy for match-many/evaluate.
     pub index: IndexPolicy,
-    /// Deprecation warnings triggered by the parsed flags, printed to
-    /// stderr by the command layer before any work runs.
-    pub deprecations: Vec<String>,
 }
 
 impl Default for MatchOptions {
@@ -184,7 +181,6 @@ impl Default for MatchOptions {
             matrix_csv: None,
             trace: false,
             index: IndexPolicy::Off,
-            deprecations: Vec::new(),
         }
     }
 }
@@ -431,13 +427,7 @@ pub fn parse<'a>(argv: impl IntoIterator<Item = &'a str>) -> Result<Command, Arg
                     })
                     .transpose()
             };
-            if options.threads.is_some() && options.shards.is_some() {
-                return Err(err("--threads is an alias for --shards; give only one"));
-            }
-            let shards = match parse_count(&options.shards, "--shards")? {
-                Some(n) => n,
-                None => parse_count(&options.threads, "--threads")?.unwrap_or(0),
-            };
+            let shards = parse_count(&options.shards, "--shards")?.unwrap_or(0);
             let max_schemas = parse_count(&options.max_schemas, "--max-schemas")?.unwrap_or(64);
             if max_schemas == 0 {
                 return Err(err("--max-schemas must be at least 1"));
@@ -566,7 +556,6 @@ struct RawOptions {
     budget_ms: Option<String>,
     repro_dir: Option<String>,
     addr: Option<String>,
-    threads: Option<String>,
     shards: Option<String>,
     max_schemas: Option<String>,
     queue_depth: Option<String>,
@@ -593,12 +582,6 @@ impl RawOptions {
                 "structural" => AlgorithmChoice::Structural,
                 "cupid" => AlgorithmChoice::Cupid,
                 "tree-edit" => AlgorithmChoice::TreeEdit,
-                "treeedit" => {
-                    options.deprecations.push(
-                        "--algorithm treeedit is a deprecated alias; use tree-edit".to_owned(),
-                    );
-                    AlgorithmChoice::TreeEdit
-                }
                 other => return Err(err(format!("unknown algorithm {other:?}"))),
             };
         }
@@ -728,7 +711,6 @@ fn parse_common<'a>(
                 "budget-ms" => options.budget_ms = Some(take(&mut args)?),
                 "repro-dir" => options.repro_dir = Some(take(&mut args)?),
                 "addr" => options.addr = Some(take(&mut args)?),
-                "threads" => options.threads = Some(take(&mut args)?),
                 "shards" => options.shards = Some(take(&mut args)?),
                 "max-schemas" => options.max_schemas = Some(take(&mut args)?),
                 "queue-depth" => options.queue_depth = Some(take(&mut args)?),
@@ -895,7 +877,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_match_many() {
+    fn parses_the_batch_subcommand() {
         let cmd = parse([
             "match-many",
             "pairs.tsv",
@@ -913,7 +895,7 @@ mod tests {
     }
 
     #[test]
-    fn match_many_rejects_per_pair_options() {
+    fn batch_subcommand_rejects_per_pair_options() {
         assert!(parse(["match-many"]).is_err());
         assert!(parse(["match-many", "a.tsv", "b.tsv"]).is_err());
         assert!(parse(["match-many", "p.tsv", "--algorithm", "linguistic"]).is_err());
@@ -1072,20 +1054,16 @@ mod tests {
         assert_eq!(data_dir.as_deref(), Some("/var/lib/qmatch"));
         assert_eq!(fsync_batch_ms, 25);
         assert_eq!(options.config.lexicon, LexiconMode::ExactOnly);
-        // --threads survives as an alias for --shards.
-        let cmd = parse(["serve", "--threads", "2"]).unwrap();
-        let Command::Serve { shards, .. } = cmd else {
-            panic!()
-        };
-        assert_eq!(shards, 2);
     }
 
     #[test]
     fn serve_rejects_per_request_options() {
         assert!(parse(["serve", "extra.xsd"]).is_err());
-        assert!(parse(["serve", "--threads", "many"]).is_err());
+        assert!(
+            parse(["serve", "--threads", "2"]).is_err(),
+            "no --threads alias"
+        );
         assert!(parse(["serve", "--shards", "many"]).is_err());
-        assert!(parse(["serve", "--threads", "2", "--shards", "4"]).is_err());
         assert!(parse(["serve", "--max-schemas", "0"]).is_err());
         assert!(parse(["serve", "--queue-depth", "0"]).is_err());
         assert!(parse(["serve", "--deadline-ms", "0"]).is_err());
@@ -1187,20 +1165,13 @@ mod tests {
     }
 
     #[test]
-    fn treeedit_alias_records_a_deprecation_warning() {
-        let cmd = parse(["match", "a.xsd", "b.xsd", "--algorithm", "treeedit"]).unwrap();
-        let Command::Match { options, .. } = cmd else {
-            panic!()
-        };
-        assert_eq!(options.algorithm, AlgorithmChoice::TreeEdit);
-        assert_eq!(options.deprecations.len(), 1);
-        assert!(options.deprecations[0].contains("deprecated"));
-        // The canonical spelling stays warning-free.
+    fn tree_edit_has_one_spelling() {
         let cmd = parse(["match", "a.xsd", "b.xsd", "--algorithm", "tree-edit"]).unwrap();
         let Command::Match { options, .. } = cmd else {
             panic!()
         };
-        assert!(options.deprecations.is_empty());
+        assert_eq!(options.algorithm, AlgorithmChoice::TreeEdit);
+        assert!(parse(["match", "a.xsd", "b.xsd", "--algorithm", "treeedit"]).is_err());
     }
 
     #[test]

@@ -73,7 +73,6 @@ pub fn run(command: Command) -> Result<(), CommandError> {
             target,
             options,
         } => {
-            emit_deprecations(&options);
             let (source_tree, target_tree) = load_pair(&source, &target, &options)?;
             let (session, recorder) = build_session(&options)?;
             let (prepared_source, prepared_target) =
@@ -134,7 +133,7 @@ pub fn run(command: Command) -> Result<(), CommandError> {
             }
             Ok(())
         }
-        Command::MatchMany { pairs, options } => match_many_command(&pairs, &options),
+        Command::MatchMany { pairs, options } => batch_command(&pairs, &options),
         Command::EvaluateAll { options } => evaluate_all_command(&options),
         Command::Evaluate {
             source,
@@ -142,7 +141,6 @@ pub fn run(command: Command) -> Result<(), CommandError> {
             gold,
             options,
         } => {
-            emit_deprecations(&options);
             let (source_tree, target_tree) = load_pair(&source, &target, &options)?;
             let gold_text = std::fs::read_to_string(&gold)
                 .map_err(|e| fail(format!("cannot read {gold}: {e}")))?;
@@ -272,7 +270,6 @@ const EVALUATED_ALGORITHMS: [Algorithm; 3] =
 /// `evaluate --all`: one deterministic quality report over every corpus
 /// pair x every evaluated algorithm, through one shared session.
 fn evaluate_all_command(options: &MatchOptions) -> Result<(), CommandError> {
-    emit_deprecations(options);
     let (session, recorder) = build_session(options)?;
     let pairs = corpus_pairs();
     let mut report = QualityReport::new();
@@ -294,8 +291,7 @@ fn evaluate_all_command(options: &MatchOptions) -> Result<(), CommandError> {
     Ok(())
 }
 
-fn match_many_command(pairs_path: &str, options: &MatchOptions) -> Result<(), CommandError> {
-    emit_deprecations(options);
+fn batch_command(pairs_path: &str, options: &MatchOptions) -> Result<(), CommandError> {
     let text = std::fs::read_to_string(pairs_path)
         .map_err(|e| fail(format!("cannot read {pairs_path}: {e}")))?;
     // Parse and validate every row before loading anything: a malformed
@@ -541,7 +537,6 @@ fn serve(
     fsync_batch_ms: u64,
     options: &MatchOptions,
 ) -> Result<(), CommandError> {
-    emit_deprecations(options);
     let config = qmatch_serve::ServerConfig {
         addr: addr.to_owned(),
         threads: shards,
@@ -637,15 +632,6 @@ fn extract_at(
     match algorithm {
         Algorithm::Cupid => mapping_generation_leaves(source, target, matrix, threshold),
         _ => extract_mapping(matrix, threshold),
-    }
-}
-
-/// Prints any flag-level deprecation warnings (RFC 8594 spirit: the old
-/// spelling still works, the warning names the successor) to stderr
-/// before the command runs.
-fn emit_deprecations(options: &MatchOptions) {
-    for warning in &options.deprecations {
-        eprintln!("deprecation: {warning}");
     }
 }
 

@@ -1,16 +1,40 @@
 //! Integration tests for the `qmatch` binary: real process invocations over
 //! corpus schemas written to a temp directory.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn binary() -> &'static str {
     env!("CARGO_BIN_EXE_qmatch")
 }
 
-/// Writes the corpus PO schemas and a gold file to a fresh temp dir.
-fn setup() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("qmatch-cli-test-{}", std::process::id()));
+/// A test's own temp directory, removed when the test ends.
+struct TempDir(PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Writes the corpus PO schemas and a gold file to a fresh temp dir — one
+/// per call, so tests running in parallel never rewrite a file another
+/// test is reading.
+fn setup() -> TempDir {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "qmatch-cli-test-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("po1.xsd"), qmatch_datasets::corpus::po1_xsd()).unwrap();
     std::fs::write(dir.join("po2.xsd"), qmatch_datasets::corpus::po2_xsd()).unwrap();
@@ -20,7 +44,7 @@ fn setup() -> PathBuf {
         gold.push_str(&format!("{s}\t{t}\n"));
     }
     std::fs::write(dir.join("po.gold.tsv"), gold).unwrap();
-    dir
+    TempDir(dir)
 }
 
 fn run(args: &[&str]) -> Output {
@@ -312,7 +336,7 @@ fn explain_shows_axis_decomposition() {
 }
 
 #[test]
-fn match_many_batches_a_corpus() {
+fn batch_subcommand_matches_a_corpus() {
     let dir = setup();
     let po1 = dir.join("po1.xsd");
     let po2 = dir.join("po2.xsd");
@@ -353,7 +377,7 @@ fn match_many_batches_a_corpus() {
 }
 
 #[test]
-fn match_many_rejects_wrong_column_count() {
+fn batch_subcommand_rejects_wrong_column_count() {
     let dir = setup();
     let po1 = dir.join("po1.xsd");
     let bad = dir.join("three-pairs.tsv");
@@ -378,7 +402,7 @@ fn match_many_rejects_wrong_column_count() {
 }
 
 #[test]
-fn match_many_rejects_empty_path() {
+fn batch_subcommand_rejects_empty_path() {
     let dir = setup();
     let po1 = dir.join("po1.xsd");
     // A trailing tab means the target path is empty.

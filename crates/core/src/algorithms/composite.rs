@@ -12,10 +12,9 @@
 
 use super::{tree_edit_match, MatchOutcome};
 use crate::matrix::SimMatrix;
-use crate::model::MatchConfig;
 use crate::session::{MatchSession, PreparedSchema};
 use crate::trace::{Phase, Span};
-use qmatch_xsd::{NodeId, SchemaTree};
+use qmatch_xsd::NodeId;
 
 /// How component similarity matrices are aggregated per cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,31 +44,20 @@ pub enum Component {
 }
 
 impl Component {
-    /// Runs the component one-shot (an ephemeral session per call; inside a
-    /// composite, components share the composite's session instead).
-    pub fn run(
-        self,
-        source: &SchemaTree,
-        target: &SchemaTree,
-        config: &MatchConfig,
-    ) -> MatchOutcome {
-        let session = MatchSession::new(*config);
-        let (sp, tp) = (session.prepare(source), session.prepare(target));
-        self.run_in(&session, &sp, &tp)
-    }
-
-    /// Runs the component inside a session, over prepared schemas (label
-    /// comparisons come from the session's cross-schema cache).
+    /// Runs the component inside the composite's session, over prepared
+    /// schemas (label comparisons come from the session's cross-schema
+    /// cache) at the session's configured precision.
     fn run_in(
         self,
         session: &MatchSession,
         source: &PreparedSchema,
         target: &PreparedSchema,
     ) -> MatchOutcome {
+        let precision = session.config().precision;
         match self {
-            Component::Linguistic => session.linguistic(source, target),
-            Component::Structural => session.structural(source, target),
-            Component::Hybrid => session.hybrid(source, target),
+            Component::Linguistic => session.linguistic_with(source, target, precision),
+            Component::Structural => session.structural_with(source, target, precision),
+            Component::Hybrid => session.hybrid_with(source, target, precision),
             // The edit-distance baseline has no per-schema artifacts to
             // amortize; it runs straight off the trees.
             Component::TreeEdit => tree_edit_match(source.tree(), target.tree(), session.config()),
@@ -101,32 +89,11 @@ impl std::fmt::Display for CompositeError {
 
 impl std::error::Error for CompositeError {}
 
-/// Runs `components` and combines their matrices with `aggregation`.
+/// Runs `components` and combines their matrices with `aggregation` — the
+/// engine behind [`Algorithm::Composite`](super::Algorithm::Composite).
 ///
 /// The outcome's `total_qom` is the aggregated score of the two roots,
 /// consistent with the recursive matchers.
-///
-/// # Migration
-///
-/// Use [`MatchSession::run`] with
-/// [`Algorithm::Composite`](super::Algorithm::Composite) over prepared
-/// schemas; components then share the session's label cache.
-#[deprecated(
-    since = "0.1.0",
-    note = "use MatchSession::run(&Algorithm::Composite { .. }, ..) over prepared schemas"
-)]
-pub fn composite_match(
-    source: &SchemaTree,
-    target: &SchemaTree,
-    config: &MatchConfig,
-    components: &[Component],
-    aggregation: &Aggregation,
-) -> Result<MatchOutcome, CompositeError> {
-    let session = MatchSession::new(*config);
-    let (sp, tp) = (session.prepare(source), session.prepare(target));
-    composite_match_impl(&session, &sp, &tp, components, aggregation)
-}
-
 pub(crate) fn composite_match_impl(
     session: &MatchSession,
     source: &PreparedSchema,
@@ -152,11 +119,10 @@ pub(crate) fn composite_match_impl(
     // Components are independent whole matchers — run them concurrently
     // (each may additionally wavefront internally). Their own spans record
     // through the shared session and may interleave across components.
-    let outcomes: Vec<MatchOutcome> = crate::par::map_rows(
-        components.len(),
-        cfg!(feature = "parallel") && components.len() > 1,
-        |i| components[i].run_in(session, source, target),
-    );
+    let outcomes: Vec<MatchOutcome> =
+        crate::par::map_rows(components.len(), session.threads(), |i| {
+            components[i].run_in(session, source, target)
+        });
     let t0 = session.trace().start();
     let matrix = combine(outcomes.iter().map(|o| &o.matrix), aggregation);
     let total_qom = matrix.get(source.tree().root_id(), target.tree().root_id());
@@ -220,8 +186,26 @@ pub fn combine<'m>(
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the one-shot wrappers stay covered until removal
     use super::*;
+    use crate::algorithms::Algorithm;
+    use crate::model::MatchConfig;
+    use qmatch_xsd::SchemaTree;
+
+    fn composite(
+        source: &SchemaTree,
+        target: &SchemaTree,
+        config: &MatchConfig,
+        components: &[Component],
+        aggregation: &Aggregation,
+    ) -> Result<MatchOutcome, CompositeError> {
+        let session = MatchSession::new(*config);
+        let (sp, tp) = (session.prepare(source), session.prepare(target));
+        let algorithm = Algorithm::Composite {
+            components: components.to_vec(),
+            aggregation: aggregation.clone(),
+        };
+        session.run(&algorithm, &sp, &tp)
+    }
 
     fn trees() -> (SchemaTree, SchemaTree) {
         let a = SchemaTree::from_labels(
@@ -284,7 +268,7 @@ mod tests {
     fn composite_runs_real_components() {
         let (s, t) = trees();
         let config = MatchConfig::default();
-        let out = composite_match(
+        let out = composite(
             &s,
             &t,
             &config,
@@ -305,9 +289,10 @@ mod tests {
             Component::Structural,
             Component::Hybrid,
         ];
-        let out = composite_match(&s, &t, &config, &components, &Aggregation::Max).unwrap();
+        let out = composite(&s, &t, &config, &components, &Aggregation::Max).unwrap();
         for c in components {
-            let alone = c.run(&s, &t, &config);
+            // A one-component composite is the component alone.
+            let alone = composite(&s, &t, &config, &[c], &Aggregation::Max).unwrap();
             for (sid, tid, v) in alone.matrix.iter() {
                 assert!(out.matrix.get(sid, tid) + 1e-12 >= v);
             }
@@ -319,11 +304,11 @@ mod tests {
         let (s, t) = trees();
         let config = MatchConfig::default();
         assert_eq!(
-            composite_match(&s, &t, &config, &[], &Aggregation::Max).unwrap_err(),
+            composite(&s, &t, &config, &[], &Aggregation::Max).unwrap_err(),
             CompositeError::NoComponents
         );
         assert!(matches!(
-            composite_match(
+            composite(
                 &s,
                 &t,
                 &config,
@@ -333,7 +318,7 @@ mod tests {
             Err(CompositeError::BadWeights { .. })
         ));
         assert!(matches!(
-            composite_match(
+            composite(
                 &s,
                 &t,
                 &config,

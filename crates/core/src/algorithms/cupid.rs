@@ -19,7 +19,7 @@
 //! then applies its net adjustment `ssim · c_inc^inc · c_dec^dec` (capped
 //! at 1.0) in one deterministic step. The result is bit-identical whether
 //! pairs are visited sequentially in post-order, in bottom-up waves, or by
-//! parallel row — the property the par==seq tests pin.
+//! parallel row — the property the thread-count equivalence tests pin.
 
 use super::{LabelMatrix, MatchOutcome};
 use crate::arena::MatchArena;
@@ -52,7 +52,7 @@ pub(crate) fn cupid_match_impl(
     target: &PreparedSchema,
     params: CupidParams,
     labels: &LabelMatrix,
-    parallel: bool,
+    threads: usize,
     trace: &Trace,
     arena: &MatchArena,
     precision: Precision,
@@ -82,8 +82,8 @@ pub(crate) fn cupid_match_impl(
     // Pass 0 — leaf initialization: ssim from data-type compatibility,
     // wsim = w_struct·ssim + (1 − w_struct)·lsim.
     let t0 = trace.start();
-    let leaf_ssim = init_leaf_ssim(source, target, parallel);
-    let leaf_wsim = weighted(&ctx, source, target, &leaf_ssim, parallel);
+    let leaf_ssim = init_leaf_ssim(source, target, threads);
+    let leaf_wsim = weighted(&ctx, source, target, &leaf_ssim, threads);
     trace.finish(
         t0,
         Span {
@@ -98,7 +98,7 @@ pub(crate) fn cupid_match_impl(
     // strong-link fraction and flags the leaves beneath it for
     // increase (+1), decrease (−1), or neither (0).
     let t1 = trace.start();
-    let flags = flag_pass(&ctx, source, target, &leaf_wsim, parallel);
+    let flags = flag_pass(&ctx, source, target, &leaf_wsim, threads);
     trace.finish(
         t1,
         Span {
@@ -112,9 +112,9 @@ pub(crate) fn cupid_match_impl(
     // Pass 2 — apply the net adjustment per leaf pair, then recompute every
     // wsim from the adjusted leaves (the classic `recompute_wsim`).
     let t2 = trace.start();
-    let adjusted = adjust_leaf_ssim(&ctx, source, target, &leaf_ssim, &flags, parallel);
-    let adjusted_wsim = weighted(&ctx, source, target, &adjusted, parallel);
-    let final_wsim = recompute_wsim(&ctx, source, target, &adjusted_wsim, parallel);
+    let adjusted = adjust_leaf_ssim(&ctx, source, target, &leaf_ssim, &flags, threads);
+    let adjusted_wsim = weighted(&ctx, source, target, &adjusted, threads);
+    let final_wsim = recompute_wsim(&ctx, source, target, &adjusted_wsim, threads);
     trace.finish(
         t2,
         Span {
@@ -126,8 +126,8 @@ pub(crate) fn cupid_match_impl(
     );
 
     match precision {
-        Precision::F64 => fill_rows::<f64>(&final_wsim, parallel, &mut matrix),
-        Precision::F32 => fill_rows::<f32>(&final_wsim, parallel, &mut matrix),
+        Precision::F64 => fill_rows::<f64>(&final_wsim, threads, &mut matrix),
+        Precision::F32 => fill_rows::<f32>(&final_wsim, threads, &mut matrix),
     }
     let total_qom = matrix.mean_best_per_source();
     MatchOutcome { matrix, total_qom }
@@ -212,11 +212,11 @@ fn ancestor_chains(schema: &PreparedSchema) -> Vec<Vec<u32>> {
 
 /// Dense leaf-pair ssim from data-type compatibility (non-leaf cells stay
 /// zero and are never read).
-fn init_leaf_ssim(source: &PreparedSchema, target: &PreparedSchema, parallel: bool) -> Vec<f64> {
+fn init_leaf_ssim(source: &PreparedSchema, target: &PreparedSchema, threads: usize) -> Vec<f64> {
     let cols = target.tree().len();
     let sleaf = source.leaf_flags_raw();
     let tleaf = target.leaf_flags_raw();
-    let rows = par::map_rows(source.tree().len(), parallel, |s| {
+    let rows = par::map_rows(source.tree().len(), threads, |s| {
         let mut row = vec![0.0f64; cols];
         if sleaf[s] {
             let sp = source.props(NodeId(s as u32));
@@ -238,13 +238,13 @@ fn weighted(
     source: &PreparedSchema,
     target: &PreparedSchema,
     ssim: &[f64],
-    parallel: bool,
+    threads: usize,
 ) -> Vec<f64> {
     let cols = ctx.cols;
     let w = ctx.params.w_struct;
     let sleaf = source.leaf_flags_raw();
     let tleaf = target.leaf_flags_raw();
-    let rows = par::map_rows(source.tree().len(), parallel, |s| {
+    let rows = par::map_rows(source.tree().len(), threads, |s| {
         let mut row = vec![0.0f64; cols];
         if sleaf[s] {
             for (t, cell) in row.iter_mut().enumerate() {
@@ -296,12 +296,12 @@ fn flag_pass(
     source: &PreparedSchema,
     target: &PreparedSchema,
     leaf_wsim: &[f64],
-    parallel: bool,
+    threads: usize,
 ) -> Vec<i8> {
     let cols = ctx.cols;
     let sleaf = source.leaf_flags_raw();
     let tleaf = target.leaf_flags_raw();
-    let rows = par::map_rows(source.tree().len(), parallel, |s| {
+    let rows = par::map_rows(source.tree().len(), threads, |s| {
         let mut row = vec![0i8; cols];
         for (t, cell) in row.iter_mut().enumerate() {
             if sleaf[s] && tleaf[t] {
@@ -331,12 +331,12 @@ fn adjust_leaf_ssim(
     target: &PreparedSchema,
     leaf_ssim: &[f64],
     flags: &[i8],
-    parallel: bool,
+    threads: usize,
 ) -> Vec<f64> {
     let cols = ctx.cols;
     let sleaf = source.leaf_flags_raw();
     let tleaf = target.leaf_flags_raw();
-    let rows = par::map_rows(source.tree().len(), parallel, |s| {
+    let rows = par::map_rows(source.tree().len(), threads, |s| {
         let mut row = vec![0.0f64; cols];
         if sleaf[s] {
             for (t, cell) in row.iter_mut().enumerate() {
@@ -373,12 +373,12 @@ fn recompute_wsim(
     source: &PreparedSchema,
     target: &PreparedSchema,
     adjusted_leaf_wsim: &[f64],
-    parallel: bool,
+    threads: usize,
 ) -> Vec<f64> {
     let cols = ctx.cols;
     let sleaf = source.leaf_flags_raw();
     let tleaf = target.leaf_flags_raw();
-    let rows = par::map_rows(source.tree().len(), parallel, |s| {
+    let rows = par::map_rows(source.tree().len(), threads, |s| {
         let mut row = vec![0.0f64; cols];
         for (t, cell) in row.iter_mut().enumerate() {
             if sleaf[s] && tleaf[t] {
@@ -396,13 +396,13 @@ fn recompute_wsim(
 
 /// Writes the finished wsim grid into the outcome matrix through
 /// [`RawRows`], converting once per cell for `f32` storage.
-fn fill_rows<S: Score>(wsim: &[f64], parallel: bool, matrix: &mut SimMatrix) {
+fn fill_rows<S: Score>(wsim: &[f64], threads: usize, matrix: &mut SimMatrix) {
     let rows_n = matrix.rows();
     let cols_n = matrix.cols();
     let raw = RawRows::<S>::new(matrix).expect("matrix storage matches the kernel scalar");
     par::for_rows_with(
         rows_n,
-        parallel,
+        threads,
         || (),
         |_, s| {
             // SAFETY: each row index is visited exactly once, so no two
@@ -418,7 +418,7 @@ fn fill_rows<S: Score>(wsim: &[f64], parallel: bool, matrix: &mut SimMatrix) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::Algorithm;
+    use crate::algorithms::{assert_thread_counts_agree, Algorithm};
     use crate::model::MatchConfig;
     use crate::session::MatchSession;
     use qmatch_xsd::SchemaTree;
@@ -508,14 +508,8 @@ mod tests {
     }
 
     #[test]
-    fn sequential_engine_agrees_exactly() {
-        let (s, t) = po_like();
-        let session = MatchSession::new(MatchConfig::default());
-        let (sp, tp) = (session.prepare(&s), session.prepare(&t));
-        let a = session.run(&Algorithm::Cupid, &sp, &tp).unwrap();
-        let b = session.run_sequential(&Algorithm::Cupid, &sp, &tp).unwrap();
-        assert_eq!(a.matrix, b.matrix);
-        assert_eq!(a.total_qom, b.total_qom);
+    fn one_and_four_threads_agree_exactly() {
+        assert_thread_counts_agree(&Algorithm::Cupid);
     }
 
     #[test]

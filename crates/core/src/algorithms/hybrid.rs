@@ -11,8 +11,8 @@
 //! grouped by subtree height, and every row of one wave is computed
 //! out-of-place from the (already final) rows of lower waves, so the rows of
 //! a wave can run on separate threads. Each cell's arithmetic is a pure
-//! function of child rows, so the parallel schedule is bit-identical to the
-//! sequential one ([`hybrid_match_sequential`], property-tested).
+//! function of child rows, so every thread count produces bit-identical
+//! matrices (property-tested).
 //!
 //! Two deliberate refinements of the pseudo-code (documented in DESIGN.md):
 //!
@@ -37,84 +37,6 @@ use crate::trace::{Phase, Span, Trace};
 use qmatch_lexicon::name_match::LabelGrade;
 use qmatch_xsd::{NodeId, SchemaTree};
 
-/// Runs the QMatch hybrid algorithm. `total_qom` is the QoM of the two
-/// roots — "the total match value for the entire source schema tree with
-/// respect to the target schema tree" that Figure 3 presents to the user.
-///
-/// With the `parallel` feature (on by default) the label matrix and the DP
-/// waves execute on scoped threads; the result is bit-identical to
-/// [`hybrid_match_sequential`].
-///
-/// # Migration
-///
-/// Create a [`MatchSession`], [`prepare`](MatchSession::prepare) each
-/// schema once, and call
-/// [`session.run(&Algorithm::Hybrid, &s, &t)`](MatchSession::run) — the
-/// prepared artifacts and the label cache are then reused across matches
-/// instead of being rebuilt per call.
-#[deprecated(
-    since = "0.1.0",
-    note = "use MatchSession::run(&Algorithm::Hybrid, ..) over prepared schemas"
-)]
-pub fn hybrid_match(
-    source: &SchemaTree,
-    target: &SchemaTree,
-    config: &MatchConfig,
-) -> MatchOutcome {
-    let session = MatchSession::new(*config);
-    let (sp, tp) = (session.prepare(source), session.prepare(target));
-    session.hybrid(&sp, &tp)
-}
-
-/// The always-sequential engine: same arithmetic, no threads. Kept compiled
-/// in every build flavour so the two engines can be compared directly.
-///
-/// # Migration
-///
-/// Use [`MatchSession::run_sequential`] with
-/// [`Algorithm::Hybrid`](super::Algorithm::Hybrid) over prepared schemas.
-#[deprecated(
-    since = "0.1.0",
-    note = "use MatchSession::run_sequential(&Algorithm::Hybrid, ..) over prepared schemas"
-)]
-pub fn hybrid_match_sequential(
-    source: &SchemaTree,
-    target: &SchemaTree,
-    config: &MatchConfig,
-) -> MatchOutcome {
-    let session = MatchSession::new(*config);
-    let (sp, tp) = (session.prepare(source), session.prepare(target));
-    session.hybrid_sequential(&sp, &tp)
-}
-
-/// Like `hybrid_match`, but with a caller-supplied [`NameMatcher`](qmatch_lexicon::NameMatcher) (e.g.
-/// one whose thesaurus was extended for the schemas' domain).
-///
-/// # Migration
-///
-/// Build the session with [`MatchSession::with_matcher`] and call
-/// [`MatchSession::run`] — the custom matcher then also benefits from the
-/// session's cross-schema label cache.
-#[deprecated(
-    since = "0.1.0",
-    note = "use MatchSession::with_matcher(..) + MatchSession::run(&Algorithm::Hybrid, ..)"
-)]
-pub fn hybrid_match_with(
-    source: &SchemaTree,
-    target: &SchemaTree,
-    config: &MatchConfig,
-    matcher: &qmatch_lexicon::NameMatcher,
-) -> MatchOutcome {
-    let session = MatchSession::with_matcher(*config, matcher.clone());
-    let (sp, tp) = (session.prepare(source), session.prepare(target));
-    session.hybrid(&sp, &tp)
-}
-
-/// Whether a pair is large enough for the fork/join overhead to pay off.
-pub(crate) fn use_parallel(source: &SchemaTree, target: &SchemaTree) -> bool {
-    cfg!(feature = "parallel") && source.len() * target.len() >= par::PAR_CELL_THRESHOLD
-}
-
 /// Slack added to the floating-point upper bounds of the band prefilter.
 /// The bounds are weighted sums of values in `[0, 1]`, so their rounding
 /// error is ≤ 1e-15, and an `f32`-stored child score sits within 2⁻²⁴ of its
@@ -127,14 +49,14 @@ const PRUNE_MARGIN: f64 = 1e-6;
 /// flags, levels, parent links, and distinct property profiles all come
 /// from the [`PreparedSchema`]s; the label axis from the session-built
 /// `labels`; the output matrix and per-thread row scratch from the session
-/// `arena`.
+/// `arena`. Each wave fans out over up to `threads` workers.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn hybrid_match_impl(
     source: &PreparedSchema,
     target: &PreparedSchema,
     config: &MatchConfig,
     labels: &LabelMatrix,
-    parallel: bool,
+    threads: usize,
     trace: &Trace,
     arena: &MatchArena,
     precision: Precision,
@@ -156,10 +78,10 @@ pub(crate) fn hybrid_match_impl(
     );
     match precision {
         Precision::F64 => {
-            run_waves::<f64>(source, config, &tables, parallel, trace, arena, &mut matrix)
+            run_waves::<f64>(source, config, &tables, threads, trace, arena, &mut matrix)
         }
         Precision::F32 => {
-            run_waves::<f32>(source, config, &tables, parallel, trace, arena, &mut matrix)
+            run_waves::<f32>(source, config, &tables, threads, trace, arena, &mut matrix)
         }
     }
     let total_qom = matrix.get(source.tree().root_id(), target.tree().root_id());
@@ -188,7 +110,7 @@ pub(crate) fn hybrid_rematch_impl(
     labels: &LabelMatrix,
     diff: &TreeDiff,
     previous: &SimMatrix,
-    parallel: bool,
+    threads: usize,
     trace: &Trace,
     arena: &MatchArena,
     precision: Precision,
@@ -215,7 +137,7 @@ pub(crate) fn hybrid_rematch_impl(
             &tables,
             diff,
             previous,
-            parallel,
+            threads,
             trace,
             arena,
             &mut matrix,
@@ -226,7 +148,7 @@ pub(crate) fn hybrid_rematch_impl(
             &tables,
             diff,
             previous,
-            parallel,
+            threads,
             trace,
             arena,
             &mut matrix,
@@ -249,7 +171,7 @@ fn run_waves_incremental<S: Score>(
     tables: &PairTables,
     diff: &TreeDiff,
     previous: &SimMatrix,
-    parallel: bool,
+    threads: usize,
     trace: &Trace,
     arena: &MatchArena,
     matrix: &mut SimMatrix,
@@ -285,7 +207,7 @@ fn run_waves_incremental<S: Score>(
         let t0 = trace.start();
         let states = par::for_rows_with(
             live.len(),
-            parallel,
+            threads,
             || (arena.take_scratch(cols), 0u64),
             |(scratch, skipped), i| {
                 *skipped += kernel_row::<S>(&raw, live[i], source, config, tables, scratch);
@@ -411,14 +333,13 @@ impl<'p> PairTables<'p> {
 /// The wavefront driver, generic over the storage scalar. Rows are written
 /// in place through [`RawRows`] — no per-row `Vec`, no copy-back — and each
 /// wave reads only rows of strictly smaller height, already finalized by
-/// earlier waves, so the parallel schedule stays bit-identical to the
-/// sequential one.
+/// earlier waves, so every thread count yields bit-identical rows.
 #[allow(clippy::too_many_arguments)]
 fn run_waves<S: Score>(
     source: &PreparedSchema,
     config: &MatchConfig,
     tables: &PairTables,
-    parallel: bool,
+    threads: usize,
     trace: &Trace,
     arena: &MatchArena,
     matrix: &mut SimMatrix,
@@ -432,7 +353,7 @@ fn run_waves<S: Score>(
         let t0 = trace.start();
         let states = par::for_rows_with(
             wave.len(),
-            parallel,
+            threads,
             || (arena.take_scratch(cols), 0u64),
             |(scratch, skipped), i| {
                 *skipped += kernel_row::<S>(&raw, wave[i], source, config, tables, scratch);
@@ -692,10 +613,14 @@ pub(crate) fn root_category_with_label(
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the one-shot wrappers stay covered until removal
     use super::*;
+    use crate::algorithms::{assert_thread_counts_agree, run_trees, Algorithm};
     use crate::model::Weights;
     use qmatch_xsd::{parse_schema, SchemaTree};
+
+    fn hybrid(source: &SchemaTree, target: &SchemaTree, config: &MatchConfig) -> MatchOutcome {
+        run_trees(&Algorithm::Hybrid, source, target, config, 1)
+    }
 
     fn library() -> SchemaTree {
         SchemaTree::from_labels(
@@ -728,7 +653,7 @@ mod tests {
     #[test]
     fn self_match_is_total_exact_scoring_one() {
         let t = library();
-        let out = hybrid_match(&t, &t, &MatchConfig::default());
+        let out = hybrid(&t, &t, &MatchConfig::default());
         assert!((out.total_qom - 1.0).abs() < 1e-9, "{}", out.total_qom);
         assert_eq!(
             hybrid_root_category(&t, &t, &MatchConfig::default()),
@@ -738,20 +663,15 @@ mod tests {
     }
 
     #[test]
-    fn sequential_engine_agrees_exactly() {
-        let (lib, hum) = (library(), human());
-        let config = MatchConfig::default();
-        let a = hybrid_match(&lib, &hum, &config);
-        let b = hybrid_match_sequential(&lib, &hum, &config);
-        assert_eq!(a.matrix, b.matrix, "bit-identical matrices");
-        assert_eq!(a.total_qom, b.total_qom);
+    fn one_and_four_threads_agree_exactly() {
+        assert_thread_counts_agree(&Algorithm::Hybrid);
     }
 
     #[test]
     fn root_category_from_outcome_matches_rerun() {
         let (lib, hum) = (library(), human());
         let config = MatchConfig::default();
-        let outcome = hybrid_match(&lib, &hum, &config);
+        let outcome = hybrid(&lib, &hum, &config);
         assert_eq!(
             hybrid_root_category_from(&lib, &hum, &config, &outcome),
             hybrid_root_category(&lib, &hum, &config)
@@ -760,12 +680,11 @@ mod tests {
 
     #[test]
     fn figure9_hybrid_sits_between_the_two_extremes() {
-        use crate::algorithms::{linguistic_match, structural_match};
         let (lib, hum) = (library(), human());
         let config = MatchConfig::default();
-        let l = linguistic_match(&lib, &hum, &config).total_qom;
-        let s = structural_match(&lib, &hum, &config).total_qom;
-        let h = hybrid_match(&lib, &hum, &config).total_qom;
+        let l = run_trees(&Algorithm::Linguistic, &lib, &hum, &config, 1).total_qom;
+        let s = run_trees(&Algorithm::Structural, &lib, &hum, &config, 1).total_qom;
+        let h = hybrid(&lib, &hum, &config).total_qom;
         assert!(l < 0.4, "linguistic low: {l}");
         assert!(s > 0.9, "structural high: {s}");
         assert!(h > l && h < s, "hybrid {h} must sit between {l} and {s}");
@@ -780,7 +699,7 @@ mod tests {
     fn leaf_pairs_use_equation_two() {
         let a = SchemaTree::from_labels("x", &[("x", None), ("OrderNo", Some(0))]);
         let b = SchemaTree::from_labels("y", &[("y", None), ("OrderNo", Some(0))]);
-        let out = hybrid_match(&a, &b, &MatchConfig::default());
+        let out = hybrid(&a, &b, &MatchConfig::default());
         let sa = a.find_by_label("OrderNo").unwrap();
         let tb = b.find_by_label("OrderNo").unwrap();
         // Identical leaf (label 1.0, props 1.0): Eq. 2 gives exactly 1.0.
@@ -799,8 +718,8 @@ mod tests {
             threshold: 0.0,
             ..MatchConfig::default()
         };
-        let out_strict = hybrid_match(&a, &b, &strict);
-        let out_lax = hybrid_match(&a, &b, &lax);
+        let out_strict = hybrid(&a, &b, &strict);
+        let out_lax = hybrid(&a, &b, &lax);
         assert!(out_lax.total_qom > out_strict.total_qom);
     }
 
@@ -811,8 +730,8 @@ mod tests {
         let label_heavy = MatchConfig::with_weights(Weights::new(1.0, 0.0, 0.0, 0.0).unwrap());
         // All weight on the children axis: identical structure lifts it.
         let children_heavy = MatchConfig::with_weights(Weights::new(0.0, 0.0, 0.0, 1.0).unwrap());
-        let low = hybrid_match(&lib, &hum, &label_heavy).total_qom;
-        let high = hybrid_match(&lib, &hum, &children_heavy).total_qom;
+        let low = hybrid(&lib, &hum, &label_heavy).total_qom;
+        let high = hybrid(&lib, &hum, &children_heavy).total_qom;
         assert!(low < 0.3, "{low}");
         assert!(high > 0.6, "{high}");
     }
@@ -843,7 +762,7 @@ mod tests {
             ],
         );
         let config = MatchConfig::default();
-        let out = hybrid_match(&po, &purchase_order, &config);
+        let out = hybrid(&po, &purchase_order, &config);
         assert!(
             out.total_qom > 0.6,
             "closely related schemas: {}",
@@ -858,7 +777,7 @@ mod tests {
     fn leaf_vs_subtree_gets_no_children_credit() {
         let leaf = SchemaTree::from_labels("r", &[("r", None), ("x", Some(0))]);
         let deep = SchemaTree::from_labels("r", &[("r", None), ("x", Some(0)), ("y", Some(1))]);
-        let out = hybrid_match(&leaf, &deep, &MatchConfig::default());
+        let out = hybrid(&leaf, &deep, &MatchConfig::default());
         let s_x = leaf.find_by_label("x").unwrap();
         let t_x = deep.find_by_label("x").unwrap();
         // Label exact + level exact + whatever the property axis yields
@@ -885,7 +804,7 @@ mod tests {
         </xs:schema>"#;
         let s = SchemaTree::compile(&parse_schema(src).unwrap()).unwrap();
         let t = SchemaTree::compile(&parse_schema(tgt).unwrap()).unwrap();
-        let out = hybrid_match(&s, &t, &MatchConfig::default());
+        let out = hybrid(&s, &t, &MatchConfig::default());
         assert!(out.total_qom > 0.75, "{}", out.total_qom);
         let s_date = s.find_by_label("PurchaseDate").unwrap();
         let t_date = t.find_by_label("Date").unwrap();
@@ -901,8 +820,8 @@ mod tests {
             &[("r", None), ("a", Some(0)), ("b", Some(0)), ("c", Some(0))],
         );
         let config = MatchConfig::default();
-        let fwd = hybrid_match(&small, &big, &config).total_qom;
-        let rev = hybrid_match(&big, &small, &config).total_qom;
+        let fwd = hybrid(&small, &big, &config).total_qom;
+        let rev = hybrid(&big, &small, &config).total_qom;
         assert!(fwd > rev, "total coverage {fwd} must beat partial {rev}");
     }
 }

@@ -8,82 +8,19 @@
 use super::{LabelMatrix, MatchOutcome};
 use crate::arena::MatchArena;
 use crate::matrix::{Precision, RawRows, Score, SimMatrix};
-use crate::model::MatchConfig;
 use crate::par;
-use crate::session::{MatchSession, PreparedSchema};
+use crate::session::PreparedSchema;
 use crate::trace::{Phase, Span, Trace};
-use qmatch_xsd::SchemaTree;
 
-/// Runs the linguistic matcher. The outcome's `total_qom` is the mean best
-/// label similarity per source node (a flat matcher has no root recursion to
-/// summarize with).
-///
-/// # Migration
-///
-/// Use [`MatchSession::run`] with
-/// [`Algorithm::Linguistic`](super::Algorithm::Linguistic) over prepared
-/// schemas; the label cache is then shared across matches.
-#[deprecated(
-    since = "0.1.0",
-    note = "use MatchSession::run(&Algorithm::Linguistic, ..) over prepared schemas"
-)]
-pub fn linguistic_match(
-    source: &SchemaTree,
-    target: &SchemaTree,
-    config: &MatchConfig,
-) -> MatchOutcome {
-    let session = MatchSession::new(*config);
-    let (sp, tp) = (session.prepare(source), session.prepare(target));
-    session.linguistic(&sp, &tp)
-}
-
-/// The always-sequential engine: same arithmetic, no threads.
-///
-/// # Migration
-///
-/// Use [`MatchSession::run_sequential`] with
-/// [`Algorithm::Linguistic`](super::Algorithm::Linguistic).
-#[deprecated(
-    since = "0.1.0",
-    note = "use MatchSession::run_sequential(&Algorithm::Linguistic, ..) over prepared schemas"
-)]
-pub fn linguistic_match_sequential(
-    source: &SchemaTree,
-    target: &SchemaTree,
-    config: &MatchConfig,
-) -> MatchOutcome {
-    let session = MatchSession::new(*config);
-    let (sp, tp) = (session.prepare(source), session.prepare(target));
-    session.linguistic_sequential(&sp, &tp)
-}
-
-/// Like `linguistic_match`, but with a caller-supplied
-/// [`NameMatcher`](qmatch_lexicon::NameMatcher) (e.g. one whose thesaurus was extended for the schemas' domain).
-///
-/// # Migration
-///
-/// Build the session with [`MatchSession::with_matcher`] and call
-/// [`MatchSession::run`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use MatchSession::with_matcher(..) + MatchSession::run(&Algorithm::Linguistic, ..)"
-)]
-pub fn linguistic_match_with(
-    source: &SchemaTree,
-    target: &SchemaTree,
-    config: &MatchConfig,
-    matcher: &qmatch_lexicon::NameMatcher,
-) -> MatchOutcome {
-    let session = MatchSession::with_matcher(*config, matcher.clone());
-    let (sp, tp) = (session.prepare(source), session.prepare(target));
-    session.linguistic(&sp, &tp)
-}
-
+/// The linguistic engine over prepared artifacts. The outcome's `total_qom`
+/// is the mean best label similarity per source node (a flat matcher has no
+/// root recursion to summarize with). Rows fan out over up to `threads`
+/// workers.
 pub(crate) fn linguistic_match_impl(
     source: &PreparedSchema,
     target: &PreparedSchema,
     labels: &LabelMatrix,
-    parallel: bool,
+    threads: usize,
     trace: &Trace,
     arena: &MatchArena,
     precision: Precision,
@@ -102,8 +39,8 @@ pub(crate) fn linguistic_match_impl(
     // A flat matcher: every row is independent, so this is one wave.
     let t0 = trace.start();
     match precision {
-        Precision::F64 => fill_rows::<f64>(labels, parallel, &mut matrix),
-        Precision::F32 => fill_rows::<f32>(labels, parallel, &mut matrix),
+        Precision::F64 => fill_rows::<f64>(labels, threads, &mut matrix),
+        Precision::F32 => fill_rows::<f32>(labels, threads, &mut matrix),
     }
     let total_qom = matrix.mean_best_per_source();
     trace.finish(
@@ -119,7 +56,7 @@ pub(crate) fn linguistic_match_impl(
 
 /// Writes every label score in place through [`RawRows`], gathering from the
 /// distinct score table's contiguous rows.
-fn fill_rows<S: Score>(labels: &LabelMatrix, parallel: bool, matrix: &mut SimMatrix) {
+fn fill_rows<S: Score>(labels: &LabelMatrix, threads: usize, matrix: &mut SimMatrix) {
     let rows_n = matrix.rows();
     let ltab = labels.score_table();
     let lcols = labels.distinct_cols_raw();
@@ -127,7 +64,7 @@ fn fill_rows<S: Score>(labels: &LabelMatrix, parallel: bool, matrix: &mut SimMat
     let raw = RawRows::<S>::new(matrix).expect("matrix storage matches the kernel scalar");
     par::for_rows_with(
         rows_n,
-        parallel,
+        threads,
         || (),
         |_, s| {
             // SAFETY: each row index is visited exactly once, so no two
@@ -143,9 +80,14 @@ fn fill_rows<S: Score>(labels: &LabelMatrix, parallel: bool, matrix: &mut SimMat
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the one-shot wrappers stay covered until removal
     use super::*;
+    use crate::algorithms::{assert_thread_counts_agree, run_trees, Algorithm};
+    use crate::model::MatchConfig;
     use qmatch_xsd::SchemaTree;
+
+    fn linguistic(source: &SchemaTree, target: &SchemaTree, config: &MatchConfig) -> MatchOutcome {
+        run_trees(&Algorithm::Linguistic, source, target, config, 1)
+    }
 
     fn po_like() -> (SchemaTree, SchemaTree) {
         let s = SchemaTree::from_labels(
@@ -172,7 +114,7 @@ mod tests {
     #[test]
     fn identical_labels_score_one() {
         let (s, t) = po_like();
-        let out = linguistic_match(&s, &t, &MatchConfig::default());
+        let out = linguistic(&s, &t, &MatchConfig::default());
         let s_orderno = s.find_by_label("OrderNo").unwrap();
         let t_orderno = t.find_by_label("OrderNo").unwrap();
         assert!((out.matrix.get(s_orderno, t_orderno) - 1.0).abs() < 1e-9);
@@ -181,7 +123,7 @@ mod tests {
     #[test]
     fn paper_relaxed_pairs_score_high_but_below_exact() {
         let (s, t) = po_like();
-        let out = linguistic_match(&s, &t, &MatchConfig::default());
+        let out = linguistic(&s, &t, &MatchConfig::default());
         let qty = out.matrix.get(
             s.find_by_label("Quantity").unwrap(),
             t.find_by_label("Qty").unwrap(),
@@ -197,7 +139,7 @@ mod tests {
     #[test]
     fn total_is_mean_best_per_source() {
         let (s, t) = po_like();
-        let out = linguistic_match(&s, &t, &MatchConfig::default());
+        let out = linguistic(&s, &t, &MatchConfig::default());
         assert!((out.total_qom - out.matrix.mean_best_per_source()).abs() < 1e-12);
         assert!(
             out.total_qom > 0.7,
@@ -230,7 +172,7 @@ mod tests {
                 ("legs", Some(2)),
             ],
         );
-        let out = linguistic_match(&library, &human, &MatchConfig::default());
+        let out = linguistic(&library, &human, &MatchConfig::default());
         assert!(
             out.total_qom < 0.4,
             "Fig. 9's linguistic score must be low: {}",
@@ -241,25 +183,20 @@ mod tests {
     #[test]
     fn self_match_totals_one() {
         let (s, _) = po_like();
-        let out = linguistic_match(&s, &s, &MatchConfig::default());
+        let out = linguistic(&s, &s, &MatchConfig::default());
         assert!((out.total_qom - 1.0).abs() < 1e-9);
         out.matrix.assert_normalized();
     }
 
     #[test]
-    fn sequential_engine_agrees_exactly() {
-        let (s, t) = po_like();
-        let config = MatchConfig::default();
-        let a = linguistic_match(&s, &t, &config);
-        let b = linguistic_match_sequential(&s, &t, &config);
-        assert_eq!(a.matrix, b.matrix);
-        assert_eq!(a.total_qom, b.total_qom);
+    fn one_and_four_threads_agree_exactly() {
+        assert_thread_counts_agree(&Algorithm::Linguistic);
     }
 
     #[test]
     fn matrix_dimensions_match_trees() {
         let (s, t) = po_like();
-        let out = linguistic_match(&s, &t, &MatchConfig::default());
+        let out = linguistic(&s, &t, &MatchConfig::default());
         assert_eq!(out.matrix.rows(), s.len());
         assert_eq!(out.matrix.cols(), t.len());
     }

@@ -5,13 +5,12 @@
 //! [`MatchSession::run`] over prepared schemas; every run returns a
 //! [`MatchOutcome`] holding the full node-pair similarity matrix plus the
 //! whole-schema QoM, so mapping extraction and evaluation treat them
-//! uniformly. The old per-algorithm free functions (`hybrid_match`, …)
-//! remain as `#[deprecated]` one-shot wrappers over an ephemeral session.
+//! uniformly.
 //!
 //! The engines execute in level-synchronous *waves* (see DESIGN.md): the
 //! label axis is precomputed into an immutable [`LabelMatrix`], and the
-//! bottom-up TreeMatch recurrences fill whole source-node rows concurrently.
-//! With the `parallel` feature disabled every wave runs sequentially and
+//! bottom-up TreeMatch recurrences fill whole source-node rows concurrently
+//! on the session's worker threads. Every thread count — one included —
 //! produces bit-identical matrices.
 
 mod composite;
@@ -21,39 +20,27 @@ mod linguistic;
 mod structural;
 mod tree_edit;
 
-#[allow(deprecated)]
-pub use composite::composite_match;
 pub use composite::{Aggregation, Component, CompositeError};
 pub use cupid::mapping_generation_leaves;
-#[allow(deprecated)]
-pub use hybrid::{hybrid_match, hybrid_match_sequential, hybrid_match_with};
 pub use hybrid::{hybrid_root_category, hybrid_root_category_from};
-#[allow(deprecated)]
-pub use linguistic::{linguistic_match, linguistic_match_sequential, linguistic_match_with};
-#[allow(deprecated)]
-pub use structural::{structural_match, structural_match_sequential};
-pub use tree_edit::tree_edit_match;
 
 pub(crate) use composite::composite_match_impl;
 pub(crate) use cupid::cupid_match_impl;
-pub(crate) use hybrid::{
-    hybrid_match_impl, hybrid_rematch_impl, root_category_with_label, use_parallel,
-};
+pub(crate) use hybrid::{hybrid_match_impl, hybrid_rematch_impl, root_category_with_label};
 pub(crate) use linguistic::linguistic_match_impl;
 pub(crate) use structural::structural_match_impl;
+pub(crate) use tree_edit::tree_edit_match;
 
 use crate::matrix::SimMatrix;
 use crate::model::{LexiconMode, MatchConfig};
-use crate::session::{MatchSession, PreparedSchema};
+use crate::session::MatchSession;
 use qmatch_lexicon::name_match::{LabelGrade, NameMatch, NameMatcher};
 use qmatch_lexicon::thesaurus::Thesaurus;
 use qmatch_lexicon::tokenize::tokenize;
 use qmatch_xsd::{NodeId, SchemaTree};
 
-/// Selects which engine [`MatchSession::run`] executes — the consolidated
-/// v1 entry point replacing the per-algorithm free functions
-/// (`hybrid_match`, `structural_match`, …, now `#[deprecated]` thin
-/// wrappers).
+/// Selects which engine [`MatchSession::run`] executes — the one entry
+/// point to every engine.
 ///
 /// Prepare each schema once with [`MatchSession::prepare`], then run any
 /// algorithm over the prepared pair; label comparisons share the session's
@@ -262,30 +249,6 @@ impl std::fmt::Debug for LabelMatrix {
     }
 }
 
-/// Batch matching: runs the hybrid matcher over every pair, sharing one
-/// matcher/thesaurus build and one session-wide label cache, in parallel
-/// over the pairs with the `parallel` feature. Outcomes come back in input
-/// order.
-pub fn match_many(pairs: &[(SchemaTree, SchemaTree)], config: &MatchConfig) -> Vec<MatchOutcome> {
-    match_many_with(pairs, config, &matcher_for_mode(config.lexicon))
-}
-
-/// [`match_many`] over a caller-supplied matcher (custom thesaurus).
-pub fn match_many_with(
-    pairs: &[(SchemaTree, SchemaTree)],
-    config: &MatchConfig,
-    matcher: &NameMatcher,
-) -> Vec<MatchOutcome> {
-    let session = MatchSession::with_matcher(*config, matcher.clone());
-    let prepared: Vec<(PreparedSchema, PreparedSchema)> = pairs
-        .iter()
-        .map(|(source, target)| (session.prepare(source), session.prepare(target)))
-        .collect();
-    let refs: Vec<(&PreparedSchema, &PreparedSchema)> =
-        prepared.iter().map(|(s, t)| (s, t)).collect();
-    session.match_corpus(&refs)
-}
-
 /// Post-order traversal of a tree's node ids (children before parents).
 pub(crate) fn postorder(tree: &SchemaTree) -> Vec<NodeId> {
     // The arena is built pre-order, so reversing index order yields a valid
@@ -358,9 +321,68 @@ pub(crate) fn greedy_assignment(
     out
 }
 
+/// Test support: runs `algorithm` over two trees in a fresh session pinned
+/// to `threads` workers.
+#[cfg(test)]
+pub(crate) fn run_trees(
+    algorithm: &Algorithm,
+    source: &SchemaTree,
+    target: &SchemaTree,
+    config: &MatchConfig,
+    threads: usize,
+) -> MatchOutcome {
+    let mut session = MatchSession::new(*config);
+    session.set_threads(threads);
+    let (sp, tp) = (session.prepare(source), session.prepare(target));
+    session.run(algorithm, &sp, &tp).expect("valid algorithm")
+}
+
+/// Test support: asserts `algorithm` gives bit-identical outcomes on one
+/// and on four worker threads, over a 21×21-node pair — past
+/// [`crate::par::PAR_CELL_THRESHOLD`], so four workers really split the
+/// 16-leaf wave.
+#[cfg(test)]
+pub(crate) fn assert_thread_counts_agree(algorithm: &Algorithm) {
+    // Root, four groups, four leaves per group (leaf labels suffixed by
+    // their group), over partly overlapping vocabularies.
+    fn tree(root: &str, groups: [&str; 4], leaves: [&str; 4]) -> SchemaTree {
+        let mut entries: Vec<(String, Option<usize>)> = vec![(root.to_owned(), None)];
+        for group in groups {
+            let parent = entries.len();
+            entries.push((group.to_owned(), Some(0)));
+            for leaf in leaves {
+                entries.push((format!("{leaf}{group}"), Some(parent)));
+            }
+        }
+        let borrowed: Vec<(&str, Option<usize>)> =
+            entries.iter().map(|(l, p)| (l.as_str(), *p)).collect();
+        SchemaTree::from_labels(root, &borrowed)
+    }
+    let source = tree(
+        "PO",
+        ["Buyer", "Seller", "Lines", "Shipment"],
+        ["Name", "Id", "Qty", "Date"],
+    );
+    let target = tree(
+        "PurchaseOrder",
+        ["Customer", "Vendor", "Items", "Delivery"],
+        ["Name", "Number", "Quantity", "Date"],
+    );
+    assert!(source.len() * target.len() >= crate::par::PAR_CELL_THRESHOLD);
+    let config = MatchConfig::default();
+    let four = run_trees(algorithm, &source, &target, &config, 4);
+    let one = run_trees(algorithm, &source, &target, &config, 1);
+    assert_eq!(
+        four.matrix,
+        one.matrix,
+        "{}: matrices diverge",
+        algorithm.name()
+    );
+    assert_eq!(four.total_qom.to_bits(), one.total_qom.to_bits());
+}
+
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the one-shot wrappers stay covered until removal
     use super::*;
     use qmatch_xsd::SchemaTree;
 
@@ -480,25 +502,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn match_many_matches_individual_runs() {
-        let config = MatchConfig::default();
-        let pairs = vec![
-            (tiny(), tiny()),
-            (
-                SchemaTree::from_labels("a", &[("a", None), ("b", Some(0))]),
-                tiny(),
-            ),
-        ];
-        let batch = match_many(&pairs, &config);
-        assert_eq!(batch.len(), 2);
-        for (outcome, (s, t)) in batch.iter().zip(&pairs) {
-            let single = hybrid_match(s, t, &config);
-            assert_eq!(outcome.matrix, single.matrix, "batch == one-at-a-time");
-            assert_eq!(outcome.total_qom, single.total_qom);
         }
     }
 

@@ -17,9 +17,9 @@ use crate::matrix::{Precision, SimMatrix};
 use crate::model::MatchConfig;
 use crate::par;
 use crate::props::compare_properties;
-use crate::session::{MatchSession, PreparedSchema};
+use crate::session::PreparedSchema;
 use crate::trace::{Phase, Span, Trace};
-use qmatch_xsd::{NodeId, SchemaTree};
+use qmatch_xsd::NodeId;
 
 /// Component weights of the structural similarity. Children dominate, as in
 /// the hybrid's weight model; the remainder splits between arity, the
@@ -29,56 +29,17 @@ const W_ARITY: f64 = 0.15;
 const W_PROPS: f64 = 0.25;
 const W_LEVEL: f64 = 0.15;
 
-/// Runs the structural matcher. `total_qom` is the similarity of the roots.
+/// The structural engine over prepared artifacts. `total_qom` is the
+/// similarity of the roots.
 ///
-/// Both passes are wavefronted: the bottom-up shape DP by source-node
-/// height, the top-down context blend by source-node depth. Bit-identical
-/// to [`structural_match_sequential`].
-///
-/// # Migration
-///
-/// Use [`MatchSession::run`] with
-/// [`Algorithm::Structural`](super::Algorithm::Structural) over prepared
-/// schemas.
-#[deprecated(
-    since = "0.1.0",
-    note = "use MatchSession::run(&Algorithm::Structural, ..) over prepared schemas"
-)]
-pub fn structural_match(
-    source: &SchemaTree,
-    target: &SchemaTree,
-    config: &MatchConfig,
-) -> MatchOutcome {
-    let session = MatchSession::new(*config);
-    let (sp, tp) = (session.prepare(source), session.prepare(target));
-    session.structural(&sp, &tp)
-}
-
-/// The always-sequential engine: same arithmetic, no threads.
-///
-/// # Migration
-///
-/// Use [`MatchSession::run_sequential`] with
-/// [`Algorithm::Structural`](super::Algorithm::Structural).
-#[deprecated(
-    since = "0.1.0",
-    note = "use MatchSession::run_sequential(&Algorithm::Structural, ..) over prepared schemas"
-)]
-pub fn structural_match_sequential(
-    source: &SchemaTree,
-    target: &SchemaTree,
-    config: &MatchConfig,
-) -> MatchOutcome {
-    let session = MatchSession::new(*config);
-    let (sp, tp) = (session.prepare(source), session.prepare(target));
-    session.structural_sequential(&sp, &tp)
-}
-
+/// Both passes are wavefronted over up to `threads` workers: the bottom-up
+/// shape DP by source-node height, the top-down context blend by
+/// source-node depth. Every thread count yields bit-identical matrices.
 pub(crate) fn structural_match_impl(
     source: &PreparedSchema,
     target: &PreparedSchema,
     config: &MatchConfig,
-    parallel: bool,
+    threads: usize,
     trace: &Trace,
     arena: &MatchArena,
     precision: Precision,
@@ -100,7 +61,7 @@ pub(crate) fn structural_match_impl(
     );
     for (w, wave) in source.waves_by_height().iter().enumerate() {
         let t0 = trace.start();
-        let rows = par::map_rows(wave.len(), parallel, |i| {
+        let rows = par::map_rows(wave.len(), threads, |i| {
             structural_row(source, target, wave[i], config, &matrix)
         });
         for (&s, row) in wave.iter().zip(&rows) {
@@ -124,7 +85,7 @@ pub(crate) fn structural_match_impl(
     // wave earlier.
     for (w, wave) in source.waves_by_depth().iter().enumerate() {
         let t0 = trace.start();
-        let rows = par::map_rows(wave.len(), parallel, |i| {
+        let rows = par::map_rows(wave.len(), threads, |i| {
             context_row(source, target, wave[i], &matrix, &contextual)
         });
         for (&s, row) in wave.iter().zip(&rows) {
@@ -245,25 +206,15 @@ fn arity_similarity(source: usize, target: usize) -> f64 {
     }
 }
 
-/// Structural similarity of two specific nodes (exposed for diagnostics and
-/// tests): equivalent to running the matcher and reading one cell.
-#[cfg(test)]
-#[allow(deprecated)]
-pub(crate) fn pair_similarity(
-    source: &SchemaTree,
-    target: &SchemaTree,
-    s: NodeId,
-    t: NodeId,
-    config: &MatchConfig,
-) -> f64 {
-    structural_match(source, target, config).matrix.get(s, t)
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the one-shot wrappers stay covered until removal
     use super::*;
+    use crate::algorithms::{assert_thread_counts_agree, run_trees, Algorithm};
     use qmatch_xsd::SchemaTree;
+
+    fn structural(source: &SchemaTree, target: &SchemaTree, config: &MatchConfig) -> MatchOutcome {
+        run_trees(&Algorithm::Structural, source, target, config, 1)
+    }
 
     fn library() -> SchemaTree {
         SchemaTree::from_labels(
@@ -296,7 +247,7 @@ mod tests {
     #[test]
     fn identical_shapes_score_one() {
         // Figures 7/8: structurally identical, linguistically different.
-        let out = structural_match(&library(), &human(), &MatchConfig::default());
+        let out = structural(&library(), &human(), &MatchConfig::default());
         assert!(
             (out.total_qom - 1.0).abs() < 1e-9,
             "identical shapes must be structurally perfect: {}",
@@ -307,19 +258,14 @@ mod tests {
     #[test]
     fn self_match_is_one_everywhere_on_diagonal_structure() {
         let t = library();
-        let out = structural_match(&t, &t, &MatchConfig::default());
+        let out = structural(&t, &t, &MatchConfig::default());
         assert!((out.total_qom - 1.0).abs() < 1e-9);
         out.matrix.assert_normalized();
     }
 
     #[test]
-    fn sequential_engine_agrees_exactly() {
-        let (s, t) = (library(), human());
-        let config = MatchConfig::default();
-        let a = structural_match(&s, &t, &config);
-        let b = structural_match_sequential(&s, &t, &config);
-        assert_eq!(a.matrix, b.matrix);
-        assert_eq!(a.total_qom, b.total_qom);
+    fn one_and_four_threads_agree_exactly() {
+        assert_thread_counts_agree(&Algorithm::Structural);
     }
 
     #[test]
@@ -332,7 +278,7 @@ mod tests {
             "a",
             &[("a", None), ("b", Some(0)), ("c", Some(0)), ("d", Some(0))],
         );
-        let out = structural_match(&deep, &wide, &MatchConfig::default());
+        let out = structural(&deep, &wide, &MatchConfig::default());
         assert!(out.total_qom < 0.8, "chain vs star: {}", out.total_qom);
     }
 
@@ -340,7 +286,7 @@ mod tests {
     fn leaf_vs_internal_gets_no_children_credit() {
         let leafy = SchemaTree::from_labels("x", &[("x", None)]);
         let nested = SchemaTree::from_labels("x", &[("x", None), ("y", Some(0))]);
-        let out = structural_match(&leafy, &nested, &MatchConfig::default());
+        let out = structural(&leafy, &nested, &MatchConfig::default());
         // Children component 0, arity 0; props + level still match.
         assert!(out.total_qom < 0.5, "{}", out.total_qom);
     }
@@ -362,7 +308,7 @@ mod tests {
         // Same subtree shape mounted at different depths.
         let shallow = SchemaTree::from_labels("r", &[("r", None), ("x", Some(0))]);
         let deep = SchemaTree::from_labels("r", &[("r", None), ("m", Some(0)), ("x", Some(1))]);
-        let out = structural_match(&shallow, &deep, &MatchConfig::default());
+        let out = structural(&shallow, &deep, &MatchConfig::default());
         let s_x = shallow.find_by_label("x").unwrap();
         let d_x = deep.find_by_label("x").unwrap();
         let sim = out.matrix.get(s_x, d_x);
@@ -370,16 +316,6 @@ mod tests {
             sim < 1.0 && sim > 0.5,
             "leaf pair at different levels: {sim}"
         );
-    }
-
-    #[test]
-    fn pair_similarity_matches_matrix_cell() {
-        let (s, t) = (library(), human());
-        let config = MatchConfig::default();
-        let out = structural_match(&s, &t, &config);
-        let a = s.find_by_label("Book").unwrap();
-        let b = t.find_by_label("body").unwrap();
-        assert_eq!(out.matrix.get(a, b), pair_similarity(&s, &t, a, b, &config));
     }
 
     #[test]
@@ -396,8 +332,8 @@ mod tests {
                 ("q5", Some(2)),
             ],
         );
-        let a = structural_match(&named, &renamed, &MatchConfig::default());
-        let b = structural_match(&named, &named, &MatchConfig::default());
+        let a = structural(&named, &renamed, &MatchConfig::default());
+        let b = structural(&named, &named, &MatchConfig::default());
         assert!((a.total_qom - b.total_qom).abs() < 1e-12);
     }
 }

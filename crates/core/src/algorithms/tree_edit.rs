@@ -16,8 +16,9 @@ use qmatch_xsd::{NodeId, SchemaTree};
 
 /// Runs the tree-edit matcher. Cell `(s, t)` holds the normalized
 /// similarity `1 − dist(s,t) / (|s| + |t|)` of the two subtrees;
-/// `total_qom` is the root similarity.
-pub fn tree_edit_match(
+/// `total_qom` is the root similarity. Reached through
+/// [`Algorithm::TreeEdit`](super::Algorithm::TreeEdit).
+pub(crate) fn tree_edit_match(
     source: &SchemaTree,
     target: &SchemaTree,
     _config: &MatchConfig,

@@ -24,9 +24,7 @@
 //! finalized rows), and the `qmatch-datasets` property tests pin that over
 //! drift-generated mutation chains.
 
-use crate::algorithms::{
-    hybrid_match_impl, hybrid_rematch_impl, use_parallel, LabelMatrix, MatchOutcome,
-};
+use crate::algorithms::{hybrid_match_impl, hybrid_rematch_impl, LabelMatrix, MatchOutcome};
 use crate::diff::TreeDiff;
 use crate::intern::Symbol;
 use crate::matrix::Precision;
@@ -47,8 +45,8 @@ pub const EVOLVE_FALLBACK_THRESHOLD: f64 = 0.5;
 /// obtained, so callers (serve metrics, `bench_evolve`) can attribute cost.
 #[derive(Debug)]
 pub struct Rematch {
-    /// The finished match — bit-identical to a full
-    /// [`MatchSession::hybrid`] over the same pair.
+    /// The finished match — bit-identical to a full hybrid
+    /// [`MatchSession::run`] over the same pair.
     pub outcome: MatchOutcome,
     /// Whether the incremental driver ran (`false` = lossless fallback to
     /// the full wavefront).
@@ -282,7 +280,7 @@ impl MatchSession {
     /// When the closure exceeds [`EVOLVE_FALLBACK_THRESHOLD`] of the tree —
     /// or `previous` does not line up with `diff`/`target`/`precision` —
     /// the full wavefront runs instead. Either way the result is
-    /// bit-identical to [`MatchSession::hybrid`] over `(new_source,
+    /// bit-identical to a hybrid [`MatchSession::run`] over `(new_source,
     /// target)`.
     pub fn rematch_with_precision(
         &self,
@@ -300,9 +298,9 @@ impl MatchSession {
     /// revisions are copied wholesale out of `old_labels` instead of being
     /// re-fetched pairwise from the session cache. Label comparisons are
     /// pure functions of the symbol pair, so the result stays bit-identical
-    /// to [`MatchSession::hybrid`]; what changes is that the label phase
-    /// becomes O(changed labels), which is what lets the incremental path
-    /// actually win on large schemas.
+    /// to a hybrid [`MatchSession::run`]; what changes is that the label
+    /// phase becomes O(changed labels), which is what lets the incremental
+    /// path actually win on large schemas.
     ///
     /// `old_labels` must be the matrix previously built for `(old_source,
     /// target)` *against the same `target`* — take it from the previous
@@ -346,18 +344,19 @@ impl MatchSession {
                 self.pair_labels_evolved(old_source, old_labels, new_source, target)
             })
             .unwrap_or_else(|| self.pair_labels(new_source, target));
+        let threads = self.threads_for(new_source.tree().len() * target.tree().len());
         let compatible = previous.matrix.rows() == diff.old_len()
             && previous.matrix.cols() == target.tree().len()
             && previous.matrix.precision() == precision;
         if !compatible || diff.recompute_fraction() > EVOLVE_FALLBACK_THRESHOLD {
-            // Mirrors `hybrid_with(new_source, target, true, precision)`
-            // exactly, with the already-built labels.
+            // Mirrors `hybrid_with(new_source, target, precision)` exactly,
+            // with the already-built labels.
             let outcome = hybrid_match_impl(
                 new_source,
                 target,
                 self.config(),
                 &labels,
-                use_parallel(new_source.tree(), target.tree()),
+                threads,
                 self.trace(),
                 self.arena(),
                 precision,
@@ -376,7 +375,7 @@ impl MatchSession {
             &labels,
             diff,
             &previous.matrix,
-            use_parallel(new_source.tree(), target.tree()),
+            threads,
             self.trace(),
             self.arena(),
             precision,
@@ -597,20 +596,20 @@ mod tests {
         );
         let tgt = target();
         let (old, pt) = (session.prepare(&old_tree), session.prepare(&tgt));
-        let previous = session.hybrid_with(&old, &pt, true, Precision::F32);
+        let previous = session.hybrid_with(&old, &pt, Precision::F32);
         let diff = session.diff_trees(&old_tree, &new_tree);
         let new = session.reprepare(&old, &new_tree, &diff);
         let got =
             session.rematch_with_precision(&new, &pt, &diff, &previous.clone(), Precision::F32);
         assert!(got.incremental);
-        let want = session.hybrid_with(&new, &pt, true, Precision::F32);
+        let want = session.hybrid_with(&new, &pt, Precision::F32);
         assert_eq!(got.outcome.matrix, want.matrix);
         // An f64 request against an f32 previous falls back, still correct.
         let cross = session.rematch_with_precision(&new, &pt, &diff, &previous, Precision::F64);
         assert!(!cross.incremental);
         assert_eq!(
             cross.outcome.matrix,
-            session.hybrid_with(&new, &pt, true, Precision::F64).matrix
+            session.hybrid_with(&new, &pt, Precision::F64).matrix
         );
     }
 }

@@ -281,9 +281,8 @@ impl fmt::Display for Explanation {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the one-shot wrappers stay covered until removal
     use super::*;
-    use crate::algorithms::hybrid_match;
+    use crate::algorithms::{run_trees, Algorithm};
 
     fn po_trees() -> (SchemaTree, SchemaTree) {
         let source = SchemaTree::from_labels(
@@ -311,7 +310,7 @@ mod tests {
     fn explanation_total_matches_the_matrix_cell() {
         let (s, t) = po_trees();
         let config = MatchConfig::default();
-        let outcome = hybrid_match(&s, &t, &config);
+        let outcome = run_trees(&Algorithm::Hybrid, &s, &t, &config, 1);
         for (sid, _) in s.iter() {
             for (tid, _) in t.iter() {
                 let e = explain_with_matrix(&s, &t, sid, tid, &config, &outcome.matrix);

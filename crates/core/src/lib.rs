@@ -23,18 +23,18 @@
 //!   incremental re-match ([`evolve::Rematch`]), bit-identical to the
 //!   from-scratch paths (DESIGN.md §17).
 //! - [`algorithms`] — the engines behind [`algorithms::Algorithm`]:
-//!   linguistic, structural, hybrid (Figure 3), COMA-style composite, and a
-//!   tree-edit-distance baseline
-//!   ([`algorithms::tree_edit_match`], related work \[15\]).
-//! - [`par`] — scoped-thread wave execution behind the `parallel` feature
-//!   (on by default; `--no-default-features` builds run sequentially and
-//!   produce bit-identical matrices).
+//!   linguistic, structural, hybrid (Figure 3), full-fidelity CUPID,
+//!   COMA-style composite, and a tree-edit-distance baseline (related work
+//!   \[15\]).
+//! - [`par`] — scoped-thread wave execution; a session's thread count
+//!   (`QMATCH_THREADS` by default) selects how many workers each wave uses,
+//!   and every count produces bit-identical matrices.
 //! - [`intern`] — the label interner ([`intern::Symbol`]): case-folding and
 //!   tokenization happen once per distinct label.
 //! - [`session`] — the prepare-once/match-many API
 //!   ([`session::MatchSession`], [`session::PreparedSchema`]) with the
-//!   cross-schema label cache; the one-shot functions above are thin
-//!   wrappers over an ephemeral session.
+//!   cross-schema label cache; [`session::MatchSession::run`] is the one
+//!   entry point to every engine.
 //! - [`mapping`] — extraction of 1:1 correspondences from a matrix.
 //! - [`trace`] — zero-dependency pipeline observability: [`trace::Span`]s
 //!   per phase through a [`trace::TraceSink`] (see DESIGN.md §13).
@@ -83,11 +83,9 @@ pub mod taxonomy;
 pub mod trace;
 pub mod tuning;
 
-#[allow(deprecated)]
 pub use algorithms::{
-    composite_match, hybrid_match, hybrid_match_sequential, linguistic_match,
-    mapping_generation_leaves, match_many, match_many_with, structural_match, tree_edit_match,
-    Aggregation, Algorithm, Component, CompositeError, LabelMatrix, MatchOutcome,
+    mapping_generation_leaves, Aggregation, Algorithm, Component, CompositeError, LabelMatrix,
+    MatchOutcome,
 };
 pub use arena::{ArenaStats, MatchArena};
 pub use diff::{EditCounts, EditOp, TreeDiff};

@@ -2,24 +2,28 @@
 //!
 //! The matching engines fan work out in *waves* of independent rows (see
 //! DESIGN.md); this module provides the small, dependency-free map primitive
-//! they share. With the `parallel` feature disabled (or a single available
-//! core) everything degenerates to a plain sequential loop, so the two build
-//! flavours run exactly the same per-cell arithmetic — the parallel and
-//! sequential engines are bit-identical by construction.
+//! they share. The caller passes the worker count — a session's thread count
+//! (see [`crate::session::MatchSession::set_threads`]) — and a count of 1
+//! degenerates to a plain loop on the calling thread. Every worker runs
+//! exactly the same per-cell arithmetic over contiguous index chunks, so
+//! results are bit-identical for every thread count by construction.
 
-/// Number of worker threads the parallel engines use: the `QMATCH_THREADS`
+/// The default worker count of a new session: the `QMATCH_THREADS`
 /// environment variable when set (clamped to at least 1), otherwise the
-/// machine's available parallelism. Always 1 without the `parallel` feature.
+/// machine's available parallelism.
 pub fn num_threads() -> usize {
-    if !cfg!(feature = "parallel") {
-        return 1;
-    }
-    if let Ok(v) = std::env::var("QMATCH_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    // The variable is checked first: querying the machine costs a syscall
+    // and cgroup reads, paid only when the variable does not decide.
+    parse_threads(std::env::var("QMATCH_THREADS").ok().as_deref())
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// The `QMATCH_THREADS` parse rules behind [`num_threads`]: a number is
+/// clamped to at least 1; junk or an unset variable gives `None` (use the
+/// available parallelism).
+fn parse_threads(var: Option<&str>) -> Option<usize> {
+    var.and_then(|v| v.trim().parse::<usize>().ok())
+        .map(|n| n.max(1))
 }
 
 /// Minimum number of similarity cells (`rows × cols`) before an engine
@@ -28,91 +32,51 @@ pub fn num_threads() -> usize {
 /// 6-node trees and must not pay a fork/join per wave.
 pub const PAR_CELL_THRESHOLD: usize = 256;
 
-/// Maps `f` over `0..n`, in parallel when `parallel` is true (and the build
-/// and machine support it), preserving index order. `f` must be a pure
-/// function of its index for the parallel and sequential paths to agree —
-/// every caller in this crate satisfies that by writing rows out-of-place.
-pub(crate) fn map_rows<T, F>(n: usize, parallel: bool, f: F) -> Vec<T>
+/// Maps `f` over `0..n` on up to `threads` workers, preserving index order.
+/// `f` must be a pure function of its index for every thread count to agree
+/// — every caller in this crate satisfies that by writing rows out-of-place.
+pub(crate) fn map_rows<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = if parallel { num_threads().min(n) } else { 1 };
-    if threads <= 1 {
+    if threads.min(n) <= 1 {
         return (0..n).map(f).collect();
     }
-    parallel_map(n, threads, &f)
+    // Each worker collects its contiguous chunk; chunks come back in order.
+    for_rows_with(n, threads, Vec::new, |out: &mut Vec<T>, i| out.push(f(i)))
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
-#[cfg(feature = "parallel")]
-fn parallel_map<T, F>(n: usize, threads: usize, f: &F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    // Contiguous chunks, one per worker; results are concatenated in
-    // chunk order so the output is index-ordered regardless of scheduling.
-    let chunk = n.div_ceil(threads);
-    let mut out = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(n);
-                scope.spawn(move || (lo..hi).map(f).collect::<Vec<T>>())
-            })
-            .collect();
-        for handle in handles {
-            out.extend(handle.join().expect("qmatch worker thread panicked"));
-        }
-    });
-    out
-}
-
-#[cfg(not(feature = "parallel"))]
-fn parallel_map<T, F>(n: usize, _threads: usize, f: &F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    (0..n).map(f).collect()
-}
-
-/// Runs `f` over `0..n` for side effects, giving each worker thread one
-/// state value built by `init` (scratch buffers, per-thread counters). The
-/// per-thread states are returned after the join so the caller can fold
-/// counters and recycle buffers — no atomics in the row loop.
+/// Runs `f` over `0..n` for side effects on up to `threads` workers, giving
+/// each worker one state value built by `init` (scratch buffers, per-thread
+/// counters). The per-worker states are returned after the join so the
+/// caller can fold counters and recycle buffers — no atomics in the row
+/// loop.
 ///
 /// `f` must write its results out-of-band (e.g. into disjoint matrix rows):
 /// unlike [`map_rows`] nothing is collected per index, which is what lets
 /// the wavefront kernels write rows in place without a per-row `Vec`.
-pub(crate) fn for_rows_with<S, I, F>(n: usize, parallel: bool, init: I, f: F) -> Vec<S>
+pub(crate) fn for_rows_with<S, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<S>
 where
     S: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) + Sync,
 {
-    let threads = if parallel { num_threads().min(n) } else { 1 };
-    if threads <= 1 || !cfg!(feature = "parallel") {
+    let threads = threads.min(n);
+    if threads <= 1 {
         let mut state = init();
         for i in 0..n {
             f(&mut state, i);
         }
         return vec![state];
     }
-    parallel_for_with(n, threads, &init, &f)
-}
-
-#[cfg(feature = "parallel")]
-fn parallel_for_with<S, I, F>(n: usize, threads: usize, init: &I, f: &F) -> Vec<S>
-where
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) + Sync,
-{
-    // Same contiguous-chunk split as `parallel_map`: one worker per chunk,
-    // states returned in chunk order.
+    // Contiguous chunks, one per worker; states are returned in chunk
+    // order, so per-index results fold back deterministically.
     let chunk = n.div_ceil(threads);
+    let (init, f) = (&init, &f);
     let mut states = Vec::with_capacity(threads);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
@@ -135,43 +99,26 @@ where
     states
 }
 
-#[cfg(not(feature = "parallel"))]
-fn parallel_for_with<S, I, F>(n: usize, _threads: usize, init: &I, f: &F) -> Vec<S>
-where
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) + Sync,
-{
-    let mut state = init();
-    for i in 0..n {
-        f(&mut state, i);
-    }
-    vec![state]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn map_rows_preserves_order_sequentially() {
-        let out = map_rows(10, false, |i| i * i);
+    fn map_rows_preserves_order_on_one_thread() {
+        let out = map_rows(10, 1, |i| i * i);
         assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36, 49, 64, 81]);
     }
 
     #[test]
-    fn map_rows_preserves_order_in_parallel() {
-        // Forces the threaded path even on a single-core machine.
-        std::env::set_var("QMATCH_THREADS", "4");
-        let out = map_rows(1000, true, |i| i as u64 * 3);
-        std::env::remove_var("QMATCH_THREADS");
+    fn map_rows_preserves_order_on_four_threads() {
+        let out = map_rows(1000, 4, |i| i as u64 * 3);
         assert_eq!(out, (0..1000u64).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]
     fn map_rows_handles_empty_and_single() {
-        assert_eq!(map_rows(0, true, |i| i), Vec::<usize>::new());
-        assert_eq!(map_rows(1, true, |i| i + 7), vec![7]);
+        assert_eq!(map_rows(0, 4, |i| i), Vec::<usize>::new());
+        assert_eq!(map_rows(1, 4, |i| i + 7), vec![7]);
     }
 
     #[test]
@@ -180,33 +127,37 @@ mod tests {
     }
 
     #[test]
+    fn qmatch_threads_parse_rules() {
+        assert_eq!(parse_threads(Some("0")), Some(1), "zero clamps to one");
+        assert_eq!(parse_threads(Some("3")), Some(3));
+        assert_eq!(parse_threads(Some(" 5 ")), Some(5), "whitespace is trimmed");
+        assert_eq!(parse_threads(Some("many")), None, "junk falls back");
+        assert_eq!(parse_threads(Some("-2")), None, "negative is junk");
+        assert_eq!(parse_threads(None), None, "unset falls back");
+    }
+
+    #[test]
     fn for_rows_with_covers_every_index_once() {
         use std::sync::atomic::{AtomicU64, Ordering};
-        std::env::set_var("QMATCH_THREADS", "4");
         let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
         let states = for_rows_with(
             1000,
-            true,
+            4,
             || 0u64,
             |count, i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
                 *count += i as u64;
             },
         );
-        std::env::remove_var("QMATCH_THREADS");
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        // The per-thread counters together saw every index exactly once.
+        // The per-worker counters together saw every index exactly once.
         assert_eq!(states.iter().sum::<u64>(), (0..1000u64).sum());
-        if cfg!(feature = "parallel") {
-            assert!(states.len() > 1, "threaded path produced one state each");
-        } else {
-            assert_eq!(states.len(), 1, "sequential build keeps one state");
-        }
+        assert_eq!(states.len(), 4, "one state per worker");
     }
 
     #[test]
-    fn for_rows_with_sequential_returns_single_state() {
-        let states = for_rows_with(5, false, Vec::new, |v: &mut Vec<usize>, i| v.push(i));
+    fn for_rows_with_one_thread_returns_single_state() {
+        let states = for_rows_with(5, 1, Vec::new, |v: &mut Vec<usize>, i| v.push(i));
         assert_eq!(states, vec![vec![0, 1, 2, 3, 4]]);
     }
 }

@@ -6,11 +6,10 @@
 //!
 //! The module exists so that accuracy is measured the same way everywhere:
 //! each algorithm's mapping is extracted by *its own* convention (CUPID is
-//! leaf-anchored via
-//! [`mapping_generation_leaves`](crate::algorithms::mapping_generation_leaves),
-//! everything else is the greedy 1:1 extraction at the algorithm's default
-//! acceptance threshold), and every consumer shares
-//! [`default_threshold`] instead of hard-coding its own copy.
+//! leaf-anchored via [`mapping_generation_leaves`], everything else is the
+//! greedy 1:1 extraction at the algorithm's default acceptance threshold),
+//! and every consumer shares [`default_threshold`] instead of hard-coding
+//! its own copy.
 
 use crate::algorithms::{mapping_generation_leaves, Algorithm, CompositeError};
 use crate::eval::{evaluate, GoldStandard, MatchQuality};

@@ -11,9 +11,9 @@
 //!   interned [`Symbol`]s and case-folded labels, [`tokenize`] output per
 //!   distinct label, the bottom-up and top-down wave schedules, the
 //!   leaf/internal partition, and the per-node property profile.
-//! - [`MatchSession::match_pair`] (and the per-algorithm variants) run the
-//!   engines over two prepared schemas, touching only integer indices and
-//!   precomputed tables.
+//! - [`MatchSession::run`] runs any [`Algorithm`] over two prepared
+//!   schemas, touching only integer indices and precomputed tables;
+//!   [`MatchSession::match_corpus`] is its batch form.
 //!
 //! The session also owns the cross-schema label cache: every distinct
 //! `(Symbol, Symbol)` pair is compared at most once per session, so the
@@ -26,8 +26,8 @@
 
 use crate::algorithms::{
     composite_match_impl, cupid_match_impl, hybrid_match_impl, linguistic_match_impl,
-    matcher_for_mode, root_category_with_label, structural_match_impl, tree_edit_match,
-    use_parallel, Aggregation, Algorithm, Component, CompositeError, LabelMatrix, MatchOutcome,
+    matcher_for_mode, root_category_with_label, structural_match_impl, tree_edit_match, Algorithm,
+    CompositeError, LabelMatrix, MatchOutcome,
 };
 use crate::arena::{ArenaStats, MatchArena};
 use crate::explain::{explain_with_label, Explanation};
@@ -276,9 +276,11 @@ impl CacheStats {
 }
 
 /// A long-lived matching context: configuration, the name matcher (with its
-/// thesaurus), the label interner, and the cross-schema label cache.
+/// thesaurus), the label interner, the cross-schema label cache, and the
+/// worker-thread count every engine run through it fans out to.
 ///
 /// ```
+/// use qmatch_core::algorithms::Algorithm;
 /// use qmatch_core::session::MatchSession;
 /// use qmatch_core::model::MatchConfig;
 /// use qmatch_xsd::SchemaTree;
@@ -287,10 +289,10 @@ impl CacheStats {
 /// let a = SchemaTree::from_labels("a", &[("a", None), ("OrderNo", Some(0))]);
 /// let b = SchemaTree::from_labels("b", &[("b", None), ("OrderNo", Some(0))]);
 /// let (pa, pb) = (session.prepare(&a), session.prepare(&b));
-/// let outcome = session.match_pair(&pa, &pb);
+/// let outcome = session.run(&Algorithm::Hybrid, &pa, &pb).unwrap();
 /// assert!(outcome.total_qom > 0.0);
 /// // Prepared schemas are reusable: match again, labels come from cache.
-/// let again = session.match_pair(&pa, &pb);
+/// let again = session.run(&Algorithm::Hybrid, &pa, &pb).unwrap();
 /// assert_eq!(outcome.matrix, again.matrix);
 /// ```
 pub struct MatchSession {
@@ -306,6 +308,9 @@ pub struct MatchSession {
     /// Pooled matrix/scratch buffers reused across matches (see
     /// [`MatchArena`]).
     arena: MatchArena,
+    /// Worker threads the engines fan out to (see
+    /// [`MatchSession::set_threads`]).
+    threads: usize,
 }
 
 impl MatchSession {
@@ -327,7 +332,37 @@ impl MatchSession {
             misses: AtomicU64::new(0),
             trace: Trace::disabled(),
             arena: MatchArena::default(),
+            threads: par::num_threads(),
         }
+    }
+
+    /// Pins the number of worker threads this session's engines fan out to
+    /// (clamped to at least 1; 1 runs everything on the calling thread). A
+    /// new session starts at [`par::num_threads`]: `QMATCH_THREADS` when
+    /// set, otherwise the machine's available parallelism. Scores are
+    /// bit-identical for every thread count.
+    ///
+    /// Takes `&mut self`, like [`MatchSession::set_trace_sink`], so the
+    /// count is fixed before the session is shared.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.threads = threads.max(1);
+    }
+
+    /// Worker threads for a job of `cells` similarity cells: 1 below
+    /// [`par::PAR_CELL_THRESHOLD`] (thread startup would dominate the
+    /// work), the session's count above it.
+    pub(crate) fn threads_for(&self, cells: usize) -> usize {
+        if cells < par::PAR_CELL_THRESHOLD {
+            1
+        } else {
+            self.threads
+        }
+    }
+
+    /// The session's worker-thread count, for fan-outs over whole matches
+    /// (composite components, corpus pairs) that no cell threshold gates.
+    pub(crate) fn threads(&self) -> usize {
+        self.threads
     }
 
     /// Installs a [`TraceSink`]: every subsequent prepare/match/selection
@@ -489,14 +524,9 @@ impl MatchSession {
         OwnedPreparedSchema { prepared, tree }
     }
 
-    /// Runs the QMatch hybrid algorithm over two prepared schemas — the
-    /// session's default match operation.
-    pub fn match_pair(&self, source: &PreparedSchema, target: &PreparedSchema) -> MatchOutcome {
-        self.hybrid(source, target)
-    }
-
-    /// Runs any [`Algorithm`] over two prepared schemas — the consolidated
-    /// v1 entry point replacing the per-algorithm free functions.
+    /// Runs any [`Algorithm`] over two prepared schemas — the one entry
+    /// point to every engine. Scheduling follows the session's thread count
+    /// ([`MatchSession::set_threads`]); scores do not depend on it.
     ///
     /// Only [`Algorithm::Composite`] can fail (empty component list or
     /// mismatched weights); the other variants always return `Ok`.
@@ -526,10 +556,10 @@ impl MatchSession {
     /// (the `precision=` query parameter of `/v1/match*`). The config's
     /// precision is untouched; only this call's matrix storage changes.
     ///
-    /// The hybrid, linguistic, and structural kernels store in the requested
-    /// precision natively; tree-edit and composite compute in `f64` and
-    /// convert the finished matrix (identical rounding semantics: one
-    /// nearest-`f32` round per cell).
+    /// The hybrid, linguistic, structural, and CUPID kernels store in the
+    /// requested precision natively; tree-edit and composite compute in
+    /// `f64` and convert the finished matrix (identical rounding semantics:
+    /// one nearest-`f32` round per cell).
     pub fn run_with_precision(
         &self,
         algorithm: &Algorithm,
@@ -537,63 +567,45 @@ impl MatchSession {
         target: &PreparedSchema,
         precision: Precision,
     ) -> Result<MatchOutcome, CompositeError> {
-        match algorithm {
-            Algorithm::Hybrid => Ok(self.hybrid_with(source, target, true, precision)),
-            Algorithm::Linguistic => Ok(self.linguistic_with(source, target, true, precision)),
-            Algorithm::Structural => Ok(self.structural_with(source, target, true, precision)),
-            Algorithm::Cupid => Ok(self.cupid_with(source, target, true, precision)),
-            Algorithm::TreeEdit => Ok(convert_outcome(
+        Ok(match algorithm {
+            Algorithm::Hybrid => self.hybrid_with(source, target, precision),
+            Algorithm::Linguistic => self.linguistic_with(source, target, precision),
+            Algorithm::Structural => self.structural_with(source, target, precision),
+            Algorithm::Cupid => cupid_match_impl(
+                source,
+                target,
+                self.config.cupid,
+                &self.pair_labels(source, target),
+                self.threads_for(source.tree().len() * target.tree().len()),
+                &self.trace,
+                &self.arena,
+                precision,
+            ),
+            Algorithm::TreeEdit => convert_outcome(
                 tree_edit_match(source.tree(), target.tree(), &self.config),
                 precision,
-            )),
+            ),
             Algorithm::Composite {
                 components,
                 aggregation,
-            } => self
-                .composite(source, target, components, aggregation)
-                .map(|outcome| convert_outcome(outcome, precision)),
-        }
+            } => convert_outcome(
+                composite_match_impl(self, source, target, components, aggregation)?,
+                precision,
+            ),
+        })
     }
 
-    /// [`MatchSession::run`] pinned to the sequential engines (bit-identical
-    /// results; for determinism comparisons and single-thread baselines).
-    /// [`Algorithm::Composite`] components keep their own scheduling — there
-    /// is no sequential composite variant.
-    pub fn run_sequential(
-        &self,
-        algorithm: &Algorithm,
-        source: &PreparedSchema,
-        target: &PreparedSchema,
-    ) -> Result<MatchOutcome, CompositeError> {
-        match algorithm {
-            Algorithm::Hybrid => Ok(self.hybrid_sequential(source, target)),
-            Algorithm::Linguistic => Ok(self.linguistic_sequential(source, target)),
-            Algorithm::Structural => Ok(self.structural_sequential(source, target)),
-            Algorithm::Cupid => Ok(self.cupid_sequential(source, target)),
-            other => self.run(other, source, target),
-        }
+    /// The hybrid (QMatch) engine at the config's precision — the in-crate
+    /// shorthand for [`MatchSession::run`] with [`Algorithm::Hybrid`].
+    pub(crate) fn hybrid(&self, source: &PreparedSchema, target: &PreparedSchema) -> MatchOutcome {
+        self.hybrid_with(source, target, self.config.precision)
     }
 
-    /// The hybrid (QMatch) engine; parallel wavefront when worthwhile.
-    pub fn hybrid(&self, source: &PreparedSchema, target: &PreparedSchema) -> MatchOutcome {
-        self.hybrid_with(source, target, true, self.config.precision)
-    }
-
-    /// The hybrid engine, always sequential (bit-identical to
-    /// [`MatchSession::hybrid`]).
-    pub fn hybrid_sequential(
-        &self,
-        source: &PreparedSchema,
-        target: &PreparedSchema,
-    ) -> MatchOutcome {
-        self.hybrid_with(source, target, false, self.config.precision)
-    }
-
+    /// The hybrid engine at `precision` (also a composite component).
     pub(crate) fn hybrid_with(
         &self,
         source: &PreparedSchema,
         target: &PreparedSchema,
-        parallel: bool,
         precision: Precision,
     ) -> MatchOutcome {
         let labels = self.pair_labels(source, target);
@@ -602,32 +614,18 @@ impl MatchSession {
             target,
             &self.config,
             &labels,
-            parallel && use_parallel(source.tree(), target.tree()),
+            self.threads_for(source.tree().len() * target.tree().len()),
             &self.trace,
             &self.arena,
             precision,
         )
     }
 
-    /// The flat linguistic matcher over prepared schemas.
-    pub fn linguistic(&self, source: &PreparedSchema, target: &PreparedSchema) -> MatchOutcome {
-        self.linguistic_with(source, target, true, self.config.precision)
-    }
-
-    /// The linguistic matcher, always sequential.
-    pub fn linguistic_sequential(
+    /// The flat linguistic matcher (a composite component).
+    pub(crate) fn linguistic_with(
         &self,
         source: &PreparedSchema,
         target: &PreparedSchema,
-    ) -> MatchOutcome {
-        self.linguistic_with(source, target, false, self.config.precision)
-    }
-
-    fn linguistic_with(
-        &self,
-        source: &PreparedSchema,
-        target: &PreparedSchema,
-        parallel: bool,
         precision: Precision,
     ) -> MatchOutcome {
         let labels = self.pair_labels(source, target);
@@ -635,77 +633,26 @@ impl MatchSession {
             source,
             target,
             &labels,
-            parallel && use_parallel(source.tree(), target.tree()),
+            self.threads_for(source.tree().len() * target.tree().len()),
             &self.trace,
             &self.arena,
             precision,
         )
     }
 
-    /// The full-fidelity CUPID engine ([`Algorithm::Cupid`]): similarity
-    /// propagation over the prepared leaf sets, sharing the session label
-    /// cache with the other engines.
-    pub fn cupid(&self, source: &PreparedSchema, target: &PreparedSchema) -> MatchOutcome {
-        self.cupid_with(source, target, true, self.config.precision)
-    }
-
-    /// The CUPID engine, always sequential (bit-identical to
-    /// [`MatchSession::cupid`]).
-    pub fn cupid_sequential(
+    /// The structural matcher (labels unused — no cache traffic; a
+    /// composite component).
+    pub(crate) fn structural_with(
         &self,
         source: &PreparedSchema,
         target: &PreparedSchema,
-    ) -> MatchOutcome {
-        self.cupid_with(source, target, false, self.config.precision)
-    }
-
-    fn cupid_with(
-        &self,
-        source: &PreparedSchema,
-        target: &PreparedSchema,
-        parallel: bool,
-        precision: Precision,
-    ) -> MatchOutcome {
-        let labels = self.pair_labels(source, target);
-        cupid_match_impl(
-            source,
-            target,
-            self.config.cupid,
-            &labels,
-            parallel && use_parallel(source.tree(), target.tree()),
-            &self.trace,
-            &self.arena,
-            precision,
-        )
-    }
-
-    /// The structural matcher over prepared schemas (labels unused — no
-    /// cache traffic).
-    pub fn structural(&self, source: &PreparedSchema, target: &PreparedSchema) -> MatchOutcome {
-        self.structural_with(source, target, true, self.config.precision)
-    }
-
-    /// The structural matcher, always sequential.
-    pub fn structural_sequential(
-        &self,
-        source: &PreparedSchema,
-        target: &PreparedSchema,
-    ) -> MatchOutcome {
-        self.structural_with(source, target, false, self.config.precision)
-    }
-
-    fn structural_with(
-        &self,
-        source: &PreparedSchema,
-        target: &PreparedSchema,
-        parallel: bool,
         precision: Precision,
     ) -> MatchOutcome {
         structural_match_impl(
             source,
             target,
             &self.config,
-            parallel && use_parallel(source.tree(), target.tree()),
+            self.threads_for(source.tree().len() * target.tree().len()),
             &self.trace,
             &self.arena,
             precision,
@@ -730,23 +677,11 @@ impl MatchSession {
         mapping
     }
 
-    /// COMA-style composite matching over prepared schemas; component
-    /// matchers share this session's label cache.
-    pub fn composite(
-        &self,
-        source: &PreparedSchema,
-        target: &PreparedSchema,
-        components: &[Component],
-        aggregation: &Aggregation,
-    ) -> Result<MatchOutcome, CompositeError> {
-        composite_match_impl(self, source, target, components, aggregation)
-    }
-
-    /// Batch matching: the hybrid engine over every pair, parallel over the
-    /// pairs with the `parallel` feature, outcomes in input order. Prepared
-    /// schemas may repeat across pairs — that is the point.
+    /// Batch matching: the hybrid engine over every pair, fanned out over
+    /// the session's threads, outcomes in input order. Prepared schemas may
+    /// repeat across pairs — that is the point.
     pub fn match_corpus(&self, pairs: &[(&PreparedSchema, &PreparedSchema)]) -> Vec<MatchOutcome> {
-        par::map_rows(pairs.len(), cfg!(feature = "parallel"), |i| {
+        par::map_rows(pairs.len(), self.threads, |i| {
             let (source, target) = pairs[i];
             self.hybrid(source, target)
         })
@@ -856,8 +791,8 @@ impl MatchSession {
         if !missing.is_empty() {
             // Misses are pure label comparisons — safe to fan out; the
             // values are identical however they are scheduled.
-            let parallel = cfg!(feature = "parallel") && missing.len() >= par::PAR_CELL_THRESHOLD;
-            let computed: Vec<NameMatch> = par::map_rows(missing.len(), parallel, |k| {
+            let threads = self.threads_for(missing.len());
+            let computed: Vec<NameMatch> = par::map_rows(missing.len(), threads, |k| {
                 let idx = missing[k];
                 self.compare_distinct(source, idx / cols, target, idx % cols)
             });
@@ -1090,11 +1025,11 @@ mod tests {
         let session = MatchSession::new(MatchConfig::default());
         let (a, b) = (po(), purchase_order());
         let (pa, pb) = (session.prepare(&a), session.prepare(&b));
-        let first = session.match_pair(&pa, &pb);
+        let first = session.hybrid(&pa, &pb);
         let after_first = session.cache_stats();
         assert_eq!(after_first.hits, 0);
         assert_eq!(after_first.misses, 25, "5x5 distinct pairs computed once");
-        let second = session.match_pair(&pa, &pb);
+        let second = session.hybrid(&pa, &pb);
         let after_second = session.cache_stats();
         assert_eq!(after_second.misses, 25, "no new label work");
         assert_eq!(after_second.hits, 25);
@@ -1120,7 +1055,7 @@ mod tests {
         let session = MatchSession::new(MatchConfig::default());
         let (a, b) = (po(), purchase_order());
         let (pa, pb) = (session.prepare(&a), session.prepare(&b));
-        let outcome = session.match_pair(&pa, &pb);
+        let outcome = session.hybrid(&pa, &pb);
         let category = session.category(&pa, &pb, &outcome);
         assert_eq!(
             category,
@@ -1151,14 +1086,25 @@ mod tests {
     }
 
     #[test]
+    fn thread_count_is_pinned_and_gated_by_the_cell_threshold() {
+        let mut session = MatchSession::new(MatchConfig::default());
+        assert_eq!(session.threads(), par::num_threads());
+        session.set_threads(0);
+        assert_eq!(session.threads(), 1, "zero clamps to one");
+        session.set_threads(4);
+        assert_eq!(session.threads_for(par::PAR_CELL_THRESHOLD - 1), 1);
+        assert_eq!(session.threads_for(par::PAR_CELL_THRESHOLD), 4);
+    }
+
+    #[test]
     fn prepare_owned_matches_borrowed_bit_for_bit() {
         let session = MatchSession::new(MatchConfig::default());
         let (a, b) = (po(), purchase_order());
         let (pa, pb) = (session.prepare(&a), session.prepare(&b));
-        let expected = session.match_pair(&pa, &pb);
+        let expected = session.hybrid(&pa, &pb);
         let oa = session.prepare_owned(Arc::new(po()));
         let ob = session.prepare_owned(Arc::new(purchase_order()));
-        let got = session.match_pair(oa.prepared(), ob.prepared());
+        let got = session.hybrid(oa.prepared(), ob.prepared());
         assert_eq!(expected.matrix, got.matrix);
         assert_eq!(expected.total_qom, got.total_qom);
         assert_eq!(oa.tree_arc().len(), 5);
@@ -1169,11 +1115,11 @@ mod tests {
         let session = Arc::new(MatchSession::new(MatchConfig::default()));
         let oa = Arc::new(session.prepare_owned(Arc::new(po())));
         let ob = Arc::new(session.prepare_owned(Arc::new(purchase_order())));
-        let baseline = session.match_pair(oa.prepared(), ob.prepared());
+        let baseline = session.hybrid(oa.prepared(), ob.prepared());
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let (session, oa, ob) = (session.clone(), oa.clone(), ob.clone());
-                std::thread::spawn(move || session.match_pair(oa.prepared(), ob.prepared()))
+                std::thread::spawn(move || session.hybrid(oa.prepared(), ob.prepared()))
             })
             .collect();
         for h in handles {

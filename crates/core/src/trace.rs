@@ -355,7 +355,7 @@ unsafe impl Sync for Slot {}
 /// session.set_trace_sink(recorder.clone());
 /// let tree = qmatch_xsd::SchemaTree::from_labels("a", &[("a", None)]);
 /// let p = session.prepare(&tree);
-/// session.hybrid(&p, &p);
+/// session.run(&qmatch_core::Algorithm::Hybrid, &p, &p).unwrap();
 /// assert!(recorder.spans().iter().any(|s| s.phase == Phase::HybridWave));
 /// ```
 pub struct Recorder {

@@ -159,9 +159,8 @@ pub fn best_ranges(points: &[SweepPoint], top_n: usize) -> AxisRanges {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the one-shot wrappers stay covered until removal
     use super::*;
-    use crate::algorithms::hybrid_match;
+    use crate::algorithms::{run_trees, Algorithm};
 
     #[test]
     fn grid_is_unit_sum_and_complete() {
@@ -276,7 +275,7 @@ mod tests {
         let (threshold, best) = calibrate_threshold(&task, &config);
         assert!((0.3..=1.0).contains(&threshold));
         // No fixed grid threshold can do better than the calibrated one.
-        let outcome = hybrid_match(&s, &t, &config);
+        let outcome = run_trees(&Algorithm::Hybrid, &s, &t, &config, 1);
         for step in 0..=70 {
             let fixed = 0.3 + step as f64 / 100.0;
             let mapping = extract_mapping(&outcome.matrix, fixed);

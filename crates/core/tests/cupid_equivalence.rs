@@ -1,14 +1,11 @@
-//! The CUPID engine's parallel path must be indistinguishable from the
-//! sequential one — bit-identical matrices on random trees — and, stronger,
-//! invariant to *how* the wavefront is scheduled: any worker count yields
-//! the same bytes, because propagation flags are computed against the
-//! immutable pre-pass leaf similarities and applied once per leaf pair.
-//!
-//! Everything lives in one test function: it mutates `QMATCH_THREADS`
-//! mid-run, and the other test only asserts thread-count-independent
-//! properties.
+//! The CUPID engine must be indistinguishable across thread counts —
+//! bit-identical matrices on random trees for one and four workers — and,
+//! stronger, invariant to *how* the wavefront is scheduled: any worker
+//! count yields the same bytes, because propagation flags are computed
+//! against the immutable pre-pass leaf similarities and applied once per
+//! leaf pair.
 
-use qmatch_core::algorithms::mapping_generation_leaves;
+use qmatch_core::algorithms::{mapping_generation_leaves, Algorithm};
 use qmatch_core::model::MatchConfig;
 use qmatch_core::session::MatchSession;
 use qmatch_prng::SmallRng;
@@ -41,39 +38,44 @@ fn random_tree(rng: &mut SmallRng, max_nodes: usize) -> SchemaTree {
     SchemaTree::from_labels("random", &borrowed)
 }
 
+fn session_with_threads(threads: usize) -> MatchSession {
+    let mut session = MatchSession::new(MatchConfig::default());
+    session.set_threads(threads);
+    session
+}
+
 #[test]
-fn cupid_is_bit_identical_across_sequential_parallel_and_thread_counts() {
-    let session = MatchSession::new(MatchConfig::default());
+fn cupid_is_bit_identical_across_thread_counts() {
+    let one = session_with_threads(1);
+    // Wave-scheduling invariance: reslicing the wavefront across any number
+    // of workers never shows in the output bytes.
+    let many: Vec<(usize, MatchSession)> = [2, 3, 4, 8]
+        .into_iter()
+        .map(|threads| (threads, session_with_threads(threads)))
+        .collect();
     let mut rng = SmallRng::seed_from_u64(0xC0BD);
     for case in 0..32 {
         // Up to 64×64 nodes: comfortably past the parallel cell threshold.
         let a = random_tree(&mut rng, 64);
         let b = random_tree(&mut rng, 64);
-        let (pa, pb) = (session.prepare(&a), session.prepare(&b));
-        std::env::set_var("QMATCH_THREADS", "4");
-        let par = session.cupid(&pa, &pb);
-        let seq = session.cupid_sequential(&pa, &pb);
-        assert_eq!(par.matrix, seq.matrix, "case {case}: matrices diverge");
-        assert_eq!(
-            par.total_qom.to_bits(),
-            seq.total_qom.to_bits(),
-            "case {case}: totals diverge: {} vs {}",
-            par.total_qom,
-            seq.total_qom
-        );
-        // Wave-scheduling invariance: reslicing the wavefront across any
-        // number of workers never shows in the output bytes.
-        for threads in ["1", "2", "3", "8"] {
-            std::env::set_var("QMATCH_THREADS", threads);
-            let run = session.cupid(&pa, &pb);
+        let (pa, pb) = (one.prepare(&a), one.prepare(&b));
+        let want = one.run(&Algorithm::Cupid, &pa, &pb).unwrap();
+        for (threads, session) in &many {
+            let (pa, pb) = (session.prepare(&a), session.prepare(&b));
+            let got = session.run(&Algorithm::Cupid, &pa, &pb).unwrap();
             assert_eq!(
-                run.matrix, seq.matrix,
-                "case {case}: {threads} worker(s) diverge from sequential"
+                got.matrix, want.matrix,
+                "case {case}: {threads} worker(s) diverge from one"
             );
-            assert_eq!(run.total_qom.to_bits(), seq.total_qom.to_bits());
+            assert_eq!(
+                got.total_qom.to_bits(),
+                want.total_qom.to_bits(),
+                "case {case}: totals diverge: {} vs {}",
+                got.total_qom,
+                want.total_qom
+            );
         }
     }
-    std::env::remove_var("QMATCH_THREADS");
 }
 
 #[test]
@@ -85,7 +87,7 @@ fn cupid_leaf_mapping_is_leaf_anchored_and_one_to_one() {
         let a = random_tree(&mut rng, 48);
         let b = random_tree(&mut rng, 48);
         let (pa, pb) = (session.prepare(&a), session.prepare(&b));
-        let outcome = session.cupid(&pa, &pb);
+        let outcome = session.run(&Algorithm::Cupid, &pa, &pb).unwrap();
         let mapping = mapping_generation_leaves(&pa, &pb, &outcome.matrix, threshold);
         let mut sources = std::collections::HashSet::new();
         let mut targets = std::collections::HashSet::new();

@@ -184,7 +184,7 @@ fn high_threshold_actually_skips_cells() {
     });
     session.set_trace_sink(recorder.clone());
     let (sp, tp) = (session.prepare(&source), session.prepare(&target));
-    session.hybrid(&sp, &tp);
+    session.run(&Algorithm::Hybrid, &sp, &tp).unwrap();
     assert!(
         recorder.phase_stats(Phase::HybridWave).skipped > 0,
         "strict threshold on disjoint labels must skip cells"
@@ -204,11 +204,11 @@ fn warm_arena_is_bit_identical_to_cold() {
     let warm = MatchSession::new(config);
     for (source, target) in &pairs {
         let (sp, tp) = (warm.prepare(source), warm.prepare(target));
-        let outcome = warm.hybrid(&sp, &tp);
+        let outcome = warm.run(&Algorithm::Hybrid, &sp, &tp).unwrap();
 
         let cold = MatchSession::new(config);
         let (cs, ct) = (cold.prepare(source), cold.prepare(target));
-        let fresh = cold.hybrid(&cs, &ct);
+        let fresh = cold.run(&Algorithm::Hybrid, &cs, &ct).unwrap();
 
         assert_eq!(outcome.matrix, fresh.matrix, "warm arena changed scores");
         assert_eq!(outcome.total_qom.to_bits(), fresh.total_qom.to_bits());
@@ -234,9 +234,9 @@ fn f32_scores_stay_within_tolerance_and_extract_the_same_mapping() {
         let source = random_tree(&mut rng, 40);
         let target = random_tree(&mut rng, 40);
         let (sp, tp) = (session.prepare(&source), session.prepare(&target));
-        let exact = session.hybrid(&sp, &tp);
+        let exact = session.run(&Algorithm::Hybrid, &sp, &tp).unwrap();
         let (fp, gp) = (f32_session.prepare(&source), f32_session.prepare(&target));
-        let lean = f32_session.hybrid(&fp, &gp);
+        let lean = f32_session.run(&Algorithm::Hybrid, &fp, &gp).unwrap();
 
         assert_eq!(lean.matrix.precision(), Precision::F32);
         let diff = exact.matrix.max_abs_diff(&lean.matrix);

@@ -1,28 +1,47 @@
-//! The session API (`MatchSession::prepare` + match methods) must be a pure
-//! refactoring of the one-shot entry points: bit-identical similarity
-//! matrices and totals on random trees, for the sequential and the
-//! wavefront-parallel engines alike.
+//! A long-lived session (`MatchSession::prepare` once, `run` many times)
+//! must answer exactly like a fresh single-pair session: bit-identical
+//! similarity matrices and totals on random trees, whatever either
+//! session's thread count.
 //!
 //! The cross-schema label cache makes this non-trivial — a cached
 //! `NameMatch` is reused verbatim across pairs, so these tests also pin
-//! down that warming the cache can never change a matrix.
+//! down that warming the cache can never change a matrix. The long-lived
+//! sessions run on four worker threads, the fresh ones on one.
 
-#![allow(deprecated)] // the one-shot wrappers stay pinned against the session API
-
-use qmatch_core::algorithms::{
-    hybrid_match, hybrid_match_sequential, linguistic_match, linguistic_match_sequential,
-    structural_match, structural_match_sequential, MatchOutcome,
-};
+use qmatch_core::algorithms::{Algorithm, MatchOutcome};
 use qmatch_core::model::MatchConfig;
-use qmatch_core::session::MatchSession;
+use qmatch_core::session::{MatchSession, PreparedSchema};
 use qmatch_prng::SmallRng;
 use qmatch_xsd::SchemaTree;
 
 const CASES: usize = 48;
 
-fn force_threads() {
-    // Never removed: every test in this binary wants the threaded path.
-    std::env::set_var("QMATCH_THREADS", "4");
+fn session_with_threads(config: MatchConfig, threads: usize) -> MatchSession {
+    let mut session = MatchSession::new(config);
+    session.set_threads(threads);
+    session
+}
+
+fn run(
+    session: &MatchSession,
+    algorithm: &Algorithm,
+    sp: &PreparedSchema,
+    tp: &PreparedSchema,
+) -> MatchOutcome {
+    session.run(algorithm, sp, tp).unwrap()
+}
+
+/// `algorithm` over `(a, b)` in a fresh one-thread session — the reference
+/// a long-lived session must reproduce.
+fn fresh(
+    algorithm: &Algorithm,
+    a: &SchemaTree,
+    b: &SchemaTree,
+    config: MatchConfig,
+) -> MatchOutcome {
+    let session = session_with_threads(config, 1);
+    let (sp, tp) = (session.prepare(a), session.prepare(b));
+    run(&session, algorithm, &sp, &tp)
 }
 
 /// A random tree with 1..=max_nodes nodes; labels drawn from a small
@@ -64,68 +83,34 @@ fn assert_bit_identical(a: &MatchOutcome, b: &MatchOutcome, what: &str) {
 }
 
 #[test]
-fn session_hybrid_matches_one_shot_paths() {
-    force_threads();
+fn long_lived_session_matches_fresh_sessions_for_every_engine() {
     let mut rng = SmallRng::seed_from_u64(0xE1);
     let config = MatchConfig::default();
-    let session = MatchSession::new(config);
+    let session = session_with_threads(config, 4);
     for case in 0..CASES {
         // Up to 64×64 nodes: comfortably past the parallel cell threshold.
         let a = random_tree(&mut rng, 64);
         let b = random_tree(&mut rng, 64);
         let (sp, tp) = (session.prepare(&a), session.prepare(&b));
-        assert_bit_identical(
-            &session.hybrid(&sp, &tp),
-            &hybrid_match(&a, &b, &config),
-            &format!("case {case} (auto)"),
-        );
-        assert_bit_identical(
-            &session.hybrid_sequential(&sp, &tp),
-            &hybrid_match_sequential(&a, &b, &config),
-            &format!("case {case} (sequential)"),
-        );
-    }
-}
-
-#[test]
-fn session_structural_and_linguistic_match_one_shot_paths() {
-    force_threads();
-    let mut rng = SmallRng::seed_from_u64(0xE2);
-    let config = MatchConfig::default();
-    let session = MatchSession::new(config);
-    for case in 0..CASES {
-        let a = random_tree(&mut rng, 64);
-        let b = random_tree(&mut rng, 64);
-        let (sp, tp) = (session.prepare(&a), session.prepare(&b));
-        assert_bit_identical(
-            &session.structural(&sp, &tp),
-            &structural_match(&a, &b, &config),
-            &format!("case {case} structural (auto)"),
-        );
-        assert_bit_identical(
-            &session.structural_sequential(&sp, &tp),
-            &structural_match_sequential(&a, &b, &config),
-            &format!("case {case} structural (sequential)"),
-        );
-        assert_bit_identical(
-            &session.linguistic(&sp, &tp),
-            &linguistic_match(&a, &b, &config),
-            &format!("case {case} linguistic (auto)"),
-        );
-        assert_bit_identical(
-            &session.linguistic_sequential(&sp, &tp),
-            &linguistic_match_sequential(&a, &b, &config),
-            &format!("case {case} linguistic (sequential)"),
-        );
+        for algorithm in [
+            Algorithm::Hybrid,
+            Algorithm::Structural,
+            Algorithm::Linguistic,
+        ] {
+            assert_bit_identical(
+                &run(&session, &algorithm, &sp, &tp),
+                &fresh(&algorithm, &a, &b, config),
+                &format!("case {case} {}", algorithm.name()),
+            );
+        }
     }
 }
 
 #[test]
 fn warm_cache_and_repeated_matching_are_bit_identical() {
-    force_threads();
     let mut rng = SmallRng::seed_from_u64(0xE3);
     let config = MatchConfig::default();
-    let session = MatchSession::new(config);
+    let session = session_with_threads(config, 4);
     for case in 0..CASES {
         let a = random_tree(&mut rng, 64);
         let b = random_tree(&mut rng, 64);
@@ -133,14 +118,12 @@ fn warm_cache_and_repeated_matching_are_bit_identical() {
         // By this iteration the cache holds entries from every earlier pair;
         // a fresh session has none. Both must agree, and re-running the warm
         // session must be a fixed point.
-        let warm = session.hybrid(&sp, &tp);
-        let warm_again = session.hybrid(&sp, &tp);
+        let warm = run(&session, &Algorithm::Hybrid, &sp, &tp);
+        let warm_again = run(&session, &Algorithm::Hybrid, &sp, &tp);
         assert_bit_identical(&warm, &warm_again, &format!("case {case} (rerun)"));
-        let cold_session = MatchSession::new(config);
-        let (csp, ctp) = (cold_session.prepare(&a), cold_session.prepare(&b));
         assert_bit_identical(
             &warm,
-            &cold_session.hybrid(&csp, &ctp),
+            &fresh(&Algorithm::Hybrid, &a, &b, config),
             &format!("case {case} (cold vs warm)"),
         );
     }
@@ -148,21 +131,20 @@ fn warm_cache_and_repeated_matching_are_bit_identical() {
 
 #[test]
 fn prepare_once_equals_prepare_per_pair() {
-    force_threads();
     let mut rng = SmallRng::seed_from_u64(0xE4);
     let config = MatchConfig::default();
     let trees: Vec<SchemaTree> = (0..8).map(|_| random_tree(&mut rng, 40)).collect();
-    let session = MatchSession::new(config);
+    let session = session_with_threads(config, 4);
     let prepared: Vec<_> = trees.iter().map(|t| session.prepare(t)).collect();
     for (i, sp) in prepared.iter().enumerate() {
         for (j, tp) in prepared.iter().enumerate() {
-            let once = session.hybrid(sp, tp);
+            let once = run(&session, &Algorithm::Hybrid, sp, tp);
             // Re-preparing the same trees (same or a fresh session) must
             // yield the same artifacts and hence the same matrix.
             let (sp2, tp2) = (session.prepare(&trees[i]), session.prepare(&trees[j]));
             assert_bit_identical(
                 &once,
-                &session.hybrid(&sp2, &tp2),
+                &run(&session, &Algorithm::Hybrid, &sp2, &tp2),
                 &format!("pair ({i},{j}) re-prepared"),
             );
         }
@@ -171,13 +153,12 @@ fn prepare_once_equals_prepare_per_pair() {
 
 #[test]
 fn match_corpus_equals_pairwise_session_matching() {
-    force_threads();
     let mut rng = SmallRng::seed_from_u64(0xE5);
     let config = MatchConfig::default();
     let trees: Vec<(SchemaTree, SchemaTree)> = (0..12)
         .map(|_| (random_tree(&mut rng, 40), random_tree(&mut rng, 40)))
         .collect();
-    let session = MatchSession::new(config);
+    let session = session_with_threads(config, 4);
     let prepared: Vec<_> = trees
         .iter()
         .map(|(s, t)| (session.prepare(s), session.prepare(t)))
@@ -186,12 +167,13 @@ fn match_corpus_equals_pairwise_session_matching() {
     let batch = session.match_corpus(&refs);
     assert_eq!(batch.len(), trees.len());
     for (i, (out, (sp, tp))) in batch.iter().zip(&prepared).enumerate() {
-        assert_bit_identical(out, &session.hybrid(sp, tp), &format!("pair {i}"));
+        let pairwise = run(&session, &Algorithm::Hybrid, sp, tp);
+        assert_bit_identical(out, &pairwise, &format!("pair {i}"));
         let (s, t) = &trees[i];
         assert_bit_identical(
             out,
-            &hybrid_match_sequential(s, t, &config),
-            &format!("pair {i} vs one-shot sequential"),
+            &fresh(&Algorithm::Hybrid, s, t, config),
+            &format!("pair {i} vs fresh one-thread session"),
         );
     }
 }

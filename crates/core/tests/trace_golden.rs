@@ -4,15 +4,15 @@
 //! The trace contract these tests pin down:
 //!
 //! - spans are recorded once per phase by the coordinating thread, so the
-//!   sequence is *deterministic* — identical between the parallel and
-//!   sequential engines, and identical across repeated runs;
+//!   sequence is *deterministic* — identical for one and four worker
+//!   threads, and identical across repeated runs;
 //! - the wave spans follow the bottom-up wavefront exactly (one span per
 //!   height class, rows = nodes in the wave, cells = rows × target size),
 //!   re-derived here from the tree structure independently of the engine;
 //! - tracing only observes: a recorder-attached match is bit-identical to
 //!   a sink-free match.
 
-use qmatch_core::algorithms::Algorithm;
+use qmatch_core::algorithms::{Algorithm, MatchOutcome};
 use qmatch_core::model::MatchConfig;
 use qmatch_core::session::MatchSession;
 use qmatch_core::trace::{Phase, Recorder, Span};
@@ -113,24 +113,21 @@ fn shape(span: &Span) -> (Phase, u32, u64, u64, u64, u64, u64) {
     )
 }
 
-fn traced_hybrid(sequential: bool) -> (Vec<Span>, qmatch_core::algorithms::MatchOutcome) {
+fn traced_hybrid(threads: usize) -> (Vec<Span>, MatchOutcome) {
     let recorder = Arc::new(Recorder::default());
     let mut session = MatchSession::new(MatchConfig::default());
     session.set_trace_sink(recorder.clone());
+    session.set_threads(threads);
     let (source, target) = (compile(PO_XSD), compile(PURCHASE_ORDER_XSD));
     let (sp, tp) = (session.prepare(&source), session.prepare(&target));
-    let outcome = if sequential {
-        session.hybrid_sequential(&sp, &tp)
-    } else {
-        session.hybrid(&sp, &tp)
-    };
+    let outcome = session.run(&Algorithm::Hybrid, &sp, &tp).unwrap();
     (recorder.spans(), outcome)
 }
 
 #[test]
 fn hybrid_span_sequence_matches_the_wavefront_golden() {
     let (source, target) = (compile(PO_XSD), compile(PURCHASE_ORDER_XSD));
-    let (spans, _) = traced_hybrid(false);
+    let (spans, _) = traced_hybrid(1);
 
     // Golden sequence: prepare(source), prepare(target), one label-matrix
     // build, one matrix/table acquisition, then exactly one wave per height
@@ -172,17 +169,17 @@ fn hybrid_span_sequence_matches_the_wavefront_golden() {
 }
 
 #[test]
-fn span_sequence_is_identical_across_parallel_and_sequential_builds() {
-    let (par_spans, par_outcome) = traced_hybrid(false);
-    let (seq_spans, seq_outcome) = traced_hybrid(true);
-    let par: Vec<_> = par_spans.iter().map(shape).collect();
-    let seq: Vec<_> = seq_spans.iter().map(shape).collect();
-    assert_eq!(par, seq, "span shapes must not depend on the engine");
-    assert_eq!(par_outcome.matrix, seq_outcome.matrix);
+fn span_sequence_is_identical_across_thread_counts() {
+    let (four_spans, four_outcome) = traced_hybrid(4);
+    let (one_spans, one_outcome) = traced_hybrid(1);
+    let four: Vec<_> = four_spans.iter().map(shape).collect();
+    let one: Vec<_> = one_spans.iter().map(shape).collect();
+    assert_eq!(four, one, "span shapes must not depend on the thread count");
+    assert_eq!(four_outcome.matrix, one_outcome.matrix);
 
     // Determinism across repeated runs, too.
-    let (again, _) = traced_hybrid(false);
-    assert_eq!(par, again.iter().map(shape).collect::<Vec<_>>());
+    let (again, _) = traced_hybrid(4);
+    assert_eq!(four, again.iter().map(shape).collect::<Vec<_>>());
 }
 
 #[test]
@@ -191,9 +188,9 @@ fn tracing_never_perturbs_scores() {
 
     let plain = MatchSession::new(MatchConfig::default());
     let (sp, tp) = (plain.prepare(&source), plain.prepare(&target));
-    let baseline = plain.hybrid(&sp, &tp);
+    let baseline = plain.run(&Algorithm::Hybrid, &sp, &tp).unwrap();
 
-    let (_, traced) = traced_hybrid(false);
+    let (_, traced) = traced_hybrid(1);
     assert_eq!(
         baseline.matrix, traced.matrix,
         "bit-identical under tracing"
@@ -223,9 +220,9 @@ fn run_and_select_emit_their_phases() {
 
     // A repeat label build over the same prepared pair is served from the
     // session cache: all hits, no misses.
-    session.hybrid(&sp, &tp);
+    session.run(&Algorithm::Hybrid, &sp, &tp).unwrap();
     recorder.reset();
-    session.hybrid(&sp, &tp);
+    session.run(&Algorithm::Hybrid, &sp, &tp).unwrap();
     let labels = stats(Phase::Labels);
     assert_eq!(labels.count, 1);
     assert_eq!(labels.cache_misses, 0);

@@ -4,6 +4,7 @@
 //! crate because `qmatch-datasets` depends on `qmatch-core` — the reverse
 //! dev-dependency would be a cycle.
 
+use qmatch_core::algorithms::Algorithm;
 use qmatch_core::model::MatchConfig;
 use qmatch_core::session::MatchSession;
 use qmatch_datasets::corpus;
@@ -122,11 +123,11 @@ fn incremental_rematch_is_bit_identical_over_drift_chains() {
         let mut prev_tree = base;
         for next_tree in chain {
             let prev = session.prepare(&prev_tree);
-            let previous = session.hybrid(&prev, &target);
+            let previous = session.run(&Algorithm::Hybrid, &prev, &target).unwrap();
             let diff = session.diff_trees(&prev_tree, &next_tree);
             let new = session.reprepare(&prev, &next_tree, &diff);
             let got = session.rematch(&new, &target, &diff, &previous);
-            let want = session.hybrid(&new, &target);
+            let want = session.run(&Algorithm::Hybrid, &new, &target).unwrap();
             assert_eq!(
                 got.outcome.matrix,
                 want.matrix,

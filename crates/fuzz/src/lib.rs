@@ -184,7 +184,7 @@ pub fn run(config: &FuzzConfig) -> FuzzSummary {
     let match_config = MatchConfig::builder()
         .build()
         .expect("the default match configuration is valid");
-    let session = MatchSession::new(match_config);
+    let mut session = MatchSession::new(match_config);
     let mut summary = FuzzSummary {
         seed: config.seed,
         cases: config.cases,
@@ -213,14 +213,14 @@ pub fn run(config: &FuzzConfig) -> FuzzSummary {
         let input = build_input(&mut rng, mode);
         summary.executed += 1;
 
-        match check_case(&input, &session, &config.limits) {
+        match check_case(&input, &mut session, &config.limits) {
             Ok(outcome) => record_outcome(&mut summary, outcome),
             Err(failure) => {
                 match failure {
                     OracleFailure::Panic(_) => summary.crashers += 1,
                     _ => summary.violations += 1,
                 }
-                let minimized = shrink(&input, &failure, &session, &config.limits);
+                let minimized = shrink(&input, &failure, &mut session, &config.limits);
                 let repro_path =
                     write_repro(&config.repro_dir, config.seed, i, &failure, &minimized);
                 summary.failures.push(Failure {
@@ -255,13 +255,13 @@ fn record_outcome(summary: &mut FuzzSummary, outcome: CaseOutcome) {
 fn shrink(
     input: &str,
     failure: &OracleFailure,
-    session: &MatchSession,
+    session: &mut MatchSession,
     limits: &IngestLimits,
 ) -> String {
     let tag = failure.tag();
     minimize::minimize(
         input,
-        &|candidate: &str| matches!(check_case(candidate, session, limits), Err(f) if f.tag() == tag),
+        &mut |candidate: &str| matches!(check_case(candidate, session, limits), Err(f) if f.tag() == tag),
     )
 }
 

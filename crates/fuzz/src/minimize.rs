@@ -10,7 +10,7 @@
 ///
 /// Chunks are removed at byte granularity; candidates are re-decoded
 /// lossily, since a mutated input need not slice at char boundaries.
-pub fn minimize(input: &str, still_fails: &dyn Fn(&str) -> bool) -> String {
+pub fn minimize(input: &str, still_fails: &mut dyn FnMut(&str) -> bool) -> String {
     let mut current: Vec<u8> = input.as_bytes().to_vec();
     // Cap total predicate calls so a pathological case cannot stall a run.
     let mut budget: u32 = 2_000;
@@ -47,18 +47,18 @@ mod tests {
     #[test]
     fn strips_everything_but_the_needle() {
         let haystack = format!("{}NEEDLE{}", "x".repeat(500), "y".repeat(500));
-        let minimized = minimize(&haystack, &|s: &str| s.contains("NEEDLE"));
+        let minimized = minimize(&haystack, &mut |s: &str| s.contains("NEEDLE"));
         assert_eq!(minimized, "NEEDLE");
     }
 
     #[test]
     fn preserves_failure_when_nothing_removable() {
-        let minimized = minimize("AB", &|s: &str| s == "AB");
+        let minimized = minimize("AB", &mut |s: &str| s == "AB");
         assert_eq!(minimized, "AB");
     }
 
     #[test]
     fn empty_input_stays_empty() {
-        assert_eq!(minimize("", &|_| true), "");
+        assert_eq!(minimize("", &mut |_| true), "");
     }
 }

@@ -5,11 +5,14 @@
 //! 2. **Round-trip**: a schema that parses must survive
 //!    `write_schema` → re-parse and compare equal (the writer and parser
 //!    agree on the object model).
-//! 3. **Parallel/sequential equivalence**: `MatchSession::hybrid` and
-//!    `MatchSession::hybrid_sequential` must produce bit-identical
-//!    similarity matrices and total QoM for the same prepared pair.
+//! 3. **Thread-count equivalence**: a hybrid `MatchSession::run` with the
+//!    session pinned to four worker threads and again pinned to one must
+//!    produce bit-identical similarity matrices and total QoM for the same
+//!    pair. Four workers split every wave above the parallel cell
+//!    threshold even on a one-CPU machine, so the threaded path is
+//!    exercised wherever the oracle runs.
 
-use qmatch_core::MatchSession;
+use qmatch_core::{Algorithm, MatchSession};
 use qmatch_xml::IngestLimits;
 use qmatch_xsd::{parse_schema_with_limits, write_schema, Schema, SchemaTree};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -21,7 +24,7 @@ pub enum OracleFailure {
     Panic(String),
     /// write → re-parse diverged from the original schema.
     RoundTrip(String),
-    /// Parallel and sequential hybrid matching disagreed.
+    /// Four-thread and one-thread hybrid matching disagreed.
     ParSeqDivergence(String),
 }
 
@@ -67,10 +70,11 @@ pub struct CaseOutcome {
 const MATCH_ORACLE_MAX_NODES: usize = 96;
 
 /// Runs all applicable oracles on one input. `Ok` carries which oracles ran;
-/// `Err` is a crasher or violation.
+/// `Err` is a crasher or violation. The match oracle re-pins `session`'s
+/// thread count; its label cache carries over from case to case.
 pub fn check_case(
     input: &str,
-    session: &MatchSession,
+    session: &mut MatchSession,
     limits: &IngestLimits,
 ) -> Result<CaseOutcome, OracleFailure> {
     // Oracle 1: no stage may panic. Typed errors end the case cleanly.
@@ -110,8 +114,13 @@ pub fn check_case(
         };
         if tree.len() <= MATCH_ORACLE_MAX_NODES {
             let prepared = session.prepare(&tree);
-            let par = session.hybrid(&prepared, &prepared);
-            let seq = session.hybrid_sequential(&prepared, &prepared);
+            let mut self_match = |threads: usize| {
+                session.set_threads(threads);
+                session
+                    .run(&Algorithm::Hybrid, &prepared, &prepared)
+                    .expect("hybrid is infallible")
+            };
+            let (par, seq) = (self_match(4), self_match(1));
             if par.matrix != seq.matrix {
                 return Err(OracleFailure::ParSeqDivergence(
                     "similarity matrices differ".to_owned(),
@@ -119,7 +128,7 @@ pub fn check_case(
             }
             if par.total_qom.to_bits() != seq.total_qom.to_bits() {
                 return Err(OracleFailure::ParSeqDivergence(format!(
-                    "total QoM differs: parallel {} vs sequential {}",
+                    "total QoM differs: four threads {} vs one thread {}",
                     par.total_qom, seq.total_qom
                 )));
             }
@@ -150,15 +159,16 @@ mod tests {
             <xs:element name="ShipTo" type="xs:string"/>
           </xs:sequence></xs:complexType></xs:element>
         </xs:schema>"#;
-        let outcome = check_case(src, &session(), &IngestLimits::default()).unwrap();
+        let outcome = check_case(src, &mut session(), &IngestLimits::default()).unwrap();
         assert!(outcome.parsed && outcome.round_tripped && outcome.matched);
     }
 
     #[test]
     fn clean_parse_errors_are_not_failures() {
-        let outcome = check_case("<not-a-schema/>", &session(), &IngestLimits::default()).unwrap();
+        let outcome =
+            check_case("<not-a-schema/>", &mut session(), &IngestLimits::default()).unwrap();
         assert!(!outcome.parsed);
-        let outcome = check_case("<<<", &session(), &IngestLimits::default()).unwrap();
+        let outcome = check_case("<<<", &mut session(), &IngestLimits::default()).unwrap();
         assert!(!outcome.parsed);
     }
 

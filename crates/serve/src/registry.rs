@@ -185,6 +185,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qmatch_core::algorithms::Algorithm;
     use qmatch_core::model::MatchConfig;
 
     fn tree(root: &str) -> SchemaTree {
@@ -274,7 +275,10 @@ mod tests {
                     for _ in 0..10 {
                         let pa = r.prepared("a").unwrap();
                         let pb = r.prepared("b").unwrap();
-                        let outcome = r.session().match_pair(pa.prepared(), pb.prepared());
+                        let outcome = r
+                            .session()
+                            .run(&Algorithm::Hybrid, pa.prepared(), pb.prepared())
+                            .unwrap();
                         assert!(outcome.total_qom.is_finite());
                     }
                 })

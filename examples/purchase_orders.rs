@@ -7,7 +7,6 @@
 //! cargo run --example purchase_orders
 //! ```
 
-use qmatch::core::algorithms::tree_edit_match;
 use qmatch::core::report::{f3, Table};
 use qmatch::datasets::{corpus, gold};
 use qmatch::prelude::*;
@@ -35,22 +34,20 @@ fn main() {
 
     // One hybrid run serves both the qualitative classification (paper
     // §2.2) and the quantitative comparison below.
-    let hybrid_outcome = session.hybrid(&sp, &tp);
+    let run = |algorithm| session.run(&algorithm, &sp, &tp).unwrap();
+    let hybrid_outcome = run(Algorithm::Hybrid);
     let category = session.category(&sp, &tp, &hybrid_outcome);
     println!("taxonomy: the root match is classified \"{category}\"\n");
 
     // Quantitative comparison of all algorithms.
     let runs: [(&str, MatchOutcomeAndMapping); 4] = [
-        ("Linguistic", run(session.linguistic(&sp, &tp), 0.5)),
-        ("Structural", run(session.structural(&sp, &tp), 0.95)),
+        ("Linguistic", select(run(Algorithm::Linguistic), 0.5)),
+        ("Structural", select(run(Algorithm::Structural), 0.95)),
         (
             "Hybrid (QMatch)",
-            run(hybrid_outcome, config.weights.acceptance_threshold()),
+            select(hybrid_outcome, config.weights.acceptance_threshold()),
         ),
-        (
-            "TreeEdit [15]",
-            run(tree_edit_match(&source, &target, &config), 0.5),
-        ),
+        ("TreeEdit [15]", select(run(Algorithm::TreeEdit), 0.5)),
     ];
 
     let mut table = Table::new([
@@ -85,7 +82,7 @@ fn main() {
 
 type MatchOutcomeAndMapping = (qmatch::core::MatchOutcome, Mapping);
 
-fn run(outcome: qmatch::core::MatchOutcome, threshold: f64) -> MatchOutcomeAndMapping {
+fn select(outcome: qmatch::core::MatchOutcome, threshold: f64) -> MatchOutcomeAndMapping {
     let mapping = extract_mapping(&outcome.matrix, threshold);
     (outcome, mapping)
 }

@@ -34,8 +34,6 @@ pub use qmatch_xsd as xsd;
 
 /// Convenient single-line import for the common workflow.
 pub mod prelude {
-    #[allow(deprecated)] // re-exported until the one-shot wrappers are removed
-    pub use qmatch_core::algorithms::{hybrid_match, linguistic_match, structural_match};
     pub use qmatch_core::algorithms::{
         Aggregation, Algorithm, Component, CompositeError, MatchOutcome,
     };

@@ -3,12 +3,22 @@
 //! shapes, so a regression in any layer that would change the paper's
 //! reproduced results fails CI rather than silently skewing EXPERIMENTS.md.
 
-#![allow(deprecated)] // the one-shot wrappers stay covered end-to-end until removal
-
-use qmatch::core::algorithms::{hybrid_root_category, tree_edit_match};
+use qmatch::core::algorithms::hybrid_root_category;
 use qmatch::core::taxonomy::MatchCategory;
 use qmatch::datasets::{corpus, figures, gold, table1_rows};
 use qmatch::prelude::*;
+
+/// Runs `algorithm` over two trees in a fresh session.
+fn run(
+    algorithm: Algorithm,
+    source: &SchemaTree,
+    target: &SchemaTree,
+    config: &MatchConfig,
+) -> MatchOutcome {
+    let session = MatchSession::new(*config);
+    let (sp, tp) = (session.prepare(source), session.prepare(target));
+    session.run(&algorithm, &sp, &tp).expect("valid algorithm")
+}
 
 fn hybrid_quality(
     source: &SchemaTree,
@@ -16,7 +26,7 @@ fn hybrid_quality(
     real: &qmatch::core::GoldStandard,
 ) -> MatchQuality {
     let config = MatchConfig::default();
-    let outcome = hybrid_match(source, target, &config);
+    let outcome = run(Algorithm::Hybrid, source, target, &config);
     let mapping = extract_mapping(&outcome.matrix, config.weights.acceptance_threshold());
     evaluate(&mapping, source, target, real)
 }
@@ -45,7 +55,7 @@ fn full_pipeline_from_raw_xsd_text() {
     let target = SchemaTree::compile(&schema).expect("PO2 compiles");
 
     let config = MatchConfig::default();
-    let outcome = hybrid_match(&source, &target, &config);
+    let outcome = run(Algorithm::Hybrid, &source, &target, &config);
     assert!(outcome.total_qom > 0.6 && outcome.total_qom < 1.0);
 
     let mapping = extract_mapping(&outcome.matrix, config.weights.acceptance_threshold());
@@ -74,11 +84,11 @@ fn figure5_shape_hybrid_wins_every_small_domain() {
     for (name, source, target, real) in cases {
         let hybrid = hybrid_quality(&source, &target, &real).overall;
         let ling = {
-            let out = linguistic_match(&source, &target, &config);
+            let out = run(Algorithm::Linguistic, &source, &target, &config);
             evaluate(&extract_mapping(&out.matrix, 0.5), &source, &target, &real).overall
         };
         let structural = {
-            let out = structural_match(&source, &target, &config);
+            let out = run(Algorithm::Structural, &source, &target, &config);
             evaluate(&extract_mapping(&out.matrix, 0.95), &source, &target, &real).overall
         };
         assert!(
@@ -104,11 +114,11 @@ fn figure6_shape_hybrid_finds_the_most_true_positives() {
     for (name, source, target, real) in cases {
         let hybrid_tp = hybrid_quality(&source, &target, &real).true_positives;
         let ling_tp = {
-            let out = linguistic_match(&source, &target, &config);
+            let out = run(Algorithm::Linguistic, &source, &target, &config);
             evaluate(&extract_mapping(&out.matrix, 0.5), &source, &target, &real).true_positives
         };
         let structural_tp = {
-            let out = structural_match(&source, &target, &config);
+            let out = run(Algorithm::Structural, &source, &target, &config);
             evaluate(&extract_mapping(&out.matrix, 0.95), &source, &target, &real).true_positives
         };
         assert!(
@@ -123,9 +133,9 @@ fn figure9_shape_hybrid_gravitates_to_the_higher_component() {
     let config = MatchConfig::default();
     let library = figures::library_fig7();
     let human = figures::human_fig8();
-    let ling = linguistic_match(&library, &human, &config).total_qom;
-    let structural = structural_match(&library, &human, &config).total_qom;
-    let hybrid = hybrid_match(&library, &human, &config).total_qom;
+    let ling = run(Algorithm::Linguistic, &library, &human, &config).total_qom;
+    let structural = run(Algorithm::Structural, &library, &human, &config).total_qom;
+    let hybrid = run(Algorithm::Hybrid, &library, &human, &config).total_qom;
     assert!(ling < 0.4, "linguistic must be low: {ling}");
     assert!(structural > 0.9, "structural must be high: {structural}");
     assert!(
@@ -176,7 +186,7 @@ fn self_match_is_perfect_for_every_corpus_schema() {
         corpus::dcmd_item(),
         corpus::dcmd_ord(),
     ] {
-        let outcome = hybrid_match(&tree, &tree, &config);
+        let outcome = run(Algorithm::Hybrid, &tree, &tree, &config);
         assert!(
             (outcome.total_qom - 1.0).abs() < 1e-9,
             "{} self-match: {}",
@@ -218,9 +228,15 @@ fn corpus_schemas_round_trip_through_the_writer() {
 #[test]
 fn tree_edit_baseline_agrees_on_identity_and_difference() {
     let config = MatchConfig::default();
-    let same = tree_edit_match(&corpus::po1(), &corpus::po1(), &config).total_qom;
+    let same = run(Algorithm::TreeEdit, &corpus::po1(), &corpus::po1(), &config).total_qom;
     assert!((same - 1.0).abs() < 1e-12);
-    let diff = tree_edit_match(&corpus::po1(), &corpus::book(), &config).total_qom;
+    let diff = run(
+        Algorithm::TreeEdit,
+        &corpus::po1(),
+        &corpus::book(),
+        &config,
+    )
+    .total_qom;
     assert!(diff < same);
 }
 
@@ -235,10 +251,10 @@ fn all_algorithms_emit_normalized_matrices_on_all_small_pairs() {
     ];
     for (source, target) in &pairs {
         for outcome in [
-            linguistic_match(source, target, &config),
-            structural_match(source, target, &config),
-            hybrid_match(source, target, &config),
-            tree_edit_match(source, target, &config),
+            run(Algorithm::Linguistic, source, target, &config),
+            run(Algorithm::Structural, source, target, &config),
+            run(Algorithm::Hybrid, source, target, &config),
+            run(Algorithm::TreeEdit, source, target, &config),
         ] {
             outcome.matrix.assert_normalized();
             assert_eq!(outcome.matrix.rows(), source.len());
@@ -256,8 +272,8 @@ fn weights_ablation_label_only_vs_children_only() {
     let human = figures::human_fig8();
     let label_only = MatchConfig::with_weights(Weights::new(1.0, 0.0, 0.0, 0.0).unwrap());
     let children_only = MatchConfig::with_weights(Weights::new(0.0, 0.0, 0.0, 1.0).unwrap());
-    let low = hybrid_match(&library, &human, &label_only).total_qom;
-    let high = hybrid_match(&library, &human, &children_only).total_qom;
+    let low = run(Algorithm::Hybrid, &library, &human, &label_only).total_qom;
+    let high = run(Algorithm::Hybrid, &library, &human, &children_only).total_qom;
     assert!(low < 0.35, "{low}");
     assert!(high > 0.6, "{high}");
 }

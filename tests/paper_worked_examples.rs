@@ -3,14 +3,24 @@
 //! the claim it verifies, so the taxonomy implementation stays anchored to
 //! the prose.
 
-#![allow(deprecated)] // the one-shot wrappers stay covered end-to-end until removal
-
 use qmatch::core::explain::explain_pair;
 use qmatch::core::taxonomy::{AxisGrade, CoverageGrade, MatchCategory};
 use qmatch::datasets::figures::{po_fig1, purchase_order_fig2};
 use qmatch::lexicon::{LabelGrade, NameMatcher};
 use qmatch::prelude::*;
 use qmatch::xsd::NodeId;
+
+/// Runs `algorithm` over two trees in a fresh session.
+fn run(
+    algorithm: Algorithm,
+    source: &SchemaTree,
+    target: &SchemaTree,
+    config: &MatchConfig,
+) -> MatchOutcome {
+    let session = MatchSession::new(*config);
+    let (sp, tp) = (session.prepare(source), session.prepare(target));
+    session.run(&algorithm, &sp, &tp).expect("valid algorithm")
+}
 
 fn trees() -> (SchemaTree, SchemaTree) {
     (po_fig1(), purchase_order_fig2())
@@ -105,7 +115,7 @@ fn item_matches_item_hash() {
     // under this lexicon the pair grades relaxed-but-strong rather than
     // exact; it must still be Item's best partner among Items' children.
     let (po, order) = trees();
-    let outcome = hybrid_match(&po, &order, &MatchConfig::default());
+    let outcome = run(Algorithm::Hybrid, &po, &order, &MatchConfig::default());
     let item = node(&po, "PO/PurchaseInfo/Lines/Item");
     let best = order
         .node(node(&order, "PurchaseOrder/Items"))
@@ -165,7 +175,7 @@ fn billing_and_shipping_addresses_find_their_counterparts() {
     // relaxed match with the leaf nodes BillTo and ShipTo."
     let (po, order) = trees();
     let config = MatchConfig::default();
-    let outcome = hybrid_match(&po, &order, &config);
+    let outcome = run(Algorithm::Hybrid, &po, &order, &config);
     let mapping = extract_mapping(&outcome.matrix, config.weights.acceptance_threshold());
     let pairs = mapping.to_path_pairs(&po, &order);
     assert!(
@@ -190,7 +200,7 @@ fn total_exact_tops_the_goodness_hierarchy() {
     // the other classifications" — and "The highest match classification,
     // total exact, will always result in a QoM(n1,n2) = 1."
     let (po, _) = trees();
-    let outcome = hybrid_match(&po, &po, &MatchConfig::default());
+    let outcome = run(Algorithm::Hybrid, &po, &po, &MatchConfig::default());
     assert!((outcome.total_qom - 1.0).abs() < 1e-12);
     assert!(MatchCategory::TotalExact.rank() > MatchCategory::TotalRelaxed.rank());
     assert!(MatchCategory::TotalRelaxed.rank() > MatchCategory::PartialRelaxed.rank());

@@ -5,12 +5,21 @@
 //! seeds, so every run draws the same trees and a failing case reproduces
 //! from its index.
 
-#![allow(deprecated)] // the one-shot wrappers stay covered end-to-end until removal
-
-use qmatch::core::algorithms::tree_edit_match;
 use qmatch::prelude::*;
 use qmatch::xsd::SchemaTree;
 use qmatch_prng::SmallRng;
+
+/// Runs `algorithm` over two trees in a fresh session.
+fn run(
+    algorithm: Algorithm,
+    source: &SchemaTree,
+    target: &SchemaTree,
+    config: &MatchConfig,
+) -> MatchOutcome {
+    let session = MatchSession::new(*config);
+    let (sp, tp) = (session.prepare(source), session.prepare(target));
+    session.run(&algorithm, &sp, &tp).expect("valid algorithm")
+}
 
 const CASES: usize = 64;
 
@@ -46,7 +55,7 @@ fn hybrid_scores_stay_in_unit_range() {
     for case in 0..CASES {
         let a = random_tree(&mut rng, 24);
         let b = random_tree(&mut rng, 24);
-        let outcome = hybrid_match(&a, &b, &MatchConfig::default());
+        let outcome = run(Algorithm::Hybrid, &a, &b, &MatchConfig::default());
         outcome.matrix.assert_normalized();
         assert!(
             (0.0..=1.0).contains(&outcome.total_qom),
@@ -62,7 +71,7 @@ fn structural_scores_stay_in_unit_range() {
     for _ in 0..CASES {
         let a = random_tree(&mut rng, 24);
         let b = random_tree(&mut rng, 24);
-        structural_match(&a, &b, &MatchConfig::default())
+        run(Algorithm::Structural, &a, &b, &MatchConfig::default())
             .matrix
             .assert_normalized();
     }
@@ -74,7 +83,7 @@ fn linguistic_scores_stay_in_unit_range() {
     for _ in 0..CASES {
         let a = random_tree(&mut rng, 24);
         let b = random_tree(&mut rng, 24);
-        linguistic_match(&a, &b, &MatchConfig::default())
+        run(Algorithm::Linguistic, &a, &b, &MatchConfig::default())
             .matrix
             .assert_normalized();
     }
@@ -86,7 +95,7 @@ fn tree_edit_scores_stay_in_unit_range() {
     for _ in 0..CASES {
         let a = random_tree(&mut rng, 16);
         let b = random_tree(&mut rng, 16);
-        tree_edit_match(&a, &b, &MatchConfig::default())
+        run(Algorithm::TreeEdit, &a, &b, &MatchConfig::default())
             .matrix
             .assert_normalized();
     }
@@ -99,20 +108,20 @@ fn self_match_is_always_perfect() {
     for case in 0..CASES {
         let a = random_tree(&mut rng, 24);
         assert!(
-            (hybrid_match(&a, &a, &config).total_qom - 1.0).abs() < 1e-9,
+            (run(Algorithm::Hybrid, &a, &a, &config).total_qom - 1.0).abs() < 1e-9,
             "case {case}"
         );
         assert!(
-            (structural_match(&a, &a, &config).total_qom - 1.0).abs() < 1e-9,
+            (run(Algorithm::Structural, &a, &a, &config).total_qom - 1.0).abs() < 1e-9,
             "case {case}"
         );
         assert!(
-            (tree_edit_match(&a, &a, &config).total_qom - 1.0).abs() < 1e-9,
+            (run(Algorithm::TreeEdit, &a, &a, &config).total_qom - 1.0).abs() < 1e-9,
             "case {case}"
         );
         // The flat linguistic total is a mean of per-node bests, all 1.0.
         assert!(
-            (linguistic_match(&a, &a, &config).total_qom - 1.0).abs() < 1e-9,
+            (run(Algorithm::Linguistic, &a, &a, &config).total_qom - 1.0).abs() < 1e-9,
             "case {case}"
         );
     }
@@ -126,8 +135,8 @@ fn linguistic_matrix_is_transpose_symmetric() {
         let a = random_tree(&mut rng, 12);
         let b = random_tree(&mut rng, 12);
         // Label similarity has no direction.
-        let ab = linguistic_match(&a, &b, &config);
-        let ba = linguistic_match(&b, &a, &config);
+        let ab = run(Algorithm::Linguistic, &a, &b, &config);
+        let ba = run(Algorithm::Linguistic, &b, &a, &config);
         for (s, t, v) in ab.matrix.iter() {
             assert!((v - ba.matrix.get(t, s)).abs() < 1e-9, "case {case}");
         }
@@ -141,7 +150,7 @@ fn mapping_extraction_is_injective_and_thresholded() {
         let a = random_tree(&mut rng, 16);
         let b = random_tree(&mut rng, 16);
         let threshold = rng.gen_range(0.0..1.0f64);
-        let outcome = hybrid_match(&a, &b, &MatchConfig::default());
+        let outcome = run(Algorithm::Hybrid, &a, &b, &MatchConfig::default());
         let mapping = extract_mapping(&outcome.matrix, threshold);
         let mut sources = std::collections::HashSet::new();
         let mut targets = std::collections::HashSet::new();
@@ -159,7 +168,7 @@ fn raising_the_threshold_never_grows_the_mapping() {
     for case in 0..CASES {
         let a = random_tree(&mut rng, 16);
         let b = random_tree(&mut rng, 16);
-        let outcome = hybrid_match(&a, &b, &MatchConfig::default());
+        let outcome = run(Algorithm::Hybrid, &a, &b, &MatchConfig::default());
         let mut last = usize::MAX;
         for step in 0..=10 {
             let mapping = extract_mapping(&outcome.matrix, step as f64 / 10.0);
@@ -205,7 +214,7 @@ fn evaluation_counts_are_consistent() {
     for case in 0..CASES {
         let a = random_tree(&mut rng, 12);
         let b = random_tree(&mut rng, 12);
-        let outcome = hybrid_match(&a, &b, &MatchConfig::default());
+        let outcome = run(Algorithm::Hybrid, &a, &b, &MatchConfig::default());
         let mapping = extract_mapping(&outcome.matrix, 0.6);
         // Gold = the first half of the predictions plus a fabricated miss.
         let mut gold = qmatch::core::GoldStandard::new();

@@ -3,9 +3,7 @@
 //! API breaks this test before it breaks a downstream user.
 //!
 //! Organized to mirror the prelude's own grouping: parsing, configuration,
-//! sessions and algorithms, mapping and evaluation, and tracing. The
-//! deprecated one-shot wrappers get a single pinned call at the end — they
-//! are still part of the surface until removal.
+//! sessions and algorithms, mapping and evaluation, and tracing.
 
 use qmatch::prelude::*;
 use std::sync::Arc;
@@ -64,7 +62,9 @@ fn configuration_surface() {
 #[test]
 fn session_and_algorithm_surface() {
     let (source, target) = trees();
-    let session = MatchSession::new(MatchConfig::default());
+    let mut session = MatchSession::new(MatchConfig::default());
+    // The one scheduling knob: worker threads, pinned before sharing.
+    session.set_threads(2);
     let sp: PreparedSchema = session.prepare(&source);
     let tp: PreparedSchema = session.prepare(&target);
 
@@ -73,6 +73,7 @@ fn session_and_algorithm_surface() {
         Algorithm::Hybrid,
         Algorithm::Linguistic,
         Algorithm::Structural,
+        Algorithm::Cupid,
         Algorithm::TreeEdit,
         Algorithm::Composite {
             components: vec![Component::Linguistic, Component::Structural],
@@ -146,23 +147,4 @@ fn trace_surface() {
     let trace = Trace::new(counting.clone());
     trace.record(&Span::empty(Phase::Select));
     assert_eq!(counting.0.load(std::sync::atomic::Ordering::Relaxed), 1);
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_one_shot_wrappers_still_answer() {
-    let (source, target) = trees();
-    let config = MatchConfig::default();
-    let hybrid = hybrid_match(&source, &target, &config);
-    let linguistic = linguistic_match(&source, &target, &config);
-    let structural = structural_match(&source, &target, &config);
-    for outcome in [&hybrid, &linguistic, &structural] {
-        assert!((0.0..=1.0).contains(&outcome.total_qom));
-    }
-
-    // And they agree with the session path they now delegate to.
-    let session = MatchSession::new(config);
-    let (sp, tp) = (session.prepare(&source), session.prepare(&target));
-    let via_session = session.run(&Algorithm::Hybrid, &sp, &tp).unwrap();
-    assert_eq!(hybrid.matrix, via_session.matrix);
 }

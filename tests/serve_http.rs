@@ -8,7 +8,7 @@
 
 use qmatch::core::mapping::extract_mapping;
 use qmatch::core::model::MatchConfig;
-use qmatch::core::{Aggregation, Component, MatchSession};
+use qmatch::core::{Aggregation, Algorithm, Component, MatchSession};
 use qmatch::datasets::corpus;
 use qmatch::xsd::IngestLimits;
 use qmatch_serve::{fmt_f64, Server, ServerConfig, ShutdownHandle};
@@ -152,7 +152,7 @@ fn health_listing_and_hybrid_bit_identity() {
     let po1 = trees.iter().find(|(n, _)| *n == "po1").unwrap().1.clone();
     let po2 = trees.iter().find(|(n, _)| *n == "po2").unwrap().1.clone();
     let (pa, pb) = (session.prepare(&po1), session.prepare(&po2));
-    let outcome = session.hybrid(&pa, &pb);
+    let outcome = session.run(&Algorithm::Hybrid, &pa, &pb).unwrap();
     assert_eq!(
         json_field(&body, "total_qom"),
         fmt_f64(outcome.total_qom),
@@ -206,20 +206,16 @@ fn algorithm_variants_match_the_library() {
         .clone();
     let book = trees.iter().find(|(n, _)| *n == "book").unwrap().1.clone();
     let (pa, pb) = (session.prepare(&article), session.prepare(&book));
+    let qom = |algorithm: Algorithm| session.run(&algorithm, &pa, &pb).unwrap().total_qom;
     let expectations = [
-        ("linguistic", session.linguistic(&pa, &pb).total_qom),
-        ("structural", session.structural(&pa, &pb).total_qom),
+        ("linguistic", qom(Algorithm::Linguistic)),
+        ("structural", qom(Algorithm::Structural)),
         (
             "composite",
-            session
-                .composite(
-                    &pa,
-                    &pb,
-                    &[Component::Linguistic, Component::Structural],
-                    &Aggregation::Average,
-                )
-                .expect("composite")
-                .total_qom,
+            qom(Algorithm::Composite {
+                components: vec![Component::Linguistic, Component::Structural],
+                aggregation: Aggregation::Average,
+            }),
         ),
     ];
     for (algo, expected) in expectations {
@@ -237,10 +233,10 @@ fn algorithm_variants_match_the_library() {
         );
     }
     // Explicit composite knobs are honoured.
-    let max_qom = session
-        .composite(&pa, &pb, &[Component::Hybrid], &Aggregation::Max)
-        .expect("composite")
-        .total_qom;
+    let max_qom = qom(Algorithm::Composite {
+        components: vec![Component::Hybrid],
+        aggregation: Aggregation::Max,
+    });
     let (status, body) = send(
         addr,
         "POST",
@@ -271,7 +267,13 @@ fn topk_ranks_the_registry_like_the_library() {
         .filter(|(name, _)| *name != "po1")
         .map(|(name, tree)| {
             let target = session.prepare(tree);
-            (*name, session.hybrid(&source, &target).total_qom)
+            (
+                *name,
+                session
+                    .run(&Algorithm::Hybrid, &source, &target)
+                    .unwrap()
+                    .total_qom,
+            )
         })
         .collect();
     expected.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(b.0)));
