@@ -75,17 +75,14 @@ fn run_chain(workload: &Workload, intensity: f64, seed: u64) -> ChainStats {
 
     // Warm start: the registered revision and its resident match outcome,
     // exactly what the serve fast path holds before a hot update arrives.
-    // Owned prepares (the serve representation) let one revision's
-    // artifacts carry across loop iterations.
-    let mut prev_tree = std::sync::Arc::new(workload.base.clone());
-    let mut prev = session.prepare_owned(prev_tree.clone());
-    let mut previous = session
-        .run(&Algorithm::Hybrid, prev.prepared(), &target)
-        .unwrap();
+    // Prepared schemas own their trees, so one revision's artifacts carry
+    // across loop iterations.
+    let mut prev = session.prepare(&workload.base);
+    let mut previous = session.run(&Algorithm::Hybrid, &prev, &target).unwrap();
     // The resident revision's label matrix, threaded through the chain so
     // each step copies unchanged label rows instead of re-walking the
     // session cache — the serve fast path's steady state.
-    let mut labels = session.label_matrix(prev.prepared(), &target);
+    let mut labels = session.label_matrix(&prev, &target);
 
     let mut stats = ChainStats {
         workload: workload.name,
@@ -105,37 +102,25 @@ fn run_chain(workload: &Workload, intensity: f64, seed: u64) -> ChainStats {
     let mut rematch_secs = 0.0f64;
     let mut end_to_end_secs = 0.0f64;
     for next_tree in chain {
-        let next_tree = std::sync::Arc::new(next_tree);
         let start = Instant::now();
-        let diff = session.diff_trees(&prev_tree, &next_tree);
-        let new = session.reprepare_owned(&prev, next_tree.clone(), &diff);
+        let diff = session.diff_trees(prev.tree(), &next_tree);
+        let new = session.reprepare(&prev, next_tree, &diff);
         let prep_secs = start.elapsed().as_secs_f64();
 
         // Both paths draw label similarities from the same session cache;
         // whichever runs first would absorb the misses for the revision's
         // fresh labels. Warm the cache outside both timed regions so the
         // split measures the DP work, not cache-arrival order.
-        let warm = session
-            .run(&Algorithm::Hybrid, new.prepared(), &target)
-            .unwrap();
+        let warm = session.run(&Algorithm::Hybrid, &new, &target).unwrap();
         session.recycle(warm);
 
         let start = Instant::now();
-        let got = session.rematch_evolved(
-            prev.prepared(),
-            &labels,
-            new.prepared(),
-            &target,
-            &diff,
-            &previous,
-        );
+        let got = session.rematch_evolved(&prev, &labels, &new, &target, &diff, &previous);
         rematch_secs += start.elapsed().as_secs_f64();
         end_to_end_secs += prep_secs + start.elapsed().as_secs_f64();
 
         let start = Instant::now();
-        let want = session
-            .run(&Algorithm::Hybrid, new.prepared(), &target)
-            .unwrap();
+        let want = session.run(&Algorithm::Hybrid, &new, &target).unwrap();
         full_secs += start.elapsed().as_secs_f64();
 
         assert_eq!(
@@ -153,7 +138,7 @@ fn run_chain(workload: &Workload, intensity: f64, seed: u64) -> ChainStats {
             stats.fallback_runs += 1;
         }
         stats.rows_recomputed += got.rows_recomputed;
-        stats.rows_full += next_tree.len();
+        stats.rows_full += new.tree().len();
         stats.dirty_fraction_mean += diff.dirty_fraction();
 
         session.recycle(previous);
@@ -161,7 +146,6 @@ fn run_chain(workload: &Workload, intensity: f64, seed: u64) -> ChainStats {
         previous = got.outcome;
         labels = got.labels;
         prev = new;
-        prev_tree = next_tree;
     }
     session.recycle(previous);
 

@@ -39,7 +39,7 @@ use std::time::Instant;
 fn rank_subset(
     session: &MatchSession,
     names: &[String],
-    prepared: &[PreparedSchema<'_>],
+    prepared: &[PreparedSchema],
     query: usize,
     subset: &[usize],
     k: usize,
@@ -91,8 +91,7 @@ fn run_size(count: usize, queries: usize, k: usize) -> SizeStats {
     let registry = synthetic_registry(count, GATE_SEED);
     let names: Vec<String> = registry.iter().map(|(n, _)| n.clone()).collect();
     let session = MatchSession::new(MatchConfig::default());
-    let prepared: Vec<PreparedSchema<'_>> =
-        registry.iter().map(|(_, t)| session.prepare(t)).collect();
+    let prepared: Vec<PreparedSchema> = registry.iter().map(|(_, t)| session.prepare(t)).collect();
 
     let build_start = Instant::now();
     let signatures: Vec<Signature> = prepared.iter().map(|p| session.signature(p)).collect();

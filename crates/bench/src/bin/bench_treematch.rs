@@ -248,9 +248,13 @@ fn main() {
 
         // Session split: prepare is the once-per-schema cost; the
         // per-precision runs below measure the warm-cache per-pair cost.
+        // The tree is shared, so the timing excludes copying it.
         let session = MatchSession::new(config);
-        std::hint::black_box(session.prepare(&tree).distinct_labels());
-        let prepare = time_median(runs, || session.prepare(&tree).distinct_labels() as f64);
+        let shared = std::sync::Arc::new(tree.clone());
+        std::hint::black_box(session.prepare(shared.clone()).distinct_labels());
+        let prepare = time_median(runs, || {
+            session.prepare(shared.clone()).distinct_labels() as f64
+        });
         drop(session);
 
         let exact = measure_precision(&tree, &config, Precision::F64, runs, trace);

@@ -8,6 +8,8 @@
 //!
 //! Run `qmatch help` for the full option reference.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod commands;
 mod gold_file;

@@ -265,8 +265,8 @@ struct PairTables<'p> {
 
 impl<'p> PairTables<'p> {
     fn build(
-        source: &'p PreparedSchema<'_>,
-        target: &'p PreparedSchema<'_>,
+        source: &'p PreparedSchema,
+        target: &'p PreparedSchema,
         labels: &'p LabelMatrix,
     ) -> PairTables<'p> {
         let ltab = labels.score_table();
@@ -281,9 +281,9 @@ impl<'p> PairTables<'p> {
         let (sprops, tprops) = (source.distinct_props_raw(), target.distinct_props_raw());
         let prop_cols = tprops.len();
         let mut ptab = Vec::with_capacity(sprops.len() * prop_cols);
-        for sp in sprops {
-            for tp in tprops {
-                ptab.push(compare_properties(sp, tp).score);
+        for &sp in sprops {
+            for &tp in tprops {
+                ptab.push(compare_properties(source.props(sp), target.props(tp)).score);
             }
         }
 

@@ -28,9 +28,9 @@ use crate::algorithms::{hybrid_match_impl, hybrid_rematch_impl, LabelMatrix, Mat
 use crate::diff::TreeDiff;
 use crate::intern::Symbol;
 use crate::matrix::Precision;
-use crate::session::{MatchSession, OwnedPreparedSchema, PreparedSchema};
+use crate::session::{MatchSession, PreparedSchema};
 use crate::trace::{Phase, Span};
-use qmatch_xsd::{Properties, SchemaTree};
+use qmatch_xsd::SchemaTree;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -97,166 +97,80 @@ impl MatchSession {
     /// `old` must have been prepared by **this** session (its symbols index
     /// this session's interner) and `diff` must be the diff of
     /// `old.tree()` → `new_tree`.
-    pub fn reprepare<'t>(
+    pub fn reprepare(
         &self,
-        old: &PreparedSchema<'_>,
-        new_tree: &'t SchemaTree,
+        old: &PreparedSchema,
+        new_tree: impl Into<Arc<SchemaTree>>,
         diff: &TreeDiff,
-    ) -> PreparedSchema<'t> {
+    ) -> PreparedSchema {
+        // Generic only in the conversion, like `prepare`.
+        self.reprepare_shared(old, new_tree.into(), diff)
+    }
+
+    fn reprepare_shared(
+        &self,
+        old: &PreparedSchema,
+        new_tree: Arc<SchemaTree>,
+        diff: &TreeDiff,
+    ) -> PreparedSchema {
         debug_assert_eq!(diff.old_len(), old.tree().len(), "diff matches old");
         debug_assert_eq!(diff.new_len(), new_tree.len(), "diff matches new");
         let t0 = self.trace().start();
-        let mut symbols = Vec::with_capacity(new_tree.len());
-        let mut distinct: Vec<Symbol> = Vec::new();
-        let mut node_distinct = Vec::with_capacity(new_tree.len());
-        let mut distinct_folded: Vec<String> = Vec::new();
-        let mut distinct_tokens = Vec::new();
         let mut reused_symbols = 0u64;
-        {
+        let old_distinct: HashMap<Symbol, usize> = old
+            .distinct
+            .iter()
+            .enumerate()
+            .map(|(k, &s)| (s, k))
+            .collect();
+        let prepared = {
             // Symbols are session-global and interning is idempotent, so a
             // clean node's old symbol IS what intern() would return — reuse
             // skips the string hash. Renamed and inserted nodes go through
             // the interner as in `prepare`.
             let mut interner = self.interner().lock().expect("interner lock");
-            for (id, node) in new_tree.iter() {
-                let symbol = match diff.old_of(id) {
+            let symbols = new_tree
+                .iter()
+                .map(|(id, node)| match diff.old_of(id) {
                     Some(o) if !diff.is_renamed(id) => {
                         reused_symbols += 1;
                         old.symbols[o.index()]
                     }
                     _ => interner.intern(&node.label),
-                };
-                symbols.push(symbol);
-            }
-            // Distinct tables in first-seen order, exactly as `prepare`;
-            // folded/token copies come from the old tables when the label
-            // was already distinct there (they are copies of the same
-            // interner entries), else from the interner.
-            let old_distinct: HashMap<Symbol, u32> = old
-                .distinct
-                .iter()
-                .enumerate()
-                .map(|(k, &s)| (s, k as u32))
+                })
                 .collect();
-            let mut local: HashMap<Symbol, u32> = HashMap::new();
-            for &symbol in &symbols {
-                let next = local.len() as u32;
-                let id = *local.entry(symbol).or_insert(next);
-                if id == next {
-                    distinct.push(symbol);
-                    match old_distinct.get(&symbol) {
-                        Some(&k) => {
-                            distinct_folded.push(old.distinct_folded[k as usize].clone());
-                            distinct_tokens.push(old.distinct_tokens[k as usize].clone());
-                        }
-                        None => {
-                            distinct_folded.push(interner.folded(symbol).to_owned());
-                            distinct_tokens.push(interner.tokens(symbol).to_vec());
-                        }
-                    }
-                }
-                node_distinct.push(id);
-            }
-        }
-        // Structural tables: with no structural edit ops the old→new node
-        // mapping is the pre-order identity (every node matched, in order),
-        // so the old tables describe the new tree verbatim.
-        let (waves_height, waves_depth, levels, leaf_flags, leaves, internals, parents) =
-            if !diff.shape_changed() {
-                (
-                    old.waves_height.clone(),
-                    old.waves_depth.clone(),
-                    old.levels.clone(),
-                    old.leaf_flags.clone(),
-                    old.leaves.clone(),
-                    old.internals.clone(),
-                    old.parents.clone(),
-                )
-            } else {
-                let levels = new_tree.levels();
-                let leaf_flags = new_tree.leaf_flags();
-                let mut leaves = Vec::new();
-                let mut internals = Vec::new();
-                for (id, _) in new_tree.iter() {
-                    if leaf_flags[id.index()] {
-                        leaves.push(id);
-                    } else {
-                        internals.push(id);
-                    }
-                }
-                let parents = new_tree
-                    .iter()
-                    .map(|(_, n)| n.parent.map_or(u32::MAX, |p| p.0))
-                    .collect();
-                (
-                    crate::algorithms::waves_by_height(new_tree),
-                    crate::algorithms::waves_by_depth(new_tree),
-                    levels,
-                    leaf_flags,
-                    leaves,
-                    internals,
-                    parents,
-                )
-            };
-        // Property tables always rebuild: they borrow `'t` from the new
-        // tree, and the dedup is a cheap single pass.
-        let mut node_props = Vec::with_capacity(new_tree.len());
-        let mut distinct_props: Vec<&'t Properties> = Vec::new();
-        let mut props_ids: HashMap<&'t Properties, u32> = HashMap::new();
-        for (_, node) in new_tree.iter() {
-            let next = props_ids.len() as u32;
-            let id = *props_ids.entry(&node.properties).or_insert(next);
-            if id == next {
-                distinct_props.push(&node.properties);
-            }
-            node_props.push(id);
-        }
-        let prepared = PreparedSchema {
-            tree: new_tree,
-            symbols,
-            distinct,
-            node_distinct,
-            distinct_folded,
-            distinct_tokens,
-            waves_height,
-            waves_depth,
-            levels,
-            leaf_flags,
-            leaves,
-            internals,
-            props: new_tree.iter().map(|(_, n)| &n.properties).collect(),
-            parents,
-            node_props,
-            distinct_props,
+            // Folded/token copies come from the old tables when the label
+            // was already distinct there (they are copies of the same
+            // interner entries), else from the interner. With no
+            // structural edit ops the old→new node mapping is the pre-order
+            // identity, so the old structural tables describe the new tree
+            // verbatim.
+            PreparedSchema::assemble(
+                new_tree,
+                symbols,
+                |symbol| match old_distinct.get(&symbol) {
+                    Some(&k) => (
+                        old.distinct_folded[k].clone(),
+                        old.distinct_tokens[k].clone(),
+                    ),
+                    None => (
+                        interner.folded(symbol).to_owned(),
+                        interner.tokens(symbol).to_vec(),
+                    ),
+                },
+                (!diff.shape_changed()).then_some(old),
+            )
         };
         self.trace().finish(
             t0,
             Span {
-                rows: new_tree.len() as u64,
+                rows: prepared.tree().len() as u64,
                 cells: prepared.distinct.len() as u64,
                 cache_hits: reused_symbols,
                 ..Span::empty(Phase::Prepare)
             },
         );
         prepared
-    }
-
-    /// [`MatchSession::reprepare`] for registry-resident (owned) prepared
-    /// schemas — the serve hot-update path. Bit-identical to
-    /// [`MatchSession::prepare_owned`]`(new_tree)`.
-    pub fn reprepare_owned(
-        &self,
-        old: &OwnedPreparedSchema,
-        new_tree: Arc<SchemaTree>,
-        diff: &TreeDiff,
-    ) -> OwnedPreparedSchema {
-        // SAFETY: identical to `prepare_owned` — the reference points into
-        // the `Arc` allocation, which is immutable and address-stable while
-        // any clone lives; the returned owner stores such a clone and only
-        // re-exposes the borrow at the lifetime of `&self`.
-        let raw: &'static SchemaTree = unsafe { &*Arc::as_ptr(&new_tree) };
-        let prepared = self.reprepare(old.prepared(), raw, diff);
-        OwnedPreparedSchema::from_raw_parts(prepared, new_tree)
     }
 
     /// Incremental hybrid re-match at the session's configured precision;

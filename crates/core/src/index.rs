@@ -234,7 +234,7 @@ impl Signature {
     /// query sides, as [`MatchSession::signature`] does automatically.
     /// Given equal thesauri, signatures are a pure function of the tree:
     /// different sessions produce identical signatures.
-    pub fn of(prepared: &PreparedSchema<'_>, matcher: &NameMatcher) -> Signature {
+    pub fn of(prepared: &PreparedSchema, matcher: &NameMatcher) -> Signature {
         let thesaurus = matcher.thesaurus();
         let folded = prepared.distinct_folded();
         let tokens = prepared.distinct_tokens();
@@ -268,8 +268,8 @@ impl Signature {
     /// matcher)`.
     pub fn evolved(
         &self,
-        old: &PreparedSchema<'_>,
-        new: &PreparedSchema<'_>,
+        old: &PreparedSchema,
+        new: &PreparedSchema,
         matcher: &NameMatcher,
     ) -> Option<Signature> {
         let old_set: HashSet<&str> = old.distinct_folded().iter().map(String::as_str).collect();
@@ -552,7 +552,7 @@ impl MatchSession {
     /// this session's matcher ([`Signature::of`] with
     /// [`MatchSession::matcher`]) — sessions sharing thesaurus tables
     /// produce identical signatures.
-    pub fn signature(&self, prepared: &PreparedSchema<'_>) -> Signature {
+    pub fn signature(&self, prepared: &PreparedSchema) -> Signature {
         Signature::of(prepared, self.matcher())
     }
 
@@ -562,8 +562,8 @@ impl MatchSession {
     pub fn signature_evolved(
         &self,
         old_signature: &Signature,
-        old: &PreparedSchema<'_>,
-        new: &PreparedSchema<'_>,
+        old: &PreparedSchema,
+        new: &PreparedSchema,
     ) -> Option<Signature> {
         old_signature.evolved(old, new, self.matcher())
     }
@@ -581,8 +581,8 @@ impl MatchSession {
     /// do).
     pub fn topk(
         &self,
-        source: &PreparedSchema<'_>,
-        corpus: &[(&str, &PreparedSchema<'_>)],
+        source: &PreparedSchema,
+        corpus: &[(&str, &PreparedSchema)],
         k: usize,
         exclude: Option<&str>,
         policy: IndexPolicy,
@@ -622,7 +622,7 @@ impl MatchSession {
     /// `Some` outcomes are bit-identical to [`MatchSession::match_corpus`].
     pub fn match_corpus_indexed(
         &self,
-        pairs: &[(&PreparedSchema<'_>, &PreparedSchema<'_>)],
+        pairs: &[(&PreparedSchema, &PreparedSchema)],
         policy: IndexPolicy,
     ) -> Vec<Option<MatchOutcome>> {
         let params = IndexParams::default();
@@ -633,7 +633,7 @@ impl MatchSession {
             .iter()
             .map(|(s, t)| pair_is_candidate(&self.signature(s), &self.signature(t), &params))
             .collect();
-        let survivors: Vec<(&PreparedSchema<'_>, &PreparedSchema<'_>)> = pairs
+        let survivors: Vec<(&PreparedSchema, &PreparedSchema)> = pairs
             .iter()
             .zip(&admitted)
             .filter(|(_, &a)| a)

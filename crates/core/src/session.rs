@@ -47,11 +47,12 @@ use std::sync::{Arc, Mutex};
 
 /// Everything the engines need from one schema, derived once.
 ///
-/// Borrowing the tree keeps preparation allocation-light; the artifacts are
-/// dense tables indexed by [`NodeId::index`], so the match hot path does no
-/// hashing and no string work.
-pub struct PreparedSchema<'t> {
-    pub(crate) tree: &'t SchemaTree,
+/// Owns its tree through an [`Arc`], so a prepared schema has no outward
+/// lifetime: it can live in long-lived registries and move across worker
+/// threads. The artifacts are dense tables indexed by [`NodeId::index`],
+/// so the match hot path does no hashing and no string work.
+pub struct PreparedSchema {
+    pub(crate) tree: Arc<SchemaTree>,
     /// Per-node interned label (session-global symbol).
     pub(crate) symbols: Vec<Symbol>,
     /// Distinct symbols of this tree in first-seen (pre-order) order.
@@ -74,22 +75,33 @@ pub struct PreparedSchema<'t> {
     pub(crate) leaves: Vec<NodeId>,
     /// The internal-node partition (pre-order).
     pub(crate) internals: Vec<NodeId>,
-    /// Per-node property profile (dense pointer table into the tree).
-    pub(crate) props: Vec<&'t Properties>,
     /// Per-node parent index (`u32::MAX` for the root).
     pub(crate) parents: Vec<u32>,
     /// Per-node index into `distinct_props` (the tree-local dense property
     /// profile id) — lets the kernels score properties once per distinct
     /// profile pair instead of once per node pair.
     pub(crate) node_props: Vec<u32>,
-    /// Distinct property profiles in first-seen (pre-order) order.
-    pub(crate) distinct_props: Vec<&'t Properties>,
+    /// One representative node per distinct property profile, in
+    /// first-seen (pre-order) order.
+    pub(crate) distinct_props: Vec<NodeId>,
 }
 
-impl<'t> PreparedSchema<'t> {
+/// The name the repository benchmark (`perfbench/`) spells the prepared
+/// type with. It exists only because that frozen benchmark names it; no
+/// code in this workspace may use it — write [`PreparedSchema`].
+pub type OwnedPreparedSchema = PreparedSchema;
+
+impl PreparedSchema {
     /// The underlying tree.
-    pub fn tree(&self) -> &'t SchemaTree {
-        self.tree
+    pub fn tree(&self) -> &SchemaTree {
+        &self.tree
+    }
+
+    /// Identity view of `self`. It exists only because the frozen
+    /// repository benchmark (`perfbench/`) calls it on
+    /// [`OwnedPreparedSchema`]; no code in this workspace may use it.
+    pub fn prepared(&self) -> &PreparedSchema {
+        self
     }
 
     /// The interned symbol of a node's label.
@@ -126,8 +138,8 @@ impl<'t> PreparedSchema<'t> {
 
     /// A node's property profile (dense lookup).
     #[inline]
-    pub fn props(&self, id: NodeId) -> &'t Properties {
-        self.props[id.index()]
+    pub fn props(&self, id: NodeId) -> &Properties {
+        &self.tree.node(id).properties
     }
 
     /// Case-folded form of each distinct label, in first-seen (pre-order)
@@ -170,10 +182,107 @@ impl<'t> PreparedSchema<'t> {
         &self.node_props
     }
 
-    /// Distinct property profiles, indexed by the ids in
-    /// [`PreparedSchema::node_props_raw`].
-    pub(crate) fn distinct_props_raw(&self) -> &[&'t Properties] {
+    /// One representative node per distinct property profile, indexed by
+    /// the ids in [`PreparedSchema::node_props_raw`].
+    pub(crate) fn distinct_props_raw(&self) -> &[NodeId] {
         &self.distinct_props
+    }
+
+    /// Builds the prepared tables of `tree` from its per-node interned
+    /// `symbols` — the one constructor behind [`MatchSession::prepare`] and
+    /// [`MatchSession::reprepare`]. `forms` yields the case-folded form and
+    /// token sequence of each distinct label. `shape`, when given, is a
+    /// prepared revision with the same shape (the pre-order identity maps
+    /// its nodes onto `tree`'s), whose structural tables are reused
+    /// verbatim instead of re-derived.
+    pub(crate) fn assemble(
+        tree: Arc<SchemaTree>,
+        symbols: Vec<Symbol>,
+        mut forms: impl FnMut(Symbol) -> (String, Vec<Token>),
+        shape: Option<&PreparedSchema>,
+    ) -> PreparedSchema {
+        // Tree-local dense ids in first-seen order, exactly as the
+        // per-pair interning did, so the label table layout (and thus
+        // every downstream float) is unchanged.
+        let mut distinct: Vec<Symbol> = Vec::new();
+        let mut node_distinct = Vec::with_capacity(symbols.len());
+        let mut distinct_folded = Vec::new();
+        let mut distinct_tokens = Vec::new();
+        let mut local: HashMap<Symbol, u32> = HashMap::new();
+        for &symbol in &symbols {
+            let next = local.len() as u32;
+            let id = *local.entry(symbol).or_insert(next);
+            if id == next {
+                distinct.push(symbol);
+                let (folded, tokens) = forms(symbol);
+                distinct_folded.push(folded);
+                distinct_tokens.push(tokens);
+            }
+            node_distinct.push(id);
+        }
+        let (waves_height, waves_depth, levels, leaf_flags, leaves, internals, parents) =
+            match shape {
+                Some(old) => (
+                    old.waves_height.clone(),
+                    old.waves_depth.clone(),
+                    old.levels.clone(),
+                    old.leaf_flags.clone(),
+                    old.leaves.clone(),
+                    old.internals.clone(),
+                    old.parents.clone(),
+                ),
+                None => {
+                    let leaf_flags = tree.leaf_flags();
+                    let (leaves, internals) = tree
+                        .iter()
+                        .map(|(id, _)| id)
+                        .partition(|id| leaf_flags[id.index()]);
+                    let parents = tree
+                        .iter()
+                        .map(|(_, n)| n.parent.map_or(u32::MAX, |p| p.0))
+                        .collect();
+                    (
+                        crate::algorithms::waves_by_height(&tree),
+                        crate::algorithms::waves_by_depth(&tree),
+                        tree.levels(),
+                        leaf_flags,
+                        leaves,
+                        internals,
+                        parents,
+                    )
+                }
+            };
+        // The distinct property-profile dedup: properties scoring is a pure
+        // function of the two profiles, so the kernels only score distinct
+        // pairs.
+        let mut node_props = Vec::with_capacity(tree.len());
+        let mut distinct_props = Vec::new();
+        let mut props_ids: HashMap<&Properties, u32> = HashMap::new();
+        for (id, node) in tree.iter() {
+            let next = props_ids.len() as u32;
+            let k = *props_ids.entry(&node.properties).or_insert(next);
+            if k == next {
+                distinct_props.push(id);
+            }
+            node_props.push(k);
+        }
+        PreparedSchema {
+            tree,
+            symbols,
+            distinct,
+            node_distinct,
+            distinct_folded,
+            distinct_tokens,
+            waves_height,
+            waves_depth,
+            levels,
+            leaf_flags,
+            leaves,
+            internals,
+            parents,
+            node_props,
+            distinct_props,
+        }
     }
 
     /// Test support: asserts every derived table of `self` equals `other`'s,
@@ -182,7 +291,7 @@ impl<'t> PreparedSchema<'t> {
     /// [`MatchSession::prepare`] in property tests; not part of the stable
     /// API surface.
     #[doc(hidden)]
-    pub fn assert_structural_eq(&self, other: &PreparedSchema<'_>) {
+    pub fn assert_structural_eq(&self, other: &PreparedSchema) {
         assert_eq!(self.tree.len(), other.tree.len(), "tree length");
         assert_eq!(self.symbols, other.symbols, "symbols");
         assert_eq!(self.distinct, other.distinct, "distinct symbols");
@@ -197,48 +306,7 @@ impl<'t> PreparedSchema<'t> {
         assert_eq!(self.internals, other.internals, "internals");
         assert_eq!(self.parents, other.parents, "parents");
         assert_eq!(self.node_props, other.node_props, "node_props");
-        assert_eq!(self.props, other.props, "props");
         assert_eq!(self.distinct_props, other.distinct_props, "distinct_props");
-    }
-}
-
-/// A [`PreparedSchema`] that keeps its [`SchemaTree`] alive through an
-/// [`Arc`], so it has no outward lifetime and can live in long-lived
-/// registries shared across worker threads (the serving workload).
-///
-/// Constructed by [`MatchSession::prepare_owned`]; borrow the engine-facing
-/// view with [`OwnedPreparedSchema::prepared`].
-pub struct OwnedPreparedSchema {
-    /// Internally borrows from the `Arc` allocation in `tree` below. The
-    /// `'static` lifetime is a private fiction: it never escapes this
-    /// struct (`prepared()` re-shortens it to the borrow of `self`), and
-    /// the field order makes the borrower drop before the owner.
-    prepared: PreparedSchema<'static>,
-    tree: Arc<SchemaTree>,
-}
-
-impl OwnedPreparedSchema {
-    /// The engine-facing prepared view, borrowed no longer than `self`.
-    pub fn prepared(&self) -> &PreparedSchema<'_> {
-        // Covariance over the tree lifetime shortens `'static` to the
-        // lifetime of `&self`, so callers can never outlive the `Arc`.
-        &self.prepared
-    }
-
-    /// The shared tree this prepared schema keeps alive.
-    pub fn tree_arc(&self) -> &Arc<SchemaTree> {
-        &self.tree
-    }
-
-    /// Assembles an owned prepared schema from a prepared view borrowing the
-    /// `Arc` allocation of `tree`. Upholds the same invariant as
-    /// [`MatchSession::prepare_owned`]: `prepared` must have been built from
-    /// a `&'static SchemaTree` fabricated from this very `Arc`.
-    pub(crate) fn from_raw_parts(
-        prepared: PreparedSchema<'static>,
-        tree: Arc<SchemaTree>,
-    ) -> OwnedPreparedSchema {
-        OwnedPreparedSchema { prepared, tree }
     }
 }
 
@@ -249,8 +317,7 @@ impl OwnedPreparedSchema {
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<MatchSession>();
-    assert_send_sync::<PreparedSchema<'static>>();
-    assert_send_sync::<OwnedPreparedSchema>();
+    assert_send_sync::<PreparedSchema>();
     assert_send_sync::<CacheStats>();
 };
 
@@ -425,103 +492,45 @@ impl MatchSession {
 
     /// Derives every per-schema artifact the engines consume. Labels seen in
     /// earlier `prepare` calls reuse their interned fold/tokenize work.
-    pub fn prepare<'t>(&self, tree: &'t SchemaTree) -> PreparedSchema<'t> {
+    ///
+    /// The prepared schema owns its tree: pass the tree itself, an
+    /// `Arc<SchemaTree>` the caller already shares (no copy), or
+    /// `&SchemaTree` (copied into a fresh `Arc`).
+    pub fn prepare(&self, tree: impl Into<Arc<SchemaTree>>) -> PreparedSchema {
+        // Only the conversion is generic: the body below is compiled once,
+        // in this crate, not again in every caller's crate.
+        self.prepare_shared(tree.into())
+    }
+
+    fn prepare_shared(&self, tree: Arc<SchemaTree>) -> PreparedSchema {
         let t0 = self.trace.start();
-        let mut symbols = Vec::with_capacity(tree.len());
-        let mut distinct: Vec<Symbol> = Vec::new();
-        let mut node_distinct = Vec::with_capacity(tree.len());
-        let mut distinct_folded: Vec<String> = Vec::new();
-        let mut distinct_tokens: Vec<Vec<Token>> = Vec::new();
-        {
+        let prepared = {
             let mut interner = self.interner.lock().expect("interner lock");
-            // Tree-local dense ids in first-seen order, exactly as the
-            // per-pair interning did, so the label table layout (and thus
-            // every downstream float) is unchanged.
-            let mut local: HashMap<Symbol, u32> = HashMap::new();
-            for (_, node) in tree.iter() {
-                let symbol = interner.intern(&node.label);
-                symbols.push(symbol);
-                let next = local.len() as u32;
-                let id = *local.entry(symbol).or_insert(next);
-                if id == next {
-                    distinct.push(symbol);
-                    distinct_folded.push(interner.folded(symbol).to_owned());
-                    distinct_tokens.push(interner.tokens(symbol).to_vec());
-                }
-                node_distinct.push(id);
-            }
-        }
-        let levels = tree.levels();
-        let leaf_flags = tree.leaf_flags();
-        let mut leaves = Vec::new();
-        let mut internals = Vec::new();
-        for (id, _) in tree.iter() {
-            if leaf_flags[id.index()] {
-                leaves.push(id);
-            } else {
-                internals.push(id);
-            }
-        }
-        // Dense parent table (u32::MAX marks the root) and the distinct
-        // property-profile dedup: properties scoring is a pure function of
-        // the two profiles, so the kernels only score distinct pairs.
-        let mut parents = Vec::with_capacity(tree.len());
-        let mut node_props = Vec::with_capacity(tree.len());
-        let mut distinct_props: Vec<&'t Properties> = Vec::new();
-        let mut props_ids: HashMap<&'t Properties, u32> = HashMap::new();
-        for (_, node) in tree.iter() {
-            parents.push(node.parent.map_or(u32::MAX, |p| p.0));
-            let next = props_ids.len() as u32;
-            let id = *props_ids.entry(&node.properties).or_insert(next);
-            if id == next {
-                distinct_props.push(&node.properties);
-            }
-            node_props.push(id);
-        }
-        let prepared = PreparedSchema {
-            tree,
-            symbols,
-            distinct,
-            node_distinct,
-            distinct_folded,
-            distinct_tokens,
-            waves_height: crate::algorithms::waves_by_height(tree),
-            waves_depth: crate::algorithms::waves_by_depth(tree),
-            levels,
-            leaf_flags,
-            leaves,
-            internals,
-            props: tree.iter().map(|(_, n)| &n.properties).collect(),
-            parents,
-            node_props,
-            distinct_props,
+            let symbols = tree
+                .iter()
+                .map(|(_, node)| interner.intern(&node.label))
+                .collect();
+            PreparedSchema::assemble(
+                tree,
+                symbols,
+                |symbol| {
+                    (
+                        interner.folded(symbol).to_owned(),
+                        interner.tokens(symbol).to_vec(),
+                    )
+                },
+                None,
+            )
         };
         self.trace.finish(
             t0,
             Span {
-                rows: tree.len() as u64,
+                rows: prepared.tree.len() as u64,
                 cells: prepared.distinct.len() as u64,
                 ..Span::empty(Phase::Prepare)
             },
         );
         prepared
-    }
-
-    /// Like [`MatchSession::prepare`], but the result owns the tree (via
-    /// the `Arc`) instead of borrowing it, so it can be stored in a
-    /// registry and shared across threads for the prepare-once/serve-many
-    /// workload. Bit-identical to preparing the same tree by reference.
-    pub fn prepare_owned(&self, tree: Arc<SchemaTree>) -> OwnedPreparedSchema {
-        // SAFETY: the reference produced here points into the `Arc`
-        // allocation, which is immutable (shared `Arc` contents are never
-        // handed out mutably) and stays at a stable address for as long as
-        // any clone of the `Arc` exists. The returned `OwnedPreparedSchema`
-        // stores such a clone alongside the borrowing `PreparedSchema` and
-        // only ever re-exposes it at the shorter lifetime of `&self`, so
-        // the fabricated `'static` cannot be observed after the tree drops.
-        let raw: &'static SchemaTree = unsafe { &*Arc::as_ptr(&tree) };
-        let prepared = self.prepare(raw);
-        OwnedPreparedSchema { prepared, tree }
     }
 
     /// Runs any [`Algorithm`] over two prepared schemas — the one entry
@@ -1097,29 +1106,57 @@ mod tests {
     }
 
     #[test]
-    fn prepare_owned_matches_borrowed_bit_for_bit() {
+    fn prepare_by_value_by_reference_and_by_arc_agree() {
         let session = MatchSession::new(MatchConfig::default());
         let (a, b) = (po(), purchase_order());
-        let (pa, pb) = (session.prepare(&a), session.prepare(&b));
-        let expected = session.hybrid(&pa, &pb);
-        let oa = session.prepare_owned(Arc::new(po()));
-        let ob = session.prepare_owned(Arc::new(purchase_order()));
-        let got = session.hybrid(oa.prepared(), ob.prepared());
-        assert_eq!(expected.matrix, got.matrix);
-        assert_eq!(expected.total_qom, got.total_qom);
-        assert_eq!(oa.tree_arc().len(), 5);
+        let shared = Arc::new(po());
+        let by_value = session.prepare(po());
+        let by_ref = session.prepare(&a);
+        let by_arc = session.prepare(shared.clone());
+        by_value.assert_structural_eq(&by_ref);
+        by_value.assert_structural_eq(&by_arc);
+        assert!(
+            Arc::ptr_eq(&by_arc.tree, &shared),
+            "an Arc is kept, not copied"
+        );
+        let bits = |m: &SimMatrix| -> Vec<u64> {
+            (0..m.rows() as u32)
+                .flat_map(|r| m.row(NodeId(r)).iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        let pb = session.prepare(&b);
+        let want = session.hybrid(&by_ref, &pb);
+        for got in [session.hybrid(&by_value, &pb), session.hybrid(&by_arc, &pb)] {
+            assert_eq!(bits(&got.matrix), bits(&want.matrix));
+            assert_eq!(got.total_qom.to_bits(), want.total_qom.to_bits());
+        }
     }
 
     #[test]
-    fn owned_prepared_schemas_are_shareable_across_threads() {
+    fn prepared_schemas_outlive_the_callers_tree() {
         let session = Arc::new(MatchSession::new(MatchConfig::default()));
-        let oa = Arc::new(session.prepare_owned(Arc::new(po())));
-        let ob = Arc::new(session.prepare_owned(Arc::new(purchase_order())));
-        let baseline = session.hybrid(oa.prepared(), ob.prepared());
+        let (a, b) = (po(), purchase_order());
+        let (pa, pb) = (session.prepare(&a), session.prepare(&b));
+        let want = session.hybrid(&pa, &pb);
+        drop((a, b));
+        let worker = session.clone();
+        let got = std::thread::spawn(move || worker.hybrid(&pa, &pb))
+            .join()
+            .expect("worker thread");
+        assert_eq!(got.matrix, want.matrix);
+        assert_eq!(got.total_qom.to_bits(), want.total_qom.to_bits());
+    }
+
+    #[test]
+    fn prepared_schemas_are_shareable_across_threads() {
+        let session = Arc::new(MatchSession::new(MatchConfig::default()));
+        let pa = Arc::new(session.prepare(po()));
+        let pb = Arc::new(session.prepare(purchase_order()));
+        let baseline = session.hybrid(&pa, &pb);
         let handles: Vec<_> = (0..4)
             .map(|_| {
-                let (session, oa, ob) = (session.clone(), oa.clone(), ob.clone());
-                std::thread::spawn(move || session.hybrid(oa.prepared(), ob.prepared()))
+                let (session, pa, pb) = (session.clone(), pa.clone(), pb.clone());
+                std::thread::spawn(move || session.hybrid(&pa, &pb))
             })
             .collect();
         for h in handles {

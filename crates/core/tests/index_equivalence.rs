@@ -83,9 +83,9 @@ fn forced_topk_is_bit_identical_whenever_candidates_cover_the_truth() {
     let mut covered_cases = 0usize;
     for case in 0..12 {
         let corpus = random_corpus(&mut rng, 80);
-        let prepared: Vec<PreparedSchema<'_>> =
+        let prepared: Vec<PreparedSchema> =
             corpus.iter().map(|(_, t)| session.prepare(t)).collect();
-        let refs: Vec<(&str, &PreparedSchema<'_>)> = corpus
+        let refs: Vec<(&str, &PreparedSchema)> = corpus
             .iter()
             .zip(&prepared)
             .map(|((n, _), p)| (n.as_str(), p))
@@ -142,9 +142,8 @@ fn auto_at_or_below_the_floor_is_exhaustive() {
     let mut rng = SmallRng::seed_from_u64(0xF100);
     let floor = IndexParams::default().floor;
     let corpus = random_corpus(&mut rng, floor);
-    let prepared: Vec<PreparedSchema<'_>> =
-        corpus.iter().map(|(_, t)| session.prepare(t)).collect();
-    let refs: Vec<(&str, &PreparedSchema<'_>)> = corpus
+    let prepared: Vec<PreparedSchema> = corpus.iter().map(|(_, t)| session.prepare(t)).collect();
+    let refs: Vec<(&str, &PreparedSchema)> = corpus
         .iter()
         .zip(&prepared)
         .map(|((n, _), p)| (n.as_str(), p))
@@ -169,9 +168,8 @@ fn above_the_floor_auto_and_force_agree() {
     let session = MatchSession::new(MatchConfig::default());
     let mut rng = SmallRng::seed_from_u64(0xAB0E);
     let corpus = random_corpus(&mut rng, IndexParams::default().floor + 16);
-    let prepared: Vec<PreparedSchema<'_>> =
-        corpus.iter().map(|(_, t)| session.prepare(t)).collect();
-    let refs: Vec<(&str, &PreparedSchema<'_>)> = corpus
+    let prepared: Vec<PreparedSchema> = corpus.iter().map(|(_, t)| session.prepare(t)).collect();
+    let refs: Vec<(&str, &PreparedSchema)> = corpus
         .iter()
         .zip(&prepared)
         .map(|((n, _), p)| (n.as_str(), p))

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! The reconstructed evaluation corpus for the QMatch experiments.

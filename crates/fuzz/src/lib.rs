@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! Deterministic, structure-aware fuzzing harness for the QMatch ingestion

@@ -5,6 +5,8 @@
 //! byte-identical on stdout. Exit status: 0 clean, 1 on crashers or oracle
 //! violations, 2 on argument errors.
 
+#![forbid(unsafe_code)]
+
 use qmatch_fuzz::{run, FuzzConfig};
 use std::process::ExitCode;
 use std::time::Instant;

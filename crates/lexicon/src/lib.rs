@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! Linguistic substrate for QMatch: identifier tokenization, string

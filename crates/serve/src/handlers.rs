@@ -26,8 +26,8 @@ use qmatch_core::index::{IndexParams, IndexPolicy, Signature};
 use qmatch_core::mapping::{extract_mapping, path_of};
 use qmatch_core::session::MatchSession;
 use qmatch_core::{
-    mapping_generation_leaves, quality, Aggregation, Algorithm, Component, MatchOutcome,
-    OwnedPreparedSchema, Precision,
+    mapping_generation_leaves, quality, Aggregation, Algorithm, Component, MatchOutcome, Precision,
+    PreparedSchema,
 };
 use qmatch_xsd::{parse_schema_with_limits, IngestLimits, SchemaTree, XsdError};
 use std::collections::BinaryHeap;
@@ -354,48 +354,17 @@ fn delete_schema(name: &str, state: &ServeState) -> Response {
     )
 }
 
-/// Which algorithm a match request selects. Thresholds and mapping
-/// extraction follow [`qmatch_core::quality`], so the serve surface and
-/// the CLI agree byte-for-byte on every algorithm's defaults.
-enum Algo {
-    Hybrid,
-    Linguistic,
-    Structural,
-    Cupid,
-    TreeEdit,
-    Composite {
-        components: Vec<Component>,
-        aggregation: Aggregation,
-    },
-}
-
-impl Algo {
-    /// The core algorithm this request variant selects.
-    fn algorithm(&self) -> Algorithm {
-        match self {
-            Algo::Hybrid => Algorithm::Hybrid,
-            Algo::Linguistic => Algorithm::Linguistic,
-            Algo::Structural => Algorithm::Structural,
-            Algo::Cupid => Algorithm::Cupid,
-            Algo::TreeEdit => Algorithm::TreeEdit,
-            Algo::Composite {
-                components,
-                aggregation,
-            } => Algorithm::Composite {
-                components: components.clone(),
-                aggregation: aggregation.clone(),
-            },
-        }
-    }
-}
-
-fn parse_algo(req: &Request) -> Result<Algo, Response> {
+/// Decodes the `algo=` query parameter (default `hybrid`) of `/v1/match`.
+/// Thresholds and mapping extraction follow [`qmatch_core::quality`], so
+/// the serve surface and the CLI agree byte-for-byte on every algorithm's
+/// defaults.
+fn parse_algo(req: &Request) -> Result<Algorithm, Response> {
     match req.query_param("algo").unwrap_or("hybrid") {
-        "hybrid" => Ok(Algo::Hybrid),
-        "linguistic" => Ok(Algo::Linguistic),
-        "structural" => Ok(Algo::Structural),
-        "cupid" => Ok(Algo::Cupid),
-        "tree-edit" => Ok(Algo::TreeEdit),
+        "hybrid" => Ok(Algorithm::Hybrid),
+        "linguistic" => Ok(Algorithm::Linguistic),
+        "structural" => Ok(Algorithm::Structural),
+        "cupid" => Ok(Algorithm::Cupid),
+        "tree-edit" => Ok(Algorithm::TreeEdit),
         "composite" => {
             let components = match req.query_param("components") {
                 None => vec![Component::Linguistic, Component::Structural],
@@ -426,7 +395,7 @@ fn parse_algo(req: &Request) -> Result<Algo, Response> {
                     ))
                 }
             };
-            Ok(Algo::Composite {
+            Ok(Algorithm::Composite {
                 components,
                 aggregation,
             })
@@ -446,7 +415,7 @@ fn required_schema(
     req: &Request,
     registry: &Registry,
     param: &str,
-) -> Result<(String, Arc<OwnedPreparedSchema>), Response> {
+) -> Result<(String, Arc<PreparedSchema>), Response> {
     let name = req
         .query_param(param)
         .ok_or_else(|| {
@@ -468,30 +437,28 @@ fn required_schema(
 }
 
 fn run_algo(
-    algo: &Algo,
+    algorithm: &Algorithm,
     session: &MatchSession,
-    source: &OwnedPreparedSchema,
-    target: &OwnedPreparedSchema,
+    source: &PreparedSchema,
+    target: &PreparedSchema,
     precision: Precision,
 ) -> Result<(MatchOutcome, f64), Response> {
-    let (source, target) = (source.prepared(), target.prepared());
-    let algorithm = algo.algorithm();
-    let default_threshold = quality::default_threshold(&algorithm, session.config());
+    let default_threshold = quality::default_threshold(algorithm, session.config());
     session
-        .run_with_precision(&algorithm, source, target, precision)
+        .run_with_precision(algorithm, source, target, precision)
         .map(|outcome| (outcome, default_threshold))
         .map_err(|e| error(400, "bad_composite", e.to_string()))
 }
 
 fn do_match(req: &Request, registry: &Registry) -> Response {
-    let algo = match parse_algo(req) {
-        Ok(algo) => algo,
+    let algorithm = match parse_algo(req) {
+        Ok(algorithm) => algorithm,
         Err(response) => return response,
     };
     let explain = req.query_param("explain") == Some("1");
     // Reject the invalid combination up front, before the (potentially
     // expensive) match runs.
-    if explain && !matches!(algo, Algo::Hybrid) {
+    if explain && algorithm != Algorithm::Hybrid {
         return error(
             400,
             "bad_request",
@@ -517,16 +484,16 @@ fn do_match(req: &Request, registry: &Registry) -> Response {
         Ok(p) => p.unwrap_or_else(|| session.config().precision),
         Err(response) => return response,
     };
-    let (outcome, default_threshold) = match run_algo(&algo, session, &source, &target, precision) {
+    let (sp, tp) = (&*source, &*target);
+    let (outcome, default_threshold) = match run_algo(&algorithm, session, sp, tp, precision) {
         Ok(pair) => pair,
         Err(response) => return response,
     };
     let threshold = threshold.unwrap_or(default_threshold);
-    let (sp, tp) = (source.prepared(), target.prepared());
     // CUPID proposes leaf-anchored mappings; everything else uses greedy
     // 1:1 extraction over the whole matrix (same split as the CLI).
-    let mapping = match algo {
-        Algo::Cupid => mapping_generation_leaves(sp, tp, &outcome.matrix, threshold),
+    let mapping = match algorithm {
+        Algorithm::Cupid => mapping_generation_leaves(sp, tp, &outcome.matrix, threshold),
         _ => extract_mapping(&outcome.matrix, threshold),
     };
     let pairs = mapping
@@ -542,16 +509,13 @@ fn do_match(req: &Request, registry: &Registry) -> Response {
     let mut body = Json::obj()
         .field("source", Json::str(source_name))
         .field("target", Json::str(target_name))
-        .field(
-            "algo",
-            Json::str(req.query_param("algo").unwrap_or("hybrid")),
-        )
+        .field("algo", Json::str(algorithm.name()))
         .field("threshold", Json::Num(threshold))
         .field("precision", Json::str(outcome.matrix.precision().name()))
         .field("total_qom", Json::Num(outcome.total_qom))
         .field("matches", Json::UInt(mapping.len() as u64))
         .field("mapping", Json::Arr(pairs));
-    if matches!(algo, Algo::Hybrid) {
+    if algorithm == Algorithm::Hybrid {
         let category = session.category(sp, tp, &outcome);
         body = body.field("category", Json::str(category.to_string()));
         if explain {
@@ -605,7 +569,7 @@ pub struct TopkPlan {
     /// Source schema name (excluded from the ranking).
     pub source: String,
     /// The source's prepared artifact, fetched once from its owner.
-    pub prepared: Arc<OwnedPreparedSchema>,
+    pub prepared: Arc<PreparedSchema>,
     /// How many ranked targets to return.
     pub k: usize,
     /// Ranking algorithm (`hybrid` or `cupid`): every candidate's root
@@ -659,7 +623,7 @@ pub fn validate_topk(req: &Request, registry: &Registry) -> Result<TopkPlan, Res
         Ok(policy) => policy,
         Err(message) => return Err(error(400, "bad_index", message)),
     };
-    let signature = registry.session().signature(prepared.prepared());
+    let signature = registry.session().signature(&prepared);
     Ok(TopkPlan {
         path: req.path.clone(),
         source,
@@ -704,12 +668,7 @@ pub fn topk_partial(state: &ServeState, shard_index: usize, plan: &TopkPlan) -> 
         // Only the root QoM survives the loop, so the matrix goes straight
         // back into the session arena for the next candidate to reuse.
         let outcome = session
-            .run_with_precision(
-                &plan.algo,
-                plan.prepared.prepared(),
-                target.prepared(),
-                plan.precision,
-            )
+            .run_with_precision(&plan.algo, &plan.prepared, &target, plan.precision)
             .expect("hybrid and cupid are infallible");
         ranking.push((name, outcome.total_qom));
         session.recycle(outcome);

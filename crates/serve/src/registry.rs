@@ -9,7 +9,7 @@
 //! single-shard registry ([`Registry::single`]) behaves exactly like the
 //! old monolithic one and is what unit tests use.
 
-use qmatch_core::session::{CacheStats, MatchSession, OwnedPreparedSchema};
+use qmatch_core::session::{CacheStats, MatchSession, PreparedSchema};
 use qmatch_xsd::SchemaTree;
 use std::sync::Arc;
 
@@ -105,7 +105,7 @@ impl Registry {
 
     /// The prepared schema for `name` from its owner shard (re-preparing
     /// if evicted). `None` when the name is unknown.
-    pub fn prepared(&self, name: &str) -> Option<Arc<OwnedPreparedSchema>> {
+    pub fn prepared(&self, name: &str) -> Option<Arc<PreparedSchema>> {
         self.owner(name).prepared(name)
     }
 
@@ -241,7 +241,7 @@ mod tests {
         assert_eq!(r.snapshot().evictions, 1);
         // "a" is still registered; using it re-prepares and evicts another.
         let prepared = r.prepared("a").expect("still registered");
-        assert_eq!(prepared.prepared().tree().name(), "A");
+        assert_eq!(prepared.tree().name(), "A");
         assert_eq!(r.snapshot().prepare_misses, 1);
         assert_eq!(r.snapshot().resident, 2);
     }
@@ -275,10 +275,7 @@ mod tests {
                     for _ in 0..10 {
                         let pa = r.prepared("a").unwrap();
                         let pb = r.prepared("b").unwrap();
-                        let outcome = r
-                            .session()
-                            .run(&Algorithm::Hybrid, pa.prepared(), pb.prepared())
-                            .unwrap();
+                        let outcome = r.session().run(&Algorithm::Hybrid, &pa, &pb).unwrap();
                         assert!(outcome.total_qom.is_finite());
                     }
                 })

@@ -21,7 +21,7 @@ use crate::handlers::{self, ServeState, TopkPlan};
 use crate::http::{Request, Response};
 use crate::metrics::{Endpoint, RegistrySnapshot};
 use qmatch_core::index::{CorpusIndex, Signature};
-use qmatch_core::session::{MatchSession, OwnedPreparedSchema};
+use qmatch_core::session::{MatchSession, PreparedSchema};
 use qmatch_core::trace::{Phase, Span};
 use qmatch_xsd::{SchemaTree, TreeProfile};
 use std::collections::{BTreeMap, HashMap};
@@ -53,7 +53,7 @@ struct Entry {
 }
 
 struct Resident {
-    prepared: Arc<OwnedPreparedSchema>,
+    prepared: Arc<PreparedSchema>,
     /// Logical access time (monotone ticks), updated on every hit. An
     /// atomic so hits need only the shard's read lock.
     last_used: AtomicU64,
@@ -141,8 +141,8 @@ impl Shard {
                 if self.contains(name) {
                     self.evolve_full.fetch_add(1, Ordering::Relaxed);
                 }
-                let prepared = Arc::new(self.session.prepare_owned(tree.clone()));
-                let signature = self.session.signature(prepared.prepared());
+                let prepared = Arc::new(self.session.prepare(tree.clone()));
+                let signature = self.session.signature(&prepared);
                 (prepared, signature)
             }
         };
@@ -188,7 +188,7 @@ impl Shard {
         &self,
         name: &str,
         new_tree: &Arc<SchemaTree>,
-    ) -> Option<(Arc<OwnedPreparedSchema>, Signature)> {
+    ) -> Option<(Arc<PreparedSchema>, Signature)> {
         let (old_tree, old_prepared, old_signature) = {
             let inner = self.inner.read().expect("shard lock");
             let entry = inner.entries.get(name)?;
@@ -197,15 +197,14 @@ impl Shard {
             (entry.tree.clone(), resident.prepared.clone(), signature)
         };
         let diff = self.session.diff_trees(&old_tree, new_tree);
-        let prepared = Arc::new(self.session.reprepare_owned(
-            &old_prepared,
-            new_tree.clone(),
-            &diff,
-        ));
+        let prepared = Arc::new(
+            self.session
+                .reprepare(&old_prepared, new_tree.clone(), &diff),
+        );
         let signature = self
             .session
-            .signature_evolved(&old_signature, old_prepared.prepared(), prepared.prepared())
-            .unwrap_or_else(|| self.session.signature(prepared.prepared()));
+            .signature_evolved(&old_signature, &old_prepared, &prepared)
+            .unwrap_or_else(|| self.session.signature(&prepared));
         Some((prepared, signature))
     }
 
@@ -255,7 +254,7 @@ impl Shard {
 
     /// The prepared schema for `name` (owned by this shard), re-preparing
     /// it if the LRU cap evicted it. `None` when the name is unknown.
-    pub fn prepared(&self, name: &str) -> Option<Arc<OwnedPreparedSchema>> {
+    pub fn prepared(&self, name: &str) -> Option<Arc<PreparedSchema>> {
         {
             let inner = self.inner.read().expect("shard lock");
             if !inner.entries.contains_key(name) {
@@ -275,7 +274,7 @@ impl Shard {
             inner.entries.get(name)?.tree.clone()
         };
         // Prepare outside any lock: pure work, possibly raced, harmless.
-        let prepared = Arc::new(self.session.prepare_owned(tree));
+        let prepared = Arc::new(self.session.prepare(tree));
         let mut inner = self.inner.write().expect("shard lock");
         if !inner.entries.contains_key(name) {
             return None; // deleted concurrently (future-proofing)
@@ -630,7 +629,7 @@ mod tests {
         assert_eq!(s.snapshot().evictions, 1);
         assert!(s.contains("po"), "evicted from residence, not the store");
         let prepared = s.prepared("po").expect("still registered");
-        assert_eq!(prepared.prepared().tree().name(), "PO2");
+        assert_eq!(prepared.tree().name(), "PO2");
         assert_eq!(s.snapshot().prepare_misses, 1);
         assert_eq!(s.prepared("missing").map(|_| ()), None);
     }
@@ -649,7 +648,7 @@ mod tests {
         assert_eq!(snap.evolve_full, 0);
         // The evolved entry still serves matches.
         let prepared = s.prepared("po").expect("registered");
-        assert_eq!(prepared.prepared().tree().len(), 2);
+        assert_eq!(prepared.tree().len(), 2);
     }
 
     #[test]

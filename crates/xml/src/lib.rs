@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! A from-scratch XML 1.0 parser built for the QMatch reproduction.

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! XML Schema (XSD) object model, parser, and schema-tree compiler.

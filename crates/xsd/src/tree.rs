@@ -17,6 +17,7 @@ use crate::model::{
 use crate::types::BuiltinType;
 use qmatch_xml::IngestLimits;
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a node within its [`SchemaTree`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -381,6 +382,15 @@ impl SchemaTree {
         }
         out.reverse();
         out
+    }
+}
+
+/// Copies a borrowed tree into a fresh shared allocation, so APIs that keep
+/// a tree alive (`MatchSession::prepare` in `qmatch-core`) also accept
+/// `&SchemaTree`. Callers that already hold an `Arc` should pass it instead.
+impl From<&SchemaTree> for Arc<SchemaTree> {
+    fn from(tree: &SchemaTree) -> Arc<SchemaTree> {
+        Arc::new(tree.clone())
     }
 }
 

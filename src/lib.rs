@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! QMatch — a hybrid match algorithm for XML Schemas (ICDE 2005 reproduction).
