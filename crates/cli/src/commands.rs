@@ -79,7 +79,7 @@ pub fn run(command: Command) -> Result<(), CommandError> {
                 (session.prepare(&source_tree), session.prepare(&target_tree));
             let (algorithm, outcome, threshold) =
                 execute(&session, &prepared_source, &prepared_target, &options);
-            emit_trace(recorder.as_deref());
+            emit_trace(&session, recorder.as_deref());
             if let Some(csv_path) = &options.matrix_csv {
                 let csv = outcome.matrix.to_csv(&source_tree, &target_tree);
                 std::fs::write(csv_path, csv)
@@ -151,7 +151,7 @@ pub fn run(command: Command) -> Result<(), CommandError> {
                 (session.prepare(&source_tree), session.prepare(&target_tree));
             let (algorithm, outcome, threshold) =
                 execute(&session, &prepared_source, &prepared_target, &options);
-            emit_trace(recorder.as_deref());
+            emit_trace(&session, recorder.as_deref());
             let mapping = extract_at(
                 &algorithm,
                 &prepared_source,
@@ -281,7 +281,7 @@ fn evaluate_all_command(options: &MatchOptions) -> Result<(), CommandError> {
             report.push(row);
         }
     }
-    emit_trace(recorder.as_deref());
+    emit_trace(&session, recorder.as_deref());
     println!(
         "{} corpus pair(s) x {} algorithm(s), each at its own acceptance threshold",
         pairs.len(),
@@ -348,7 +348,7 @@ fn batch_command(pairs_path: &str, options: &MatchOptions) -> Result<(), Command
         })
         .collect();
     let outcomes = session.match_corpus_indexed(&corpus, options.index);
-    emit_trace(recorder.as_deref());
+    emit_trace(&session, recorder.as_deref());
     let threshold = options
         .threshold
         .unwrap_or_else(|| options.config.weights.acceptance_threshold());
@@ -600,10 +600,16 @@ fn build_session(
 }
 
 /// Prints the `--trace` per-phase report to stderr, keeping stdout clean
-/// for the match result itself.
-fn emit_trace(recorder: Option<&Recorder>) {
+/// for the match result itself, followed by the session's label-cache
+/// counters (the token pairs its cold label comparisons scored).
+fn emit_trace(session: &MatchSession, recorder: Option<&Recorder>) {
     if let Some(recorder) = recorder {
         eprint!("{}", recorder.report());
+        let stats = session.cache_stats();
+        eprintln!(
+            "label cache: {} hits, {} misses, {} token scores",
+            stats.hits, stats.misses, stats.token_scores
+        );
     }
 }
 

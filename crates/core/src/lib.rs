@@ -80,6 +80,7 @@ pub mod quality;
 pub mod report;
 pub mod session;
 pub mod taxonomy;
+mod token_table;
 pub mod trace;
 pub mod tuning;
 

@@ -99,6 +99,48 @@ where
     states
 }
 
+/// Sets `out[idx[k] - idx[0]]` to `f(k)` for every `k` on up to `threads`
+/// workers, in place: `idx` is strictly ascending and `out` covers
+/// `idx[0]..=idx[last]`, so each worker's contiguous run of `idx` writes a
+/// disjoint range of `out` and no per-index result is collected.
+pub(crate) fn scatter_ascending<T, F>(idx: &[usize], out: &mut [T], threads: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let Some(&first) = idx.first() else {
+        return;
+    };
+    let threads = threads.min(idx.len());
+    if threads <= 1 {
+        for (k, &i) in idx.iter().enumerate() {
+            out[i - first] = f(k);
+        }
+        return;
+    }
+    let chunk = idx.len().div_ceil(threads);
+    let f = &f;
+    std::thread::scope(|scope| {
+        let mut rest = out;
+        let mut start = first;
+        for (w, run) in idx.chunks(chunk).enumerate() {
+            // This run owns `out` from its first index up to the next run's.
+            let end = idx
+                .get((w + 1) * chunk)
+                .map_or(start + rest.len(), |&next| next);
+            let (mine, tail) = std::mem::take(&mut rest).split_at_mut(end - start);
+            rest = tail;
+            let (base, lo) = (start, w * chunk);
+            start = end;
+            scope.spawn(move || {
+                for (k, &i) in run.iter().enumerate() {
+                    mine[i - base] = f(lo + k);
+                }
+            });
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,6 +195,26 @@ mod tests {
         // The per-worker counters together saw every index exactly once.
         assert_eq!(states.iter().sum::<u64>(), (0..1000u64).sum());
         assert_eq!(states.len(), 4, "one state per worker");
+    }
+
+    #[test]
+    fn scatter_ascending_writes_each_index_once_on_any_thread_count() {
+        let idx: Vec<usize> = (0..500).map(|k| 7 + 3 * k + k % 2).collect();
+        let width = idx[idx.len() - 1] - idx[0] + 1;
+        for threads in [1, 2, 3, 4, 1000] {
+            let mut out = vec![usize::MAX; width];
+            scatter_ascending(&idx, &mut out, threads, |k| k);
+            for (k, &i) in idx.iter().enumerate() {
+                assert_eq!(out[i - idx[0]], k, "threads {threads}");
+            }
+            let written = out.iter().filter(|&&v| v != usize::MAX).count();
+            assert_eq!(
+                written,
+                idx.len(),
+                "threads {threads}: nothing else touched"
+            );
+        }
+        scatter_ascending(&[], &mut [0u8; 0], 4, |_| 1u8);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::explain::{explain_with_label, Explanation};
 use crate::intern::{Interner, Symbol};
 use crate::mapping::{extract_mapping, Mapping};
 use crate::matrix::{Precision, SimMatrix};
-use crate::model::{LexiconMode, MatchConfig};
+use crate::model::MatchConfig;
 use crate::par;
 use crate::taxonomy::MatchCategory;
 use crate::trace::{Phase, Span, Trace, TraceSink};
@@ -328,6 +328,9 @@ pub struct CacheStats {
     pub hits: u64,
     /// Distinct-label-pair lookups that had to run the linguistic matcher.
     pub misses: u64,
+    /// Token pairs scored to resolve those misses: each build scores every
+    /// distinct content-token pair its misses align once.
+    pub token_scores: u64,
 }
 
 impl CacheStats {
@@ -366,11 +369,14 @@ pub struct MatchSession {
     config: MatchConfig,
     matcher: NameMatcher,
     interner: Mutex<Interner>,
-    /// `(Symbol, Symbol) -> NameMatch`, shared across every pair matched in
-    /// this session.
-    labels: Mutex<HashMap<(u32, u32), NameMatch>>,
+    /// Source symbol -> target symbol -> `NameMatch`, shared across every
+    /// pair matched in this session. One map per source row: a build
+    /// resolves each row once, and the cache grows row by row instead of
+    /// doubling one table holding every pair.
+    labels: Mutex<HashMap<u32, HashMap<u32, CachedMatch>>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    token_scores: AtomicU64,
     trace: Trace,
     /// Pooled matrix/scratch buffers reused across matches (see
     /// [`MatchArena`]).
@@ -384,6 +390,8 @@ impl MatchSession {
     /// A session with the standard matcher for the config's lexicon mode
     /// (the built-in thesaurus under [`LexiconMode::Full`], an empty one
     /// otherwise).
+    ///
+    /// [`LexiconMode::Full`]: crate::model::LexiconMode::Full
     pub fn new(config: MatchConfig) -> MatchSession {
         MatchSession::with_matcher(config, matcher_for_mode(config.lexicon))
     }
@@ -397,6 +405,7 @@ impl MatchSession {
             labels: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            token_scores: AtomicU64::new(0),
             trace: Trace::disabled(),
             arena: MatchArena::default(),
             threads: par::num_threads(),
@@ -487,6 +496,7 @@ impl MatchSession {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            token_scores: self.token_scores.load(Ordering::Relaxed),
         }
     }
 
@@ -752,18 +762,25 @@ impl MatchSession {
     ) -> NameMatch {
         let i = source.node_distinct[s.index()] as usize;
         let j = target.node_distinct[t.index()] as usize;
-        let key = (source.distinct[i].0, target.distinct[j].0);
-        if let Some(&hit) = self.labels.lock().expect("label cache lock").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let computed = self.compare_distinct(source, i, target, j);
-        self.labels
+        let cached = self
+            .labels
             .lock()
             .expect("label cache lock")
-            .insert(key, computed);
-        computed
+            .get(&source.distinct[i].0)
+            .and_then(|row| row.get(&target.distinct[j].0).copied());
+        if let Some(hit) = cached {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return hit.get();
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let mut computed = [UNFILLED];
+        self.resolve_misses(
+            source,
+            target,
+            &[i * target.distinct.len() + j],
+            &mut computed,
+        );
+        computed[0]
     }
 
     /// Builds the dense per-pair label table from the session cache,
@@ -776,58 +793,22 @@ impl MatchSession {
         let t0 = self.trace.start();
         let rows = source.distinct.len();
         let cols = target.distinct.len();
-        let mut table: Vec<Option<NameMatch>> = Vec::with_capacity(rows * cols);
-        let mut missing: Vec<usize> = Vec::new();
-        {
-            let cache = self.labels.lock().expect("label cache lock");
-            for i in 0..rows {
-                for j in 0..cols {
-                    let key = (source.distinct[i].0, target.distinct[j].0);
-                    match cache.get(&key) {
-                        Some(&hit) => table.push(Some(hit)),
-                        None => {
-                            missing.push(i * cols + j);
-                            table.push(None);
-                        }
-                    }
-                }
-            }
-        }
-        let miss_count = missing.len() as u64;
-        self.hits
-            .fetch_add(rows as u64 * cols as u64 - miss_count, Ordering::Relaxed);
-        self.misses.fetch_add(miss_count, Ordering::Relaxed);
-        if !missing.is_empty() {
-            // Misses are pure label comparisons — safe to fan out; the
-            // values are identical however they are scheduled.
-            let threads = self.threads_for(missing.len());
-            let computed: Vec<NameMatch> = par::map_rows(missing.len(), threads, |k| {
-                let idx = missing[k];
-                self.compare_distinct(source, idx / cols, target, idx % cols)
-            });
-            let mut cache = self.labels.lock().expect("label cache lock");
-            for (k, &idx) in missing.iter().enumerate() {
-                let (i, j) = (idx / cols, idx % cols);
-                cache.insert((source.distinct[i].0, target.distinct[j].0), computed[k]);
-                table[idx] = Some(computed[k]);
-            }
-        }
+        let mut table = vec![UNFILLED; rows * cols];
+        let all: Vec<usize> = (0..rows).collect();
+        let (hits, misses) = self.fill_rows(source, target, &all, &mut table);
         let matrix = LabelMatrix::from_parts(
             source.node_distinct.clone(),
             target.node_distinct.clone(),
             cols,
-            table
-                .into_iter()
-                .map(|m| m.expect("table filled"))
-                .collect(),
+            table,
         );
         self.trace.finish(
             t0,
             Span {
                 rows: rows as u64,
                 cells: (rows * cols) as u64,
-                cache_hits: rows as u64 * cols as u64 - miss_count,
-                cache_misses: miss_count,
+                cache_hits: hits,
+                cache_misses: misses,
                 ..Span::empty(Phase::Labels)
             },
         );
@@ -870,10 +851,6 @@ impl MatchSession {
             .enumerate()
             .map(|(i, &symbol)| (symbol, i))
             .collect();
-        let placeholder = NameMatch {
-            grade: LabelGrade::None,
-            score: 0.0,
-        };
         let mut table: Vec<NameMatch> = Vec::with_capacity(rows * cols);
         let mut fresh: Vec<usize> = Vec::new();
         for i in 0..rows {
@@ -881,42 +858,12 @@ impl MatchSession {
                 Some(&old_i) => table.extend_from_slice(old_labels.distinct_row_raw(old_i)),
                 None => {
                     fresh.push(i);
-                    table.resize(table.len() + cols, placeholder);
+                    table.resize(table.len() + cols, UNFILLED);
                 }
             }
         }
         let copied = (rows - fresh.len()) as u64 * cols as u64;
-        let mut hit_count = 0u64;
-        let mut miss_count = 0u64;
-        for &i in &fresh {
-            for j in 0..cols {
-                let key = (new_source.distinct[i].0, target.distinct[j].0);
-                let cached = self
-                    .labels
-                    .lock()
-                    .expect("label cache lock")
-                    .get(&key)
-                    .copied();
-                let value = match cached {
-                    Some(hit) => {
-                        hit_count += 1;
-                        hit
-                    }
-                    None => {
-                        miss_count += 1;
-                        let computed = self.compare_distinct(new_source, i, target, j);
-                        self.labels
-                            .lock()
-                            .expect("label cache lock")
-                            .insert(key, computed);
-                        computed
-                    }
-                };
-                table[i * cols + j] = value;
-            }
-        }
-        self.hits.fetch_add(hit_count, Ordering::Relaxed);
-        self.misses.fetch_add(miss_count, Ordering::Relaxed);
+        let (hits, misses) = self.fill_rows(new_source, target, &fresh, &mut table);
         let matrix = LabelMatrix::from_parts(
             new_source.node_distinct.clone(),
             target.node_distinct.clone(),
@@ -929,43 +876,125 @@ impl MatchSession {
                 rows: rows as u64,
                 cells: (rows * cols) as u64,
                 skipped: copied,
-                cache_hits: hit_count,
-                cache_misses: miss_count,
+                cache_hits: hits,
+                cache_misses: misses,
                 ..Span::empty(Phase::Labels)
             },
         );
         Some(matrix)
     }
 
-    /// One distinct-label-pair comparison, off the prepared (pre-folded,
-    /// pre-tokenized) forms — no per-call `to_lowercase`, no re-tokenizing.
-    fn compare_distinct(
+    /// Fills `rows` of `table` — the dense `source × target` distinct-label
+    /// table — from the session cache in one locked pass, then resolves
+    /// every miss in one batch ([`MatchSession::resolve_misses`]). Returns
+    /// the hit and miss counts, which it also adds to the session's.
+    fn fill_rows(
         &self,
         source: &PreparedSchema,
-        i: usize,
         target: &PreparedSchema,
-        j: usize,
-    ) -> NameMatch {
-        match self.config.lexicon {
-            LexiconMode::ExactOnly => {
-                if source.distinct_folded[i] == target.distinct_folded[j] {
-                    NameMatch {
-                        grade: LabelGrade::Exact,
-                        score: 1.0,
-                    }
-                } else {
-                    NameMatch {
-                        grade: LabelGrade::None,
-                        score: 0.0,
+        rows: &[usize],
+        table: &mut [NameMatch],
+    ) -> (u64, u64) {
+        let cols = target.distinct.len();
+        let mut missing: Vec<usize> = Vec::new();
+        {
+            let cache = self.labels.lock().expect("label cache lock");
+            // A row the cache has never seen misses in full: room for those
+            // up front, not by doubling.
+            let unseen = rows
+                .iter()
+                .filter(|&&i| !cache.contains_key(&source.distinct[i].0))
+                .count();
+            missing.reserve(unseen * cols);
+            for &i in rows {
+                let Some(row) = cache.get(&source.distinct[i].0) else {
+                    missing.extend(i * cols..(i + 1) * cols);
+                    continue;
+                };
+                for j in 0..cols {
+                    match row.get(&target.distinct[j].0) {
+                        Some(hit) => table[i * cols + j] = hit.get(),
+                        None => missing.push(i * cols + j),
                     }
                 }
             }
-            LexiconMode::Full | LexiconMode::FuzzyOnly => self
-                .matcher
-                .compare_tokens(&source.distinct_tokens[i], &target.distinct_tokens[j]),
+        }
+        let misses = missing.len() as u64;
+        let hits = (rows.len() * cols) as u64 - misses;
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
+        if let Some(&first) = missing.first() {
+            self.resolve_misses(source, target, &missing, &mut table[first..]);
+        }
+        (hits, misses)
+    }
+
+    /// Compares the label-cache misses `missing` (flat `i * cols + j`
+    /// indices, ascending) through one per-build token table
+    /// ([`MatchSession::compare_misses`]) into `out` — the table from the
+    /// first miss on, so the match of `idx` lands at `out[idx - missing[0]]`
+    /// — and caches them under one lock.
+    fn resolve_misses(
+        &self,
+        source: &PreparedSchema,
+        target: &PreparedSchema,
+        missing: &[usize],
+        out: &mut [NameMatch],
+    ) {
+        let (cols, first) = (target.distinct.len(), missing[0]);
+        let scored = self.compare_misses(source, target, missing, out);
+        self.token_scores.fetch_add(scored, Ordering::Relaxed);
+        let mut cache = self.labels.lock().expect("label cache lock");
+        // Ascending indices group by source row: one row lookup per row.
+        let mut start = 0;
+        while start < missing.len() {
+            let i = missing[start] / cols;
+            let end = start + missing[start..].partition_point(|&idx| idx / cols == i);
+            let row = cache.entry(source.distinct[i].0).or_default();
+            row.reserve(end - start);
+            for &idx in &missing[start..end] {
+                let m = CachedMatch::new(out[idx - first]);
+                row.insert(target.distinct[idx % cols].0, m);
+            }
+            start = end;
         }
     }
 }
+
+/// A [`NameMatch`] as the label cache keeps it: the score's bits in two
+/// `u32` halves, so an entry with its `u32` key takes 16 bytes, not the 24
+/// an `f64`-aligned `NameMatch` would.
+#[derive(Clone, Copy)]
+struct CachedMatch {
+    score: [u32; 2],
+    grade: LabelGrade,
+}
+
+const _: () = assert!(std::mem::size_of::<(u32, CachedMatch)>() == 16);
+
+impl CachedMatch {
+    fn new(m: NameMatch) -> CachedMatch {
+        let bits = m.score.to_bits();
+        CachedMatch {
+            score: [bits as u32, (bits >> 32) as u32],
+            grade: m.grade,
+        }
+    }
+
+    fn get(self) -> NameMatch {
+        let [low, high] = self.score;
+        NameMatch {
+            grade: self.grade,
+            score: f64::from_bits(u64::from(low) | u64::from(high) << 32),
+        }
+    }
+}
+
+/// The value a label table holds in a cell until it is filled.
+const UNFILLED: NameMatch = NameMatch {
+    grade: LabelGrade::None,
+    score: 0.0,
+};
 
 /// Converts an outcome's matrix storage to `precision` (no-op when it
 /// already matches); used by the algorithms whose kernels compute in `f64`.
@@ -979,6 +1008,7 @@ fn convert_outcome(outcome: MatchOutcome, precision: Precision) -> MatchOutcome 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::LexiconMode;
     use qmatch_xsd::SchemaTree;
 
     fn po() -> SchemaTree {

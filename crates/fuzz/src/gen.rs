@@ -30,6 +30,51 @@ const WORDS: &[&str] = &[
     "Ref", "Type", "Status", "Customer", "Contact", "Phone",
 ];
 
+/// Identifier words for the label-table oracle: thesaurus synonyms,
+/// hypernyms, abbreviations and acronyms, plural forms that stem, near
+/// misses for the fuzzy fallback, and stopwords.
+const IDENT_WORDS: &str = "\
+    order orders requisition purchase buy item items product quantity qty amount unit \
+    measure uom price cost total number num no address addresses addr ship bill billing \
+    invoice date day category categories box boxes class status book books volume \
+    publication article author writer title protein sequence chain organism library \
+    quantety adress shipping description dscr id identifier of the to for in on a an";
+
+/// Generates `count` schema identifiers of one to four words from a
+/// vocabulary of thesaurus words, plurals, near misses and stopwords, in
+/// mixed styles: camelCase, snake_case, spaced, ALLCAPS, or the words'
+/// initials as an acronym; some get a trailing `#` or number.
+pub fn gen_identifiers(rng: &mut SmallRng, count: usize) -> Vec<String> {
+    let vocabulary: Vec<&str> = IDENT_WORDS.split_whitespace().collect();
+    let mut out: Vec<String> = Vec::with_capacity(count);
+    for _ in 0..count {
+        let words: Vec<&str> = (0..rng.gen_range(1..=4usize))
+            .map(|_| vocabulary[rng.gen_range(0..vocabulary.len())])
+            .collect();
+        let mut ident = match rng.gen_range(0..5u32) {
+            0 => words.join("_"),
+            1 => words.join(" "),
+            2 => words.concat().to_uppercase(),
+            3 => words.iter().map(|w| w[..1].to_uppercase()).collect(),
+            _ => words
+                .iter()
+                .map(|w| {
+                    let mut cs = w.chars();
+                    cs.next()
+                        .map_or(String::new(), |c| c.to_uppercase().chain(cs).collect())
+                })
+                .collect(),
+        };
+        match rng.gen_range(0..8u32) {
+            0 => ident.push('#'),
+            1 => ident.push_str(&rng.gen_range(0..100u32).to_string()),
+            _ => {}
+        }
+        out.push(ident);
+    }
+    out
+}
+
 /// Deterministic name generator with a per-document counter suffix, so two
 /// draws can never collide in a symbol space.
 pub struct NamePool {

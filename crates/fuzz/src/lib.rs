@@ -15,6 +15,10 @@
 //! - **structured** (~20%): schema-aware corruptions
 //!   ([`mutate::mutate_structure`]) that target the XSD layer.
 //!
+//! Every [`LABEL_ORACLE_EVERY`]th case also runs the label-table oracle
+//! ([`oracle::check_labels`]) on random identifier lists, from an RNG
+//! stream of its own so the schema cases are the same with or without it.
+//!
 //! The oracles live in [`oracle`]; failing inputs are shrunk by
 //! [`minimize`] and written to a repro directory.
 
@@ -23,7 +27,7 @@ pub mod minimize;
 pub mod mutate;
 pub mod oracle;
 
-use oracle::{check_case, CaseOutcome, OracleFailure};
+use oracle::{check_case, check_labels, CaseOutcome, OracleFailure};
 use qmatch_core::{MatchConfig, MatchSession};
 use qmatch_prng::SmallRng;
 use qmatch_xml::IngestLimits;
@@ -33,6 +37,10 @@ use std::time::Instant;
 
 /// Odd constant (golden-ratio based) decorrelating per-case seeds.
 const CASE_SEED_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Separates the label oracle's RNG stream from the schema cases'.
+const LABEL_SEED_MIX: u64 = 0xD1B5_4A32_D192_ED03;
+/// The label-table oracle runs on every case index divisible by this.
+pub const LABEL_ORACLE_EVERY: u64 = 4;
 
 /// A fuzzing run's configuration.
 #[derive(Debug, Clone)]
@@ -70,7 +78,8 @@ pub struct Failure {
     pub case: u64,
     /// Which oracle failed, with its message.
     pub failure: OracleFailure,
-    /// The minimized failing input.
+    /// The minimized failing input (for the label-table oracle, its mode
+    /// and identifier lists).
     pub minimized: String,
     /// Repro file path, if writing it succeeded.
     pub repro_path: Option<PathBuf>,
@@ -99,6 +108,8 @@ pub struct FuzzSummary {
     pub round_trips: u64,
     /// Match-equivalence oracle executions.
     pub match_checks: u64,
+    /// Label-table oracle executions.
+    pub label_checks: u64,
     /// Panics caught.
     pub crashers: u64,
     /// Non-panic oracle violations.
@@ -114,7 +125,8 @@ impl FuzzSummary {
         let _ = write!(
             s,
             "qmatch-fuzz: seed={} cases={} executed={} valid={} mutated={} structured={} \
-             parse_ok={} parse_err={} round_trips={} match_checks={} crashers={} violations={}",
+             parse_ok={} parse_err={} round_trips={} match_checks={} label_checks={} crashers={} \
+             violations={}",
             self.seed,
             self.cases,
             self.executed,
@@ -125,6 +137,7 @@ impl FuzzSummary {
             self.parse_err,
             self.round_trips,
             self.match_checks,
+            self.label_checks,
             self.crashers,
             self.violations
         );
@@ -232,6 +245,25 @@ pub fn run(config: &FuzzConfig) -> FuzzSummary {
                 });
             }
         }
+        if i % LABEL_ORACLE_EVERY == 0 {
+            let mut label_rng = SmallRng::seed_from_u64(
+                config.seed ^ i.wrapping_mul(CASE_SEED_MIX) ^ LABEL_SEED_MIX,
+            );
+            summary.label_checks += 1;
+            if let Err((failure, lists)) = check_labels(&mut label_rng) {
+                match failure {
+                    OracleFailure::Panic(_) => summary.crashers += 1,
+                    _ => summary.violations += 1,
+                }
+                let repro_path = write_repro(&config.repro_dir, config.seed, i, &failure, &lists);
+                summary.failures.push(Failure {
+                    case: i,
+                    failure,
+                    minimized: lists,
+                    repro_path,
+                });
+            }
+        }
     }
 
     std::panic::set_hook(previous_hook);
@@ -305,9 +337,10 @@ mod tests {
         assert_eq!(a.line(), b.line());
         assert!(a.is_clean(), "failures: {:?}", a.failures);
         assert_eq!(a.executed, 150);
-        // All three modes and all three oracles exercised.
+        // All three modes and all four oracles exercised.
         assert!(a.valid > 0 && a.mutated > 0 && a.structured > 0);
         assert!(a.round_trips > 0 && a.match_checks > 0 && a.parse_err > 0);
+        assert_eq!(a.label_checks, 150_u64.div_ceil(LABEL_ORACLE_EVERY));
     }
 
     #[test]

@@ -11,10 +11,16 @@
 //!    pair. Four workers split every wave above the parallel cell
 //!    threshold even on a one-CPU machine, so the threaded path is
 //!    exercised wherever the oracle runs.
+//! 4. **Label table**: a cold label build over random identifier lists
+//!    ([`crate::gen::gen_identifiers`]) grades every distinct label pair
+//!    bit-identically (grade and score bits) to scoring its tokens from
+//!    scratch (`NameMatcher::compare_tokens`).
 
-use qmatch_core::{Algorithm, MatchSession};
+use qmatch_core::{Algorithm, LexiconMode, MatchConfig, MatchSession, PreparedSchema};
+use qmatch_prng::SmallRng;
 use qmatch_xml::IngestLimits;
-use qmatch_xsd::{parse_schema_with_limits, write_schema, Schema, SchemaTree};
+use qmatch_xsd::{parse_schema_with_limits, write_schema, NodeId, Schema, SchemaTree};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Why a fuzz case failed.
@@ -26,6 +32,8 @@ pub enum OracleFailure {
     RoundTrip(String),
     /// Four-thread and one-thread hybrid matching disagreed.
     ParSeqDivergence(String),
+    /// A cold label build disagreed with the from-scratch label comparison.
+    LabelDivergence(String),
 }
 
 impl OracleFailure {
@@ -35,6 +43,7 @@ impl OracleFailure {
             OracleFailure::Panic(_) => "panic",
             OracleFailure::RoundTrip(_) => "roundtrip",
             OracleFailure::ParSeqDivergence(_) => "parseq",
+            OracleFailure::LabelDivergence(_) => "labels",
         }
     }
 
@@ -142,6 +151,69 @@ pub fn check_case(
     }
 }
 
+/// Runs the label-table oracle on two identifier lists drawn from `rng`,
+/// in a fresh session (every label pair is a cold miss) of a random
+/// token-aligning lexicon mode, pinned to four worker threads. On failure
+/// the message names the label pair; the lists are returned alongside for
+/// the repro.
+pub fn check_labels(rng: &mut SmallRng) -> Result<(), (OracleFailure, String)> {
+    let counts = (rng.gen_range(1..=32usize), rng.gen_range(1..=32usize));
+    let source = crate::gen::gen_identifiers(rng, counts.0);
+    let target = crate::gen::gen_identifiers(rng, counts.1);
+    let mode = if rng.gen_bool(0.5) {
+        LexiconMode::Full
+    } else {
+        LexiconMode::FuzzyOnly
+    };
+    let tree = |name: &str, labels: &[String]| {
+        let entries: Vec<(&str, Option<usize>)> = labels
+            .iter()
+            .enumerate()
+            .map(|(i, label)| (label.as_str(), (i > 0).then_some(0)))
+            .collect();
+        SchemaTree::from_labels(name, &entries)
+    };
+    let config = MatchConfig::builder()
+        .lexicon(mode)
+        .build()
+        .expect("a lexicon mode alone is a valid configuration");
+    let mut session = MatchSession::new(config);
+    session.set_threads(4);
+    let (sp, tp) = (
+        session.prepare(tree("source", &source)),
+        session.prepare(tree("target", &target)),
+    );
+    let built = catch_unwind(AssertUnwindSafe(|| session.label_matrix(&sp, &tp)));
+    let repro = || format!("{mode:?}\nsource: {source:?}\ntarget: {target:?}\n");
+    let labels = match built {
+        Ok(labels) => labels,
+        Err(payload) => return Err((OracleFailure::Panic(panic_message(payload)), repro())),
+    };
+    let (rows, cols) = (representatives(&sp), representatives(&tp));
+    for (i, &x) in rows.iter().enumerate() {
+        for (j, &y) in cols.iter().enumerate() {
+            let (a, b) = (&sp.distinct_tokens()[i], &tp.distinct_tokens()[j]);
+            let (got, want) = (labels.get(x, y), session.matcher().compare_tokens(a, b));
+            if got.grade != want.grade || got.score.to_bits() != want.score.to_bits() {
+                let message = format!("{a:?} vs {b:?}: table {got:?}, from scratch {want:?}");
+                return Err((OracleFailure::LabelDivergence(message), repro()));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One node per distinct label, in the prepared schema's distinct order.
+fn representatives(prepared: &PreparedSchema) -> Vec<NodeId> {
+    let mut seen = HashSet::new();
+    prepared
+        .tree()
+        .iter()
+        .map(|(id, _)| id)
+        .filter(|&id| seen.insert(prepared.symbol(id)))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,7 +249,16 @@ mod tests {
         assert_eq!(OracleFailure::Panic("p".into()).tag(), "panic");
         assert_eq!(OracleFailure::RoundTrip("r".into()).tag(), "roundtrip");
         assert_eq!(OracleFailure::ParSeqDivergence("d".into()).tag(), "parseq");
+        assert_eq!(OracleFailure::LabelDivergence("l".into()).tag(), "labels");
         assert!(OracleFailure::Panic("p".into()).is_crash());
         assert!(!OracleFailure::RoundTrip("r".into()).is_crash());
+    }
+
+    #[test]
+    fn random_identifier_lists_pass_the_label_oracle() {
+        let mut rng = SmallRng::seed_from_u64(3);
+        for _ in 0..40 {
+            assert_eq!(check_labels(&mut rng), Ok(()));
+        }
     }
 }

@@ -38,7 +38,7 @@ pub mod thesaurus;
 pub mod thesaurus_file;
 pub mod tokenize;
 
-pub use name_match::{LabelGrade, NameMatch, NameMatcher};
-pub use thesaurus::{Relation, Thesaurus};
+pub use name_match::{LabelGrade, NameMatch, NameMatcher, TokenForm};
+pub use thesaurus::{Relation, Thesaurus, TokenEntry};
 pub use thesaurus_file::{extend_from_text, parse_thesaurus};
 pub use tokenize::{tokenize, Token};

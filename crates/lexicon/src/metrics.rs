@@ -41,63 +41,18 @@ pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
 
 /// Jaro similarity.
 pub fn jaro(a: &str, b: &str) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    let mut b_taken = vec![false; b.len()];
-    let mut matches_a: Vec<char> = Vec::new();
-    let mut matches_b_idx: Vec<usize> = Vec::new();
-    for (i, &ca) in a.iter().enumerate() {
-        let lo = i.saturating_sub(window);
-        let hi = (i + window + 1).min(b.len());
-        for j in lo..hi {
-            if !b_taken[j] && b[j] == ca {
-                b_taken[j] = true;
-                matches_a.push(ca);
-                matches_b_idx.push(j);
-                break;
-            }
-        }
-    }
-    let m = matches_a.len();
-    if m == 0 {
-        return 0.0;
-    }
-    // Transpositions: compare matched characters in order of b.
-    let mut sorted_idx = matches_b_idx.clone();
-    sorted_idx.sort_unstable();
-    let matched_b: Vec<char> = sorted_idx.iter().map(|&j| b[j]).collect();
-    let t = matches_a
-        .iter()
-        .zip(&matched_b)
-        .filter(|(x, y)| x != y)
-        .count() as f64
-        / 2.0;
-    let m = m as f64;
-    (m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0
+    jaro_chars(&chars(a), &chars(b))
 }
 
 /// Jaro–Winkler similarity with the standard 0.1 prefix scale (max 4 chars).
 pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    let j = jaro(a, b);
-    let prefix = a
-        .chars()
-        .zip(b.chars())
-        .take(4)
-        .take_while(|(x, y)| x == y)
-        .count();
-    j + prefix as f64 * 0.1 * (1.0 - j)
+    jaro_winkler_chars(&chars(a), &chars(b))
 }
 
 /// Dice coefficient over character bigrams.
 pub fn bigram_dice(a: &str, b: &str) -> f64 {
-    ngram_dice(a, b, 2)
+    let (a, b) = (chars(a), chars(b));
+    bigram_dice_chars(&a, &bigrams(&a), &b, &bigrams(&b))
 }
 
 /// Dice coefficient over character trigrams.
@@ -112,28 +67,108 @@ pub fn ngram_dice(a: &str, b: &str, n: usize) -> f64 {
     if a == b {
         return 1.0;
     }
-    let grams = |s: &str| -> Vec<Vec<char>> {
-        let cs: Vec<char> = s.chars().collect();
-        if cs.len() < n {
-            return Vec::new();
-        }
-        cs.windows(n).map(|w| w.to_vec()).collect()
+    let (a, b) = (chars(a), chars(b));
+    let grams = |cs| {
+        let mut grams: Vec<&[char]> = <[char]>::windows(cs, n).collect();
+        grams.sort_unstable();
+        grams
     };
-    let ga = grams(a);
-    let gb = grams(b);
+    dice_sorted(&grams(&a), &grams(&b))
+}
+
+fn chars(s: &str) -> Vec<char> {
+    s.chars().collect()
+}
+
+/// Jaro similarity over `char` slices — the one implementation behind
+/// [`jaro`], [`jaro_winkler`] and the name matcher's prepared tokens.
+pub(crate) fn jaro_chars(a: &[char], b: &[char]) -> f64 {
+    if a.is_empty() && b.is_empty() {
+        return 1.0;
+    }
+    if a.is_empty() || b.is_empty() {
+        return 0.0;
+    }
+    let window = (a.len().max(b.len()) / 2).saturating_sub(1);
+    // Match flags live on the stack for identifier-sized inputs.
+    let (mut a_stack, mut b_stack) = ([false; 32], [false; 32]);
+    let (mut a_heap, mut b_heap) = (Vec::new(), Vec::new());
+    let a_matched = flags(&mut a_stack, &mut a_heap, a.len());
+    let b_taken = flags(&mut b_stack, &mut b_heap, b.len());
+    let mut m = 0usize;
+    for (i, &ca) in a.iter().enumerate() {
+        let lo = i.saturating_sub(window);
+        let hi = (i + window + 1).min(b.len());
+        for j in lo..hi {
+            if !b_taken[j] && b[j] == ca {
+                b_taken[j] = true;
+                a_matched[i] = true;
+                m += 1;
+                break;
+            }
+        }
+    }
+    if m == 0 {
+        return 0.0;
+    }
+    // Transpositions: the matched characters of `a` in `a`'s order against
+    // those of `b` in `b`'s order.
+    let in_a = a.iter().zip(a_matched.iter()).filter(|(_, &k)| k);
+    let in_b = b.iter().zip(b_taken.iter()).filter(|(_, &k)| k);
+    let t = in_a.zip(in_b).filter(|((x, _), (y, _))| x != y).count() as f64 / 2.0;
+    let m = m as f64;
+    (m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0
+}
+
+/// `len` cleared flags, borrowed from `stack` when they fit.
+fn flags<'a>(stack: &'a mut [bool; 32], heap: &'a mut Vec<bool>, len: usize) -> &'a mut [bool] {
+    if len <= stack.len() {
+        &mut stack[..len]
+    } else {
+        *heap = vec![false; len];
+        heap
+    }
+}
+
+/// Jaro–Winkler over `char` slices (see [`jaro_chars`]).
+pub(crate) fn jaro_winkler_chars(a: &[char], b: &[char]) -> f64 {
+    let j = jaro_chars(a, b);
+    let prefix = a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count();
+    j + prefix as f64 * 0.1 * (1.0 - j)
+}
+
+/// The sorted bigram multiset of `cs`, as `[char; 2]` windows.
+pub(crate) fn bigrams(cs: &[char]) -> Vec<[char; 2]> {
+    let mut grams: Vec<[char; 2]> = cs.windows(2).map(|w| [w[0], w[1]]).collect();
+    grams.sort_unstable();
+    grams
+}
+
+/// Bigram Dice over `char` slices and their sorted [`bigrams`].
+pub(crate) fn bigram_dice_chars(a: &[char], ga: &[[char; 2]], b: &[char], gb: &[[char; 2]]) -> f64 {
+    if a == b {
+        return 1.0;
+    }
+    dice_sorted(ga, gb)
+}
+
+/// Dice coefficient of two sorted n-gram multisets: each gram of one side
+/// pairs with at most one equal gram of the other, so the shared count is
+/// the multiset intersection, found in one merge pass.
+fn dice_sorted<G: Ord>(ga: &[G], gb: &[G]) -> f64 {
     if ga.is_empty() || gb.is_empty() {
         return 0.0;
     }
-    let mut gb_used = vec![false; gb.len()];
-    let mut common = 0usize;
-    for g in &ga {
-        if let Some(pos) = gb
-            .iter()
-            .enumerate()
-            .position(|(j, h)| !gb_used[j] && h == g)
-        {
-            gb_used[pos] = true;
-            common += 1;
+    let (mut i, mut j, mut common) = (0, 0, 0usize);
+    while i < ga.len() && j < gb.len() {
+        match ga[i].cmp(&gb[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                common += 1;
+                i += 1;
+                j += 1;
+            }
         }
     }
     2.0 * common as f64 / (ga.len() + gb.len()) as f64
@@ -184,7 +219,14 @@ pub fn prefix_similarity(a: &str, b: &str) -> f64 {
 /// of Jaro–Winkler and bigram Dice, which behaves well on both short
 /// (`qty`/`qnty`) and long (`shipping`/`shippingaddress`) identifiers.
 pub fn combined_similarity(a: &str, b: &str) -> f64 {
-    jaro_winkler(a, b).max(bigram_dice(a, b))
+    let (a, b) = (chars(a), chars(b));
+    combined_chars(&a, &bigrams(&a), &b, &bigrams(&b))
+}
+
+/// [`combined_similarity`] over `char` slices and their sorted
+/// [`bigrams`].
+pub(crate) fn combined_chars(a: &[char], ga: &[[char; 2]], b: &[char], gb: &[[char; 2]]) -> f64 {
+    jaro_winkler_chars(a, b).max(bigram_dice_chars(a, ga, b, gb))
 }
 
 #[cfg(test)]

@@ -8,8 +8,8 @@
 //!   implementation also counts registered abbreviations and high-confidence
 //!   fuzzy matches, which is how CUPID-style matchers treat `Qty`/`Quantity`).
 
-use crate::metrics::combined_similarity;
-use crate::thesaurus::{Relation, Thesaurus};
+use crate::metrics::{bigrams, combined_chars, combined_similarity};
+use crate::thesaurus::{Relation, Thesaurus, TokenEntry};
 use crate::tokenize::{tokenize, Token};
 
 /// The qualitative label-axis grade (paper §2.1).
@@ -90,9 +90,28 @@ impl NameMatcher {
         self.compare_tokens(&tokenize(a), &tokenize(b))
     }
 
-    /// Compares two pre-tokenized labels (callers that compare every node
-    /// pair tokenize each label once and use this).
+    /// Compares two pre-tokenized labels, scoring every token pair from
+    /// scratch. This is the reference the batched path of a label build —
+    /// [`NameMatcher::compare_with`] over [`TokenForm`]s — must equal bit
+    /// for bit.
     pub fn compare_tokens(&self, a: &[Token], b: &[Token]) -> NameMatch {
+        self.compare_with(a, b, |i, j| self.token_score(a[i].as_str(), b[j].as_str()))
+    }
+
+    /// Grades a label pair, taking each token-pair score from `score`.
+    ///
+    /// `score(i, j)` is asked only for content tokens (see
+    /// [`content_positions`]) and must return what
+    /// [`NameMatcher::score_forms`] returns for the [`TokenForm`]s of `a[i]`
+    /// and `b[j]`; the grade is then identical to
+    /// [`NameMatcher::compare_tokens`]. A label build uses this to read
+    /// scores from a table it filled once per distinct token pair.
+    pub fn compare_with(
+        &self,
+        a: &[Token],
+        b: &[Token],
+        score: impl FnMut(usize, usize) -> (f64, bool),
+    ) -> NameMatch {
         if a.is_empty() || b.is_empty() {
             return if a.is_empty() && b.is_empty() {
                 NameMatch {
@@ -120,7 +139,7 @@ impl NameMatcher {
                 score: scores::ACRONYM,
             };
         }
-        let (score, all_exact) = self.align(a, b);
+        let (score, all_exact) = align(a, b, score);
         if all_exact && score >= 0.999 {
             NameMatch {
                 grade: LabelGrade::Exact,
@@ -158,106 +177,88 @@ impl NameMatcher {
                 return true;
             }
         }
-        // Generic initials check.
-        if s.len() >= 2 {
-            let initials: String = long
-                .iter()
+        // Generic initials check, with and without stopwords.
+        let initials = |content_only: bool| {
+            long.iter()
+                .filter(move |t| !(content_only && is_stopword(t.as_str())))
                 .filter_map(|t| t.as_str().chars().next())
-                .collect();
-            if initials == s {
-                return true;
-            }
-            let content_initials: String = long
-                .iter()
-                .filter(|t| !STOPWORDS.contains(&t.as_str()))
-                .filter_map(|t| t.as_str().chars().next())
-                .collect();
-            if content_initials.len() >= 2 && content_initials == s {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Greedy best-pair token alignment. Returns the normalized aggregate
-    /// score and whether every token on both sides found an exact-grade
-    /// partner.
-    fn align(&self, a: &[Token], b: &[Token]) -> (f64, bool) {
-        let content = |ts: &[Token]| -> Vec<Token> {
-            let kept: Vec<Token> = ts
-                .iter()
-                .filter(|t| !STOPWORDS.contains(&t.as_str()))
-                .cloned()
-                .collect();
-            if kept.is_empty() {
-                ts.to_vec()
-            } else {
-                kept
-            }
         };
-        let a = content(a);
-        let b = content(b);
-        // Fast path: single-token labels (most schema element names) need no
-        // bipartite machinery.
-        if let ([ta], [tb]) = (a.as_slice(), b.as_slice()) {
-            let (score, exact) = self.token_score(ta.as_str(), tb.as_str());
-            return (score, exact && score >= 0.999);
-        }
-        let mut pairs: Vec<(usize, usize, f64, bool)> = Vec::with_capacity(a.len() * b.len());
-        for (i, ta) in a.iter().enumerate() {
-            for (j, tb) in b.iter().enumerate() {
-                let (score, exact) = self.token_score(ta.as_str(), tb.as_str());
-                if score > 0.0 {
-                    pairs.push((i, j, score, exact));
-                }
-            }
-        }
-        pairs.sort_by(|x, y| y.2.total_cmp(&x.2));
-        let mut used_a = vec![false; a.len()];
-        let mut used_b = vec![false; b.len()];
-        let mut total = 0.0;
-        let mut matched = 0usize;
-        let mut all_exact = true;
-        for (i, j, score, exact) in pairs {
-            if used_a[i] || used_b[j] {
-                continue;
-            }
-            used_a[i] = true;
-            used_b[j] = true;
-            total += score;
-            matched += 1;
-            all_exact &= exact;
-        }
-        let denom = a.len().max(b.len());
-        all_exact &= matched == denom && matched == a.len().min(b.len());
-        // Unequal token counts can never be fully exact.
-        all_exact &= a.len() == b.len();
-        (total / denom as f64, all_exact)
+        s.len() >= 2 && (initials(false).eq(s.chars()) || initials(true).eq(s.chars()))
     }
 
-    /// Scores one token pair; the bool reports an exact-grade relation.
+    /// Scores one token pair from scratch; the bool reports an exact-grade
+    /// relation.
     fn token_score(&self, a: &str, b: &str) -> (f64, bool) {
         if a == b {
             return (scores::EXACT, true);
         }
-        let sa = stem(a);
-        let sb = stem(b);
+        let (sa, sb) = (stem(a), stem(b));
+        self.score_stems(
+            &sa,
+            &sb,
+            || self.thesaurus.relation_folded(&sa, &sb),
+            || combined_similarity(a, b),
+        )
+    }
+
+    /// The prepared forms of `token`, for [`NameMatcher::score_forms`].
+    pub fn token_form(&self, token: &Token) -> TokenForm {
+        let chars: Vec<char> = token.as_str().chars().collect();
+        let stem = stem(token.as_str());
+        TokenForm {
+            text: token.0.clone(),
+            entry: self.thesaurus.entry(&stem),
+            stem,
+            bigrams: bigrams(&chars),
+            chars,
+        }
+    }
+
+    /// Scores one token pair over its prepared forms: the same relation
+    /// chain as the from-scratch scorer behind
+    /// [`NameMatcher::compare_tokens`], without re-stemming or
+    /// re-collecting characters.
+    pub fn score_forms(&self, a: &TokenForm, b: &TokenForm) -> (f64, bool) {
+        if a.text == b.text {
+            return (scores::EXACT, true);
+        }
+        self.score_stems(
+            &a.stem,
+            &b.stem,
+            || {
+                self.thesaurus
+                    .relation_of_entries(&a.stem, a.entry, &b.stem, b.entry)
+            },
+            || combined_chars(&a.chars, &a.bigrams, &b.chars, &b.bigrams),
+        )
+    }
+
+    /// The scoring chain over the stems of two distinct tokens: `relation`
+    /// is the stems' [`Thesaurus::relation_folded`] and `fuzzy` the
+    /// tokens' [`combined_similarity`], each asked for only when needed.
+    fn score_stems(
+        &self,
+        sa: &str,
+        sb: &str,
+        relation: impl FnOnce() -> Relation,
+        fuzzy: impl FnOnce() -> f64,
+    ) -> (f64, bool) {
         if sa == sb {
             return (scores::EXACT, true);
         }
         // Tokens are lowercased at tokenize time and stemming preserves
         // case, so the stems are already folded — no per-call lowercasing.
-        match self.thesaurus.relation_folded(&sa, &sb) {
+        match relation() {
             Relation::Same | Relation::Synonym => (scores::EXACT, true),
             Relation::Abbreviation => (scores::ABBREVIATION, false),
             Relation::Acronym => (scores::ACRONYM, false),
             Relation::Hypernym => (scores::HYPERNYM, false),
             Relation::Coordinate => (scores::COORDINATE, false),
             Relation::Unrelated => {
-                if looks_like_abbreviation(&sa, &sb) || looks_like_abbreviation(&sb, &sa) {
+                if looks_like_abbreviation(sa, sb) || looks_like_abbreviation(sb, sa) {
                     return (scores::ABBREVIATION, false);
                 }
-                let fuzzy = combined_similarity(a, b);
+                let fuzzy = fuzzy();
                 if fuzzy >= scores::FUZZY_FLOOR {
                     (fuzzy * scores::FUZZY_DISCOUNT, false)
                 } else {
@@ -266,6 +267,98 @@ impl NameMatcher {
             }
         }
     }
+}
+
+/// One token's comparison forms ([`NameMatcher::token_form`]), derived
+/// once per token so that a label build scores each distinct token pair
+/// ([`NameMatcher::score_forms`]) without re-stemming, re-collecting
+/// characters or re-probing the thesaurus.
+#[derive(Debug, Clone)]
+pub struct TokenForm {
+    text: String,
+    stem: String,
+    /// The thesaurus entry of `stem`.
+    entry: TokenEntry,
+    chars: Vec<char>,
+    /// Sorted character bigrams of `text`.
+    bigrams: Vec<[char; 2]>,
+}
+
+fn is_stopword(token: &str) -> bool {
+    STOPWORDS.contains(&token)
+}
+
+/// Positions of the tokens that take part in alignment: every
+/// non-stopword, or every token when all of them are stopwords.
+pub fn content_positions(tokens: &[Token]) -> impl Iterator<Item = usize> + Clone + '_ {
+    let keep_all = tokens.iter().all(|t| is_stopword(t.as_str()));
+    (0..tokens.len()).filter(move |&i| keep_all || !is_stopword(tokens[i].as_str()))
+}
+
+/// Greedy best-pair token alignment over the content tokens of `a` and `b`,
+/// scoring positions through `score`. Returns the normalized aggregate
+/// score and whether every token on both sides found an exact-grade
+/// partner.
+fn align(
+    a: &[Token],
+    b: &[Token],
+    mut score: impl FnMut(usize, usize) -> (f64, bool),
+) -> (f64, bool) {
+    let (ca, cb) = (content_positions(a), content_positions(b));
+    let (na, nb) = (ca.clone().count(), cb.clone().count());
+    // Fast path: single-token labels (most schema element names) need no
+    // bipartite machinery.
+    if na == 1 && nb == 1 {
+        let (i, j) = (ca.clone().next(), cb.clone().next());
+        let (score, exact) = score(i.expect("one token"), j.expect("one token"));
+        return (score, exact && score >= 0.999);
+    }
+    // Every content pair's score, row-major; on the stack for
+    // identifier-sized labels.
+    let mut stack = [(0.0, false); 16];
+    let mut heap = Vec::new();
+    let cells: &mut [(f64, bool)] = if na * nb <= stack.len() {
+        &mut stack[..na * nb]
+    } else {
+        heap.resize(na * nb, (0.0, false));
+        &mut heap
+    };
+    for (i, pa) in ca.enumerate() {
+        for (j, pb) in cb.clone().enumerate() {
+            cells[i * nb + j] = score(pa, pb);
+        }
+    }
+    // Take the best pair whose tokens are both free until none scores
+    // above 0: the highest score, ties to the first in row-major order —
+    // the order a stable descending sort of the positive pairs visits
+    // them in, so the sum accumulates in the same order. A taken pair
+    // zeroes its row and column.
+    let mut total = 0.0;
+    let mut matched = 0usize;
+    let mut all_exact = true;
+    loop {
+        let mut best: Option<usize> = None;
+        for (k, cell) in cells.iter().enumerate() {
+            if cell.0 > best.map_or(0.0, |b| cells[b].0) {
+                best = Some(k);
+            }
+        }
+        let Some(k) = best else { break };
+        let (score, exact) = cells[k];
+        total += score;
+        matched += 1;
+        all_exact &= exact;
+        let (i, j) = (k / nb, k % nb);
+        cells[i * nb..(i + 1) * nb].fill((0.0, false));
+        for row in 0..na {
+            cells[row * nb + j] = (0.0, false);
+        }
+    }
+    let denom = na.max(nb);
+    all_exact &= matched == denom && matched == na.min(nb);
+    // Unequal token counts can never be fully exact.
+    all_exact &= na == nb;
+    (total / denom as f64, all_exact)
 }
 
 /// Light plural stemming — enough to make `Hands`/`hand` or

@@ -30,6 +30,15 @@ pub enum Relation {
     Unrelated,
 }
 
+/// Which parts of a [`Thesaurus`] know one token ([`Thesaurus::entry`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TokenEntry {
+    synset: Option<u32>,
+    abbreviates: bool,
+    acronym: bool,
+    parents: bool,
+}
+
 /// A mutable thesaurus. Build one with [`Thesaurus::new`] and the `add_*`
 /// methods, or start from [`crate::builtin::default_thesaurus`].
 #[derive(Debug, Clone, Default)]
@@ -156,15 +165,16 @@ impl Thesaurus {
 
     /// True if `a` is a registered hypernym (ancestor, transitively) of `b`.
     pub fn is_hypernym_of(&self, a: &str, b: &str) -> bool {
-        let mut frontier = vec![b.to_owned()];
+        // The walk borrows every visited token from the map: no clones.
+        let mut frontier = vec![b];
         let mut hops = 0;
         while let Some(cur) = frontier.pop() {
-            if let Some(parents) = self.hypernyms.get(&cur) {
+            if let Some(parents) = self.hypernyms.get(cur) {
                 for p in parents {
                     if p == a || self.are_synonyms(p, a) {
                         return true;
                     }
-                    frontier.push(p.clone());
+                    frontier.push(p);
                 }
             }
             hops += 1;
@@ -212,13 +222,40 @@ impl Thesaurus {
     /// the name matcher. Entries are stored lowercase, so folding happens
     /// exactly once — at intern/tokenize time, not per lookup.
     pub fn relation_folded(&self, a: &str, b: &str) -> Relation {
+        self.relation_of_entries(a, self.entry(a), b, self.entry(b))
+    }
+
+    /// What the thesaurus holds for a *pre-folded* token, looked up once
+    /// so that [`Thesaurus::relation_of_entries`] can skip every check the
+    /// token takes no part in.
+    pub fn entry(&self, token: &str) -> TokenEntry {
+        TokenEntry {
+            synset: self.synset_of.get(token).copied(),
+            abbreviates: self.abbreviations.contains_key(token),
+            acronym: self.acronyms.contains_key(token),
+            parents: self.hypernyms.contains_key(token),
+        }
+    }
+
+    /// [`Thesaurus::relation_folded`] of `a` and `b` given their
+    /// [`Thesaurus::entry`]s: the same relation, with no lookup for a
+    /// relation one side's entry rules out.
+    pub fn relation_of_entries(
+        &self,
+        a: &str,
+        ea: TokenEntry,
+        b: &str,
+        eb: TokenEntry,
+    ) -> Relation {
         if a == b {
             return Relation::Same;
         }
-        if self.are_synonyms(a, b) {
+        if ea.synset.is_some() && ea.synset == eb.synset {
             return Relation::Synonym;
         }
-        if self.is_abbreviation_of(a, b) || self.is_abbreviation_of(b, a) {
+        if (ea.abbreviates && self.is_abbreviation_of(a, b))
+            || (eb.abbreviates && self.is_abbreviation_of(b, a))
+        {
             return Relation::Abbreviation;
         }
         // A single-word acronym expansion behaves like an abbreviation.
@@ -227,13 +264,14 @@ impl Thesaurus {
                 .iter()
                 .any(|e| e.len() == 1 && (e[0] == y || self.are_synonyms(&e[0], y)))
         };
-        if single_expansion(a, b) || single_expansion(b, a) {
+        if (ea.acronym && single_expansion(a, b)) || (eb.acronym && single_expansion(b, a)) {
             return Relation::Acronym;
         }
-        if self.is_hypernym_of(a, b) || self.is_hypernym_of(b, a) {
+        // Hypernym walks start at the child, co-hyponyms need two parents.
+        if (eb.parents && self.is_hypernym_of(a, b)) || (ea.parents && self.is_hypernym_of(b, a)) {
             return Relation::Hypernym;
         }
-        if self.share_ancestor(a, b) {
+        if ea.parents && eb.parents && self.share_ancestor(a, b) {
             return Relation::Coordinate;
         }
         Relation::Unrelated
@@ -281,19 +319,23 @@ impl Thesaurus {
     /// data). Order follows the registered edges, deterministically.
     pub fn ancestors_folded(&self, token: &str) -> Vec<String> {
         self.ancestors(token)
+            .into_iter()
+            .map(str::to_owned)
+            .collect()
     }
 
     /// All registered ancestors of `token` (transitive hypernym closure,
-    /// bounded for safety against malformed cyclic data).
-    fn ancestors(&self, token: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut frontier = vec![token.to_owned()];
+    /// bounded for safety against malformed cyclic data), borrowed from the
+    /// hypernym map.
+    fn ancestors<'s>(&'s self, token: &str) -> Vec<&'s str> {
+        let mut out: Vec<&'s str> = Vec::new();
+        let mut frontier = vec![token];
         while let Some(cur) = frontier.pop() {
-            if let Some(parents) = self.hypernyms.get(&cur) {
+            if let Some(parents) = self.hypernyms.get(cur) {
                 for p in parents {
-                    if !out.contains(p) {
-                        out.push(p.clone());
-                        frontier.push(p.clone());
+                    if !out.contains(&p.as_str()) {
+                        out.push(p);
+                        frontier.push(p);
                     }
                     if out.len() > 64 {
                         return out;
@@ -487,5 +529,48 @@ mod tests {
         assert!(a.contains(&"work".to_owned()), "transitive: {a:?}");
         assert!(t.ancestors_folded("work").is_empty());
         assert!(t.ancestors_folded("zeppelin").is_empty());
+    }
+
+    #[test]
+    fn entry_shortcuts_agree_with_the_full_relation_chain() {
+        // The chain without entry shortcuts: every check runs.
+        fn full_chain(t: &Thesaurus, a: &str, b: &str) -> Relation {
+            let single = |x: &str, y: &str| {
+                t.acronym_expansions(x)
+                    .iter()
+                    .any(|e| e.len() == 1 && (e[0] == y || t.are_synonyms(&e[0], y)))
+            };
+            if a == b {
+                Relation::Same
+            } else if t.are_synonyms(a, b) {
+                Relation::Synonym
+            } else if t.is_abbreviation_of(a, b) || t.is_abbreviation_of(b, a) {
+                Relation::Abbreviation
+            } else if single(a, b) || single(b, a) {
+                Relation::Acronym
+            } else if t.is_hypernym_of(a, b) || t.is_hypernym_of(b, a) {
+                Relation::Hypernym
+            } else if t.share_ancestor(a, b) {
+                Relation::Coordinate
+            } else {
+                Relation::Unrelated
+            }
+        }
+        let t = crate::builtin::default_thesaurus();
+        let mut vocabulary: Vec<&str> = ["zeppelin", "quantety", "hands"].to_vec();
+        vocabulary.extend(t.synset_of.keys().map(String::as_str));
+        vocabulary.extend(t.abbreviations.keys().map(String::as_str));
+        vocabulary.extend(t.acronyms.keys().map(String::as_str));
+        for (child, parents) in &t.hypernyms {
+            vocabulary.push(child);
+            vocabulary.extend(parents.iter().map(String::as_str));
+        }
+        vocabulary.sort_unstable();
+        vocabulary.dedup();
+        for &a in &vocabulary {
+            for &b in &vocabulary {
+                assert_eq!(t.relation_folded(a, b), full_chain(&t, a, b), "{a} vs {b}");
+            }
+        }
     }
 }

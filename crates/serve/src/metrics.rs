@@ -129,6 +129,8 @@ pub struct RegistrySnapshot {
     pub label_hits: u64,
     /// Label-cache misses of the shared match session.
     pub label_misses: u64,
+    /// Token pairs the session scored to resolve those misses.
+    pub label_token_scores: u64,
     /// Schemas admitted as topk candidates by the shard indexes.
     pub index_candidates: u64,
     /// Schemas pruned by the shard indexes before the DP ran.
@@ -346,6 +348,11 @@ impl Metrics {
         );
         let _ = writeln!(
             out,
+            "qmatch_label_token_scores_total {}",
+            registry.label_token_scores
+        );
+        let _ = writeln!(
+            out,
             "qmatch_label_cache_hit_rate {}",
             fmt_f64(registry.label_hit_rate())
         );
@@ -518,6 +525,7 @@ mod tests {
             evictions: 1,
             label_hits: 75,
             label_misses: 25,
+            label_token_scores: 40,
             index_candidates: 7,
             index_filtered: 93,
             evolve_incremental: 4,
@@ -529,6 +537,7 @@ mod tests {
         assert!(text.contains("qmatch_rejected_by_limits_total 1"));
         assert!(text.contains("qmatch_registry_schemas 3"));
         assert!(text.contains("qmatch_label_cache_hit_rate 0.75"));
+        assert!(text.contains("qmatch_label_token_scores_total 40"));
         assert!(text.contains("qmatch_index_candidates 7"));
         assert!(text.contains("qmatch_index_filtered_total 93"));
         assert!(text.contains("qmatch_evolve_incremental_total 4"));

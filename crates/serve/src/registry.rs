@@ -140,11 +140,16 @@ impl Registry {
 
     /// Label-cache statistics summed across every shard's session.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats { hits: 0, misses: 0 };
+        let mut total = CacheStats {
+            hits: 0,
+            misses: 0,
+            token_scores: 0,
+        };
         for shard in &self.shards {
             let stats = shard.session().cache_stats();
             total.hits += stats.hits;
             total.misses += stats.misses;
+            total.token_scores += stats.token_scores;
         }
         total
     }
@@ -161,6 +166,7 @@ impl Registry {
             total.evictions += s.evictions;
             total.label_hits += s.label_hits;
             total.label_misses += s.label_misses;
+            total.label_token_scores += s.label_token_scores;
             total.index_candidates += s.index_candidates;
             total.index_filtered += s.index_filtered;
             total.evolve_incremental += s.evolve_incremental;

@@ -391,6 +391,7 @@ impl Shard {
             evictions: self.evictions.load(Ordering::Relaxed),
             label_hits: labels.hits,
             label_misses: labels.misses,
+            label_token_scores: labels.token_scores,
             index_candidates: self.index_candidates.load(Ordering::Relaxed),
             index_filtered: self.index_filtered.load(Ordering::Relaxed),
             evolve_incremental: self.evolve_incremental.load(Ordering::Relaxed),

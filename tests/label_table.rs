@@ -1,0 +1,154 @@
+//! The session's cold label build scores each distinct token pair once,
+//! from a per-build token table, and grades every label pair from that
+//! table. These tests pin it to the from-scratch reference
+//! (`NameMatcher::compare_tokens`) bit for bit — grade and score bits — on
+//! every distinct label pair of the paper's gold pairs, PIR × PDB and a few
+//! drift families, under both token-aligning lexicon modes and at one and
+//! four worker threads. They also pin the counted work: the token pairs a
+//! cold build scores, and that a warm build scores none.
+
+use qmatch::core::model::{LexiconMode, MatchConfig};
+use qmatch::core::session::{MatchSession, PreparedSchema};
+use qmatch::datasets::{corpus, drift, synth};
+use qmatch::lexicon::name_match::content_positions;
+use qmatch::xsd::{NodeId, SchemaTree};
+use std::collections::HashSet;
+
+fn session(mode: LexiconMode, threads: usize) -> MatchSession {
+    let config = MatchConfig::builder()
+        .lexicon(mode)
+        .build()
+        .expect("valid config");
+    let mut session = MatchSession::new(config);
+    session.set_threads(threads);
+    session
+}
+
+/// One node per distinct label, in the prepared schema's distinct order
+/// (first seen in pre-order).
+fn representatives(prepared: &PreparedSchema) -> Vec<NodeId> {
+    let mut seen = HashSet::new();
+    prepared
+        .tree()
+        .iter()
+        .map(|(id, _)| id)
+        .filter(|&id| seen.insert(prepared.symbol(id)))
+        .collect()
+}
+
+/// PDB (3753 distinct labels), or in unoptimized builds a flat tree of
+/// every 16th of its labels: the from-scratch reference over all 867k PIR ×
+/// PDB label pairs takes about 3 s optimized and over 30 s unoptimized.
+/// The label axis ignores structure, so the flat tree exercises the same
+/// label pairs as the nodes it keeps.
+fn pdb() -> SchemaTree {
+    let pdb = synth::pdb();
+    if !cfg!(debug_assertions) {
+        return pdb.clone();
+    }
+    let mut labels: Vec<(&str, Option<usize>)> = vec![(pdb.node(NodeId(0)).label.as_str(), None)];
+    labels.extend(
+        pdb.iter()
+            .skip(1)
+            .step_by(16)
+            .map(|(_, node)| (node.label.as_str(), Some(0))),
+    );
+    SchemaTree::from_labels(pdb.name(), &labels)
+}
+
+fn pairs() -> Vec<(String, SchemaTree, SchemaTree)> {
+    let mut pairs = vec![
+        ("PO".to_owned(), corpus::po1(), corpus::po2()),
+        ("BOOK".to_owned(), corpus::article(), corpus::book()),
+        ("DCMD".to_owned(), corpus::dcmd_item(), corpus::dcmd_ord()),
+        ("PIR x PDB".to_owned(), synth::pir().clone(), pdb()),
+    ];
+    let family = drift::synthetic_registry(8, 11);
+    for k in 0..4 {
+        let (a, b) = (&family[k], &family[k + 4]);
+        pairs.push((format!("{} x {}", a.0, b.0), a.1.clone(), b.1.clone()));
+    }
+    let revision = drift::mutation_chain(synth::pir(), 1, 0.3, 5).remove(0);
+    pairs.push(("PIR x rev".to_owned(), synth::pir().clone(), revision));
+    pairs
+}
+
+#[test]
+fn cold_label_builds_equal_the_from_scratch_reference_bit_for_bit() {
+    for mode in [LexiconMode::Full, LexiconMode::FuzzyOnly] {
+        for (name, a, b) in pairs() {
+            // The reference: every distinct label pair scored from scratch.
+            let reference_session = session(mode, 1);
+            let (sp, tp) = (reference_session.prepare(&a), reference_session.prepare(&b));
+            let matcher = reference_session.matcher();
+            let reference: Vec<_> = sp
+                .distinct_tokens()
+                .iter()
+                .flat_map(|x| {
+                    tp.distinct_tokens()
+                        .iter()
+                        .map(move |y| matcher.compare_tokens(x, y))
+                })
+                .collect();
+            for threads in [1, 4] {
+                let s = session(mode, threads);
+                let (sp, tp) = (s.prepare(&a), s.prepare(&b));
+                let labels = s.label_matrix(&sp, &tp);
+                let (rows, cols) = (representatives(&sp), representatives(&tp));
+                for (i, &x) in rows.iter().enumerate() {
+                    for (j, &y) in cols.iter().enumerate() {
+                        let (got, want) = (labels.get(x, y), reference[i * cols.len() + j]);
+                        assert!(
+                            got.grade == want.grade && got.score.to_bits() == want.score.to_bits(),
+                            "{name} {mode:?} threads {threads}: {:?} vs {:?}: {got:?} != {want:?}",
+                            sp.distinct_tokens()[i],
+                            tp.distinct_tokens()[j],
+                        );
+                    }
+                }
+                // The explain path's single-pair lookups agree too.
+                let (x, y) = (rows[rows.len() / 2], cols[cols.len() / 2]);
+                let fresh = session(mode, threads);
+                let (fp, fq) = (fresh.prepare(&a), fresh.prepare(&b));
+                assert_eq!(fresh.label_match(&fp, x, &fq, y), labels.get(x, y));
+            }
+        }
+    }
+}
+
+#[test]
+fn a_cold_build_scores_each_distinct_content_token_pair_once() {
+    let pir = synth::pir();
+    let revision = drift::mutation_chain(pir, 1, 0.15, 42).remove(0);
+    let s = session(LexiconMode::Full, 1);
+    let (sp, tp) = (s.prepare(pir), s.prepare(&revision));
+    // Every distinct label pair misses in a fresh session; the distinct
+    // content-token pairs those misses align, by token text.
+    let mut expected = HashSet::new();
+    for x in sp.distinct_tokens() {
+        for y in tp.distinct_tokens() {
+            for p in content_positions(x) {
+                for q in content_positions(y) {
+                    expected.insert((x[p].as_str(), y[q].as_str()));
+                }
+            }
+        }
+    }
+    let cells = (sp.distinct_labels() * tp.distinct_labels()) as u64;
+    let cold = s.label_matrix(&sp, &tp);
+    let stats = s.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (0, cells));
+    assert_eq!(stats.token_scores, expected.len() as u64);
+    assert!(stats.token_scores > 0);
+    // A warm build (and a warm single-pair lookup) scores nothing.
+    let warm = s.label_matrix(&sp, &tp);
+    let root = NodeId(0);
+    assert_eq!(s.label_match(&sp, root, &tp, root), cold.get(root, root));
+    let again = s.cache_stats();
+    assert_eq!(again.hits, cells + 1);
+    assert_eq!(again.misses, cells);
+    assert_eq!(again.token_scores, stats.token_scores);
+    for (id, _) in pir.iter() {
+        assert_eq!(warm.get(id, root), cold.get(id, root));
+    }
+}
