@@ -21,8 +21,8 @@
 //!   low-intensity transition, and heavy intensity trips the fallback.
 //!
 //! The default (JSON) mode adds the large PDB chain (3753 nodes), where
-//! the low-intensity speedup headline lives: at ≤5% dirty nodes the
-//! incremental re-match must beat the full recompute by ≥5×.
+//! the low-intensity speedup headline lives (README, "Schema
+//! evolution").
 
 use qmatch_core::algorithms::Algorithm;
 use qmatch_core::model::MatchConfig;

@@ -26,12 +26,11 @@
 
 use crate::algorithms::{hybrid_match_impl, hybrid_rematch_impl, LabelMatrix, MatchOutcome};
 use crate::diff::TreeDiff;
-use crate::intern::Symbol;
+use crate::intern::SymMap;
 use crate::matrix::Precision;
 use crate::session::{MatchSession, PreparedSchema};
 use crate::trace::{Phase, Span};
 use qmatch_xsd::SchemaTree;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Recompute-closure fraction above which [`MatchSession::rematch`] falls
@@ -85,7 +84,7 @@ impl MatchSession {
     /// structurally identical to [`MatchSession::prepare`]`(new_tree)`
     /// (pinned by `assert_structural_eq` property tests), but:
     ///
-    /// - matched, unrenamed nodes reuse `old`'s interned [`Symbol`]s, and
+    /// - matched, unrenamed nodes reuse `old`'s interned [`Symbol`](crate::intern::Symbol)s, and
     ///   distinct labels already in `old`'s tables reuse their folded forms
     ///   and token vectors without re-entering the interner;
     /// - when the diff carries no structural ops
@@ -117,7 +116,7 @@ impl MatchSession {
         debug_assert_eq!(diff.new_len(), new_tree.len(), "diff matches new");
         let t0 = self.trace().start();
         let mut reused_symbols = 0u64;
-        let old_distinct: HashMap<Symbol, usize> = old
+        let old_distinct: SymMap<usize> = old
             .distinct
             .iter()
             .enumerate()

@@ -10,6 +10,7 @@
 
 use qmatch_lexicon::tokenize::{tokenize, Token};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// An interned label. Two symbols from the same [`Interner`] are equal iff
 /// their raw label strings are byte-identical; the symbol also keys the
@@ -21,6 +22,49 @@ impl Symbol {
     /// The symbol's dense index into its interner's tables.
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+}
+
+/// A map keyed by [`Symbol`], hashed by [`SymHasher`]: the label cache
+/// looks a symbol up for every label pair a build reads, and the prepare
+/// path for every node.
+pub(crate) type SymMap<V> = HashMap<Symbol, V, BuildHasherDefault<SymHasher>>;
+
+/// A multiplicative (Fx-style) hasher for [`SymMap`] keys. Symbols are
+/// dense interner ids that callers never choose, so the flooding
+/// resistance of the standard library's keyed SipHash buys nothing here;
+/// one multiply spreads dense ids over the low bits that pick a bucket and
+/// the high bits that tag it.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct SymHasher(u64);
+
+impl SymHasher {
+    const SEED: u64 = 0x517c_c1b7_2722_0a95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for SymHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -109,6 +153,28 @@ mod tests {
         assert_eq!(i.folded(s), "purchaseorderno");
         let toks: Vec<&str> = i.tokens(s).iter().map(Token::as_str).collect();
         assert_eq!(toks, ["purchase", "order", "no"]);
+    }
+
+    #[test]
+    fn sym_hasher_hashes_bytes_and_integers_alike() {
+        let hash = |f: &dyn Fn(&mut SymHasher)| {
+            let mut h = SymHasher::default();
+            f(&mut h);
+            h.finish()
+        };
+        // `write` folds bytes little-endian, eight at a time, so a byte
+        // slice hashes like the integer it spells.
+        assert_eq!(
+            hash(&|h| h.write(&7u32.to_le_bytes())),
+            hash(&|h| h.write_u32(7))
+        );
+        assert_ne!(hash(&|h| h.write(b"order")), hash(&|h| h.write(b"ordem")));
+        assert_ne!(hash(&|h| h.write_u32(1)), hash(&|h| h.write_u32(2)));
+        let mut map: SymMap<u32> = SymMap::default();
+        for k in 0..1000 {
+            map.insert(Symbol(k), k * 2);
+        }
+        assert!((0..1000).all(|k| map[&Symbol(k)] == k * 2));
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::algorithms::{
 };
 use crate::arena::{ArenaStats, MatchArena};
 use crate::explain::{explain_with_label, Explanation};
-use crate::intern::{Interner, Symbol};
+use crate::intern::{Interner, SymMap, Symbol};
 use crate::mapping::{extract_mapping, Mapping};
 use crate::matrix::{Precision, SimMatrix};
 use crate::model::MatchConfig;
@@ -208,7 +208,7 @@ impl PreparedSchema {
         let mut node_distinct = Vec::with_capacity(symbols.len());
         let mut distinct_folded = Vec::new();
         let mut distinct_tokens = Vec::new();
-        let mut local: HashMap<Symbol, u32> = HashMap::new();
+        let mut local: SymMap<u32> = SymMap::default();
         for &symbol in &symbols {
             let next = local.len() as u32;
             let id = *local.entry(symbol).or_insert(next);
@@ -331,6 +331,9 @@ pub struct CacheStats {
     /// Token pairs scored to resolve those misses: each build scores every
     /// distinct content-token pair its misses align once.
     pub token_scores: u64,
+    /// Distinct label pairs the cache holds. The cache never evicts, so
+    /// this only grows over a session's life.
+    pub cached_pairs: u64,
 }
 
 impl CacheStats {
@@ -369,14 +372,14 @@ pub struct MatchSession {
     config: MatchConfig,
     matcher: NameMatcher,
     interner: Mutex<Interner>,
-    /// Source symbol -> target symbol -> `NameMatch`, shared across every
-    /// pair matched in this session. One map per source row: a build
-    /// resolves each row once, and the cache grows row by row instead of
-    /// doubling one table holding every pair.
-    labels: Mutex<HashMap<u32, HashMap<u32, CachedMatch>>>,
+    /// Source symbol -> [`LabelRow`], shared across every pair matched in
+    /// this session. One row per source label: a build resolves each row
+    /// once, and the cache grows row by row.
+    labels: Mutex<SymMap<LabelRow>>,
     hits: AtomicU64,
     misses: AtomicU64,
     token_scores: AtomicU64,
+    cached_pairs: AtomicU64,
     trace: Trace,
     /// Pooled matrix/scratch buffers reused across matches (see
     /// [`MatchArena`]).
@@ -402,10 +405,11 @@ impl MatchSession {
             config,
             matcher,
             interner: Mutex::new(Interner::new()),
-            labels: Mutex::new(HashMap::new()),
+            labels: Mutex::new(SymMap::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             token_scores: AtomicU64::new(0),
+            cached_pairs: AtomicU64::new(0),
             trace: Trace::disabled(),
             arena: MatchArena::default(),
             threads: par::num_threads(),
@@ -497,6 +501,7 @@ impl MatchSession {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             token_scores: self.token_scores.load(Ordering::Relaxed),
+            cached_pairs: self.cached_pairs.load(Ordering::Relaxed),
         }
     }
 
@@ -766,11 +771,11 @@ impl MatchSession {
             .labels
             .lock()
             .expect("label cache lock")
-            .get(&source.distinct[i].0)
-            .and_then(|row| row.get(&target.distinct[j].0).copied());
+            .get(&source.distinct[i])
+            .and_then(|row| row.get(target.distinct[j]));
         if let Some(hit) = cached {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return hit.get();
+            return hit;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut computed = [UNFILLED];
@@ -845,7 +850,7 @@ impl MatchSession {
             return None;
         }
         let t0 = self.trace.start();
-        let old_row: HashMap<Symbol, usize> = old_source
+        let old_row: SymMap<usize> = old_source
             .distinct
             .iter()
             .enumerate()
@@ -903,17 +908,17 @@ impl MatchSession {
             // up front, not by doubling.
             let unseen = rows
                 .iter()
-                .filter(|&&i| !cache.contains_key(&source.distinct[i].0))
+                .filter(|&&i| !cache.contains_key(&source.distinct[i]))
                 .count();
             missing.reserve(unseen * cols);
             for &i in rows {
-                let Some(row) = cache.get(&source.distinct[i].0) else {
+                let Some(row) = cache.get(&source.distinct[i]) else {
                     missing.extend(i * cols..(i + 1) * cols);
                     continue;
                 };
-                for j in 0..cols {
-                    match row.get(&target.distinct[j].0) {
-                        Some(hit) => table[i * cols + j] = hit.get(),
+                for (j, &symbol) in target.distinct.iter().enumerate() {
+                    match row.get(symbol) {
+                        Some(hit) => table[i * cols + j] = hit,
                         None => missing.push(i * cols + j),
                     }
                 }
@@ -933,7 +938,8 @@ impl MatchSession {
     /// indices, ascending) through one per-build token table
     /// ([`MatchSession::compare_misses`]) into `out` — the table from the
     /// first miss on, so the match of `idx` lands at `out[idx - missing[0]]`
-    /// — and caches them under one lock.
+    /// — and caches them under one lock, counting the pairs new to the
+    /// cache.
     fn resolve_misses(
         &self,
         source: &PreparedSchema,
@@ -944,33 +950,86 @@ impl MatchSession {
         let (cols, first) = (target.distinct.len(), missing[0]);
         let scored = self.compare_misses(source, target, missing, out);
         self.token_scores.fetch_add(scored, Ordering::Relaxed);
+        // Every row this build touches grows its known bits once, to the
+        // largest target symbol.
+        let bound = target.distinct.iter().max().map_or(0, |s| s.index() + 1);
+        let mut added = 0;
         let mut cache = self.labels.lock().expect("label cache lock");
         // Ascending indices group by source row: one row lookup per row.
         let mut start = 0;
         while start < missing.len() {
             let i = missing[start] / cols;
             let end = start + missing[start..].partition_point(|&idx| idx / cols == i);
-            let row = cache.entry(source.distinct[i].0).or_default();
-            row.reserve(end - start);
+            let row = cache.entry(source.distinct[i]).or_default();
+            row.grow(bound);
             for &idx in &missing[start..end] {
-                let m = CachedMatch::new(out[idx - first]);
-                row.insert(target.distinct[idx % cols].0, m);
+                added += u64::from(row.insert(target.distinct[idx % cols], out[idx - first]));
             }
             start = end;
         }
+        self.cached_pairs.fetch_add(added, Ordering::Relaxed);
     }
 }
 
-/// A [`NameMatch`] as the label cache keeps it: the score's bits in two
-/// `u32` halves, so an entry with its `u32` key takes 16 bytes, not the 24
-/// an `f64`-aligned `NameMatch` would.
+/// One source label's row of the session label cache.
+///
+/// Almost every label pair of a schema collection is unrelated — the
+/// cached match `{None, +0.0}` — so a row spends one bit per target symbol
+/// on "this pair is cached" and keeps an entry only for the pairs whose
+/// match is anything else. A cached pair with no entry reads back as
+/// `{None, +0.0}`; a pair whose bit is clear is a miss.
+#[derive(Default)]
+struct LabelRow {
+    /// Bit `t` is set once the pair with target symbol `t` is cached.
+    known: Vec<u64>,
+    /// The cached matches that are not bit-equal to `{None, +0.0}`.
+    matches: SymMap<CachedMatch>,
+}
+
+impl LabelRow {
+    /// The cached match of the pair with `target`, `None` on a miss.
+    #[inline]
+    fn get(&self, target: Symbol) -> Option<NameMatch> {
+        let (word, bit) = (target.index() / 64, target.index() % 64);
+        let known = self.known.get(word).is_some_and(|w| w >> bit & 1 == 1);
+        known.then(|| self.matches.get(&target).map_or(UNFILLED, |m| m.get()))
+    }
+
+    /// Makes room for the known bits of every target symbol below `bound`.
+    fn grow(&mut self, bound: usize) {
+        let words = bound.div_ceil(64);
+        if words > self.known.len() {
+            self.known.reserve_exact(words - self.known.len());
+            self.known.resize(words, 0);
+        }
+    }
+
+    /// Caches `m` for the pair with `target`; returns whether the pair was
+    /// new to the row.
+    fn insert(&mut self, target: Symbol, m: NameMatch) -> bool {
+        let (word, bit) = (target.index() / 64, target.index() % 64);
+        self.grow(target.index() + 1);
+        let new = self.known[word] >> bit & 1 == 0;
+        self.known[word] |= 1 << bit;
+        let unrelated =
+            m.grade == LabelGrade::None && m.score.to_bits() == UNFILLED.score.to_bits();
+        if !unrelated {
+            self.matches.insert(target, CachedMatch::new(m));
+        }
+        new
+    }
+}
+
+/// A [`NameMatch`] as a [`LabelRow`] keeps it: the score's bits in two
+/// `u32` halves, so an entry with its [`Symbol`] key takes 16 bytes, not
+/// the 24 an `f64`-aligned `NameMatch` would.
 #[derive(Clone, Copy)]
 struct CachedMatch {
     score: [u32; 2],
     grade: LabelGrade,
 }
 
-const _: () = assert!(std::mem::size_of::<(u32, CachedMatch)>() == 16);
+const _: () = assert!(std::mem::size_of::<(Symbol, CachedMatch)>() == 16);
 
 impl CachedMatch {
     fn new(m: NameMatch) -> CachedMatch {
@@ -990,7 +1049,8 @@ impl CachedMatch {
     }
 }
 
-/// The value a label table holds in a cell until it is filled.
+/// The value a label table holds in a cell until it is filled, and the
+/// match a [`LabelRow`] keeps no entry for.
 const UNFILLED: NameMatch = NameMatch {
     grade: LabelGrade::None,
     score: 0.0,
@@ -1192,6 +1252,37 @@ mod tests {
         for h in handles {
             let outcome = h.join().expect("worker thread");
             assert_eq!(outcome.matrix, baseline.matrix);
+        }
+    }
+
+    #[test]
+    fn label_rows_read_back_every_match_bit_for_bit() {
+        let m = |grade, score| NameMatch { grade, score };
+        let values = [
+            m(LabelGrade::None, 0.0),
+            m(LabelGrade::None, -0.0),
+            m(LabelGrade::None, 0.3),
+            m(LabelGrade::Relaxed, 0.0),
+            m(LabelGrade::Exact, 1.0),
+        ];
+        let bits = |m: NameMatch| (m.grade, m.score.to_bits());
+        for value in values {
+            let mut row = LabelRow::default();
+            for t in [0, 63, 64] {
+                assert!(row.get(Symbol(t)).is_none(), "a fresh row misses");
+                assert!(row.insert(Symbol(t), value), "first insert is new");
+                assert!(!row.insert(Symbol(t), value), "second insert is not");
+            }
+            for t in [0, 63, 64] {
+                let got = row.get(Symbol(t)).expect("cached pair hits");
+                assert_eq!(bits(got), bits(value), "symbol {t}");
+            }
+            assert!(row.get(Symbol(1)).is_none(), "an uncached pair in range");
+            let past = Symbol(row.known.len() as u32 * 64);
+            assert!(row.get(past).is_none(), "past the bits is a miss");
+            // Only the `{None, +0.0}` match goes without an entry.
+            let unrelated = bits(value) == bits(UNFILLED);
+            assert_eq!(row.matches.is_empty(), unrelated, "{value:?}");
         }
     }
 

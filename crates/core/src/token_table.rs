@@ -10,7 +10,8 @@
 //! 2. the content-token pairs those misses align are marked;
 //! 3. every marked pair is scored once ([`NameMatcher::score_forms`]);
 //! 4. every missing label pair is graded from that table
-//!    ([`NameMatcher::compare_with`]).
+//!    ([`NameMatcher::compare_with`]), with each label's registered acronym
+//!    expansions looked up once per build, not once per pair.
 //!
 //! Steps 3 and 4 fan out at the session's thread count. Every cell is a
 //! pure function of its tokens, so the grades are bit-identical to
@@ -29,35 +30,47 @@ use std::collections::HashMap;
 
 /// One side of a build: a dense local id per distinct token text of the
 /// labels taking part in a miss, with its forms.
-struct Side {
+struct Side<'m> {
     forms: Vec<TokenForm>,
     /// Token ids, label after label.
     ids: Vec<u32>,
     /// Label `k`'s ids are `ids[start[k]..start[k + 1]]` (empty for labels
     /// in no miss).
     start: Vec<u32>,
+    /// Per label, its [`NameMatcher::label_acronyms`], looked up once per
+    /// build instead of once per label pair (empty for labels in no miss).
+    acronyms: Vec<&'m [Vec<String>]>,
 }
 
-impl Side {
-    fn new(matcher: &NameMatcher, labels: &[Vec<Token>], used: &[bool]) -> Side {
+impl<'m> Side<'m> {
+    fn new(matcher: &'m NameMatcher, labels: &[Vec<Token>], used: &[bool]) -> Side<'m> {
         let mut local: HashMap<&str, u32> = HashMap::new();
         let mut forms = Vec::new();
         let mut ids = Vec::new();
         let mut start = Vec::with_capacity(labels.len() + 1);
+        let mut acronyms = Vec::with_capacity(labels.len());
         for (tokens, &used) in labels.iter().zip(used) {
             start.push(ids.len() as u32);
-            if used {
-                for token in tokens {
-                    let id = *local.entry(token.as_str()).or_insert_with(|| {
-                        forms.push(matcher.token_form(token));
-                        forms.len() as u32 - 1
-                    });
-                    ids.push(id);
-                }
+            if !used {
+                acronyms.push(&[][..]);
+                continue;
+            }
+            acronyms.push(matcher.label_acronyms(tokens));
+            for token in tokens {
+                let id = *local.entry(token.as_str()).or_insert_with(|| {
+                    forms.push(matcher.token_form(token));
+                    forms.len() as u32 - 1
+                });
+                ids.push(id);
             }
         }
         start.push(ids.len() as u32);
-        Side { forms, ids, start }
+        Side {
+            forms,
+            ids,
+            start,
+            acronyms,
+        }
     }
 
     fn ids(&self, label: usize) -> &[u32] {
@@ -157,6 +170,7 @@ impl MatchSession {
             matcher.compare_with(
                 &source.distinct_tokens[i],
                 &target.distinct_tokens[j],
+                [rows.acronyms[i], columns.acronyms[j]],
                 |p, q| table[row_ids[p] as usize * width + col_ids[q] as usize],
             )
         });

@@ -95,21 +95,40 @@ impl NameMatcher {
     /// [`NameMatcher::compare_with`] over [`TokenForm`]s — must equal bit
     /// for bit.
     pub fn compare_tokens(&self, a: &[Token], b: &[Token]) -> NameMatch {
-        self.compare_with(a, b, |i, j| self.token_score(a[i].as_str(), b[j].as_str()))
+        self.compare_with(
+            a,
+            b,
+            [self.label_acronyms(a), self.label_acronyms(b)],
+            |i, j| self.token_score(a[i].as_str(), b[j].as_str()),
+        )
     }
 
-    /// Grades a label pair, taking each token-pair score from `score`.
+    /// The registered acronym expansions of a one-token label — the only
+    /// labels a whole-phrase acronym match reads them for — and none for
+    /// any other label.
+    pub fn label_acronyms(&self, tokens: &[Token]) -> &[Vec<String>] {
+        match tokens {
+            [token] => self.thesaurus.acronym_expansions(token.as_str()),
+            _ => &[],
+        }
+    }
+
+    /// Grades a label pair, taking each token-pair score from `score` and
+    /// the labels' registered acronym expansions from `acronyms`.
     ///
-    /// `score(i, j)` is asked only for content tokens (see
-    /// [`content_positions`]) and must return what
+    /// `acronyms` must hold [`NameMatcher::label_acronyms`] of `a` and `b`,
+    /// and `score(i, j)`, asked only for content tokens (see
+    /// [`content_positions`]), must return what
     /// [`NameMatcher::score_forms`] returns for the [`TokenForm`]s of `a[i]`
     /// and `b[j]`; the grade is then identical to
-    /// [`NameMatcher::compare_tokens`]. A label build uses this to read
-    /// scores from a table it filled once per distinct token pair.
+    /// [`NameMatcher::compare_tokens`]. A label build uses this to look up
+    /// each label's expansions once and to read scores from a table it
+    /// filled once per distinct token pair.
     pub fn compare_with(
         &self,
         a: &[Token],
         b: &[Token],
+        acronyms: [&[Vec<String>]; 2],
         score: impl FnMut(usize, usize) -> (f64, bool),
     ) -> NameMatch {
         if a.is_empty() || b.is_empty() {
@@ -133,7 +152,8 @@ impl NameMatcher {
         }
         // Whole-phrase acronym match is checked before token alignment:
         // "UOM" vs "Unit Of Measure" aligns no tokens but is a relaxed match.
-        if self.phrase_acronym(a, b) || self.phrase_acronym(b, a) {
+        let [a_acronyms, b_acronyms] = acronyms;
+        if self.phrase_acronym(a, a_acronyms, b) || self.phrase_acronym(b, b_acronyms, a) {
             return NameMatch {
                 grade: LabelGrade::Relaxed,
                 score: scores::ACRONYM,
@@ -160,14 +180,15 @@ impl NameMatcher {
 
     /// True if `short` is a single token whose letters are the initials of
     /// `long`'s tokens (with or without stopwords), or a registered acronym
-    /// whose expansion matches `long` token-for-token.
-    fn phrase_acronym(&self, short: &[Token], long: &[Token]) -> bool {
+    /// — one of `expansions`, its [`NameMatcher::label_acronyms`] — whose
+    /// expansion matches `long` token-for-token.
+    fn phrase_acronym(&self, short: &[Token], expansions: &[Vec<String>], long: &[Token]) -> bool {
         if short.len() != 1 || long.len() < 2 {
             return false;
         }
         let s = short[0].as_str();
         // Registered expansion, matched token-wise through synonyms.
-        for expansion in self.thesaurus.acronym_expansions(s) {
+        for expansion in expansions {
             if expansion.len() == long.len()
                 && expansion
                     .iter()

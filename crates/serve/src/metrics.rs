@@ -131,6 +131,9 @@ pub struct RegistrySnapshot {
     pub label_misses: u64,
     /// Token pairs the session scored to resolve those misses.
     pub label_token_scores: u64,
+    /// Distinct label pairs the sessions' label caches hold (a gauge that
+    /// only grows: the cache never evicts).
+    pub label_cached_pairs: u64,
     /// Schemas admitted as topk candidates by the shard indexes.
     pub index_candidates: u64,
     /// Schemas pruned by the shard indexes before the DP ran.
@@ -356,6 +359,11 @@ impl Metrics {
             "qmatch_label_cache_hit_rate {}",
             fmt_f64(registry.label_hit_rate())
         );
+        let _ = writeln!(
+            out,
+            "qmatch_label_cache_pairs {}",
+            registry.label_cached_pairs
+        );
         let _ = writeln!(out, "qmatch_index_candidates {}", registry.index_candidates);
         let _ = writeln!(
             out,
@@ -526,6 +534,7 @@ mod tests {
             label_hits: 75,
             label_misses: 25,
             label_token_scores: 40,
+            label_cached_pairs: 25,
             index_candidates: 7,
             index_filtered: 93,
             evolve_incremental: 4,
@@ -538,6 +547,7 @@ mod tests {
         assert!(text.contains("qmatch_registry_schemas 3"));
         assert!(text.contains("qmatch_label_cache_hit_rate 0.75"));
         assert!(text.contains("qmatch_label_token_scores_total 40"));
+        assert!(text.contains("qmatch_label_cache_pairs 25"));
         assert!(text.contains("qmatch_index_candidates 7"));
         assert!(text.contains("qmatch_index_filtered_total 93"));
         assert!(text.contains("qmatch_evolve_incremental_total 4"));

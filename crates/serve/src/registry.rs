@@ -144,12 +144,14 @@ impl Registry {
             hits: 0,
             misses: 0,
             token_scores: 0,
+            cached_pairs: 0,
         };
         for shard in &self.shards {
             let stats = shard.session().cache_stats();
             total.hits += stats.hits;
             total.misses += stats.misses;
             total.token_scores += stats.token_scores;
+            total.cached_pairs += stats.cached_pairs;
         }
         total
     }
@@ -167,6 +169,7 @@ impl Registry {
             total.label_hits += s.label_hits;
             total.label_misses += s.label_misses;
             total.label_token_scores += s.label_token_scores;
+            total.label_cached_pairs += s.label_cached_pairs;
             total.index_candidates += s.index_candidates;
             total.index_filtered += s.index_filtered;
             total.evolve_incremental += s.evolve_incremental;

@@ -392,6 +392,7 @@ impl Shard {
             label_hits: labels.hits,
             label_misses: labels.misses,
             label_token_scores: labels.token_scores,
+            label_cached_pairs: labels.cached_pairs,
             index_candidates: self.index_candidates.load(Ordering::Relaxed),
             index_filtered: self.index_filtered.load(Ordering::Relaxed),
             evolve_incremental: self.evolve_incremental.load(Ordering::Relaxed),

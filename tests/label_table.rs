@@ -70,6 +70,21 @@ fn pairs() -> Vec<(String, SchemaTree, SchemaTree)> {
     }
     let revision = drift::mutation_chain(synth::pir(), 1, 0.3, 5).remove(0);
     pairs.push(("PIR x rev".to_owned(), synth::pir().clone(), revision));
+    // Registered acronyms whose expansion matches only through a synonym
+    // (`po` is "purchase order", `buy` a synonym of `purchase`; `doi` ends
+    // in "identifier", a synonym of `accession`), on the row side and on
+    // the column side: no initials check catches these.
+    let codes = [
+        ("Codes", None),
+        ("PO", Some(0)),
+        ("DigitalObjectAccession", Some(0)),
+    ];
+    let refs = [("Refs", None), ("BuyOrder", Some(0)), ("DOI", Some(0))];
+    pairs.push((
+        "acronyms".to_owned(),
+        SchemaTree::from_labels("Codes", &codes),
+        SchemaTree::from_labels("Refs", &refs),
+    ));
     pairs
 }
 
@@ -150,5 +165,80 @@ fn a_cold_build_scores_each_distinct_content_token_pair_once() {
     assert_eq!(again.token_scores, stats.token_scores);
     for (id, _) in pir.iter() {
         assert_eq!(warm.get(id, root), cold.get(id, root));
+    }
+}
+
+/// One build's distinct-label pairs against the from-scratch reference,
+/// bit for bit, and its new pairs added to `seen`. Returns the build's
+/// expected `(hits, misses)`: a pair is a hit iff an earlier build of the
+/// session compared it.
+fn check_build(
+    s: &MatchSession,
+    sp: &PreparedSchema,
+    tp: &PreparedSchema,
+    seen: &mut HashSet<(usize, usize)>,
+    what: &str,
+) -> (u64, u64) {
+    let labels = s.label_matrix(sp, tp);
+    let (mut hits, mut misses) = (0, 0);
+    for (i, &x) in representatives(sp).iter().enumerate() {
+        for (j, &y) in representatives(tp).iter().enumerate() {
+            let (a, b) = (&sp.distinct_tokens()[i], &tp.distinct_tokens()[j]);
+            let (got, want) = (labels.get(x, y), s.matcher().compare_tokens(a, b));
+            assert!(
+                got.grade == want.grade && got.score.to_bits() == want.score.to_bits(),
+                "{what}: {a:?} vs {b:?}: {got:?} != {want:?}",
+            );
+            if seen.insert((sp.symbol(x).index(), tp.symbol(y).index())) {
+                misses += 1;
+            } else {
+                hits += 1;
+            }
+        }
+    }
+    (hits, misses)
+}
+
+#[test]
+fn partially_cached_rows_across_builds_read_back_bit_for_bit() {
+    let (a, b, c) = (corpus::po1(), corpus::book(), synth::pir().clone());
+    for threads in [1, 4] {
+        let s = session(LexiconMode::Full, threads);
+        let (pa, pb) = (s.prepare(&a), s.prepare(&b));
+        let mut seen = HashSet::new();
+        let mut want = check_build(&s, &pa, &pb, &mut seen, "A x B");
+        // C is interned after the A x B build, so its fresh labels lie past
+        // the known bits that build gave A's rows.
+        let pc = s.prepare(&c);
+        let bound = |p: &PreparedSchema| p.tree().iter().map(|(id, _)| p.symbol(id).index()).max();
+        let words = bound(&pa).max(bound(&pb)).expect("labels") / 64 + 1;
+        assert!(
+            bound(&pc).expect("labels") >= words * 64,
+            "C lies past the bits"
+        );
+        let (hits, misses) = check_build(&s, &pa, &pc, &mut seen, "A x C");
+        want = (want.0 + hits, want.1 + misses);
+        // B ∪ C under a fresh root: every row of A is cached for every
+        // column but the root's.
+        let mut union = vec![("UnionRoot", None)];
+        let mut labels = HashSet::new();
+        for tree in [&b, &c] {
+            for (_, node) in tree.iter() {
+                if labels.insert(node.label.as_str()) {
+                    union.push((node.label.as_str(), Some(0)));
+                }
+            }
+        }
+        let pu = s.prepare(SchemaTree::from_labels("BC", &union));
+        let (hits, misses) = check_build(&s, &pa, &pu, &mut seen, "A x (B u C)");
+        assert_eq!(
+            misses as usize,
+            pa.distinct_labels(),
+            "only the root is new"
+        );
+        want = (want.0 + hits, want.1 + misses);
+        let stats = s.cache_stats();
+        assert_eq!((stats.hits, stats.misses), want, "threads {threads}");
+        assert_eq!(stats.cached_pairs, seen.len() as u64);
     }
 }
