@@ -5,13 +5,15 @@
 //! tokens — `OrderNo`, `OrderDate` and `PurchaseOrder` all carry `order` —
 //! so the misses of one build are resolved in four steps:
 //!
-//! 1. the tokens of the missing rows and columns get dense local ids, and
-//!    each distinct token gets its [`TokenForm`] once;
+//! 1. the tokens of the missing rows and columns get dense local ids, each
+//!    distinct token gets its [`TokenForm`] once, and each label its
+//!    content-token positions once;
 //! 2. the content-token pairs those misses align are marked;
 //! 3. every marked pair is scored once ([`NameMatcher::score_forms`]);
 //! 4. every missing label pair is graded from that table
 //!    ([`NameMatcher::compare_with`]), with each label's registered acronym
-//!    expansions looked up once per build, not once per pair.
+//!    expansions and content positions derived once per build, not once
+//!    per pair.
 //!
 //! Steps 3 and 4 fan out at the session's thread count. Every cell is a
 //! pure function of its tokens, so the grades are bit-identical to
@@ -37,6 +39,10 @@ struct Side<'m> {
     /// Label `k`'s ids are `ids[start[k]..start[k + 1]]` (empty for labels
     /// in no miss).
     start: Vec<u32>,
+    /// [`content_positions`] of each label, label after label: label `k`'s
+    /// are `content[content_start[k]..content_start[k + 1]]`.
+    content: Vec<u32>,
+    content_start: Vec<u32>,
     /// Per label, its [`NameMatcher::label_acronyms`], looked up once per
     /// build instead of once per label pair (empty for labels in no miss).
     acronyms: Vec<&'m [Vec<String>]>,
@@ -48,14 +54,18 @@ impl<'m> Side<'m> {
         let mut forms = Vec::new();
         let mut ids = Vec::new();
         let mut start = Vec::with_capacity(labels.len() + 1);
+        let mut content = Vec::new();
+        let mut content_start = Vec::with_capacity(labels.len() + 1);
         let mut acronyms = Vec::with_capacity(labels.len());
         for (tokens, &used) in labels.iter().zip(used) {
             start.push(ids.len() as u32);
+            content_start.push(content.len() as u32);
             if !used {
                 acronyms.push(&[][..]);
                 continue;
             }
             acronyms.push(matcher.label_acronyms(tokens));
+            content.extend(content_positions(tokens).map(|p| p as u32));
             for token in tokens {
                 let id = *local.entry(token.as_str()).or_insert_with(|| {
                     forms.push(matcher.token_form(token));
@@ -65,16 +75,24 @@ impl<'m> Side<'m> {
             }
         }
         start.push(ids.len() as u32);
+        content_start.push(content.len() as u32);
         Side {
             forms,
             ids,
             start,
+            content,
+            content_start,
             acronyms,
         }
     }
 
     fn ids(&self, label: usize) -> &[u32] {
         &self.ids[self.start[label] as usize..self.start[label + 1] as usize]
+    }
+
+    fn content(&self, label: usize) -> &[u32] {
+        let (from, to) = (self.content_start[label], self.content_start[label + 1]);
+        &self.content[from as usize..to as usize]
     }
 }
 
@@ -125,11 +143,10 @@ impl MatchSession {
         for &idx in missing {
             let (i, j) = (idx / cols, idx % cols);
             let (row_ids, col_ids) = (rows.ids(i), columns.ids(j));
-            let col_content = content_positions(&target.distinct_tokens[j]);
-            for p in content_positions(&source.distinct_tokens[i]) {
-                let base = row_ids[p] as usize * width;
-                for q in col_content.clone() {
-                    let cell = &mut needed[base + col_ids[q] as usize];
+            for &p in rows.content(i) {
+                let base = row_ids[p as usize] as usize * width;
+                for &q in columns.content(j) {
+                    let cell = &mut needed[base + col_ids[q as usize] as usize];
                     scored += u64::from(!*cell);
                     *cell = true;
                 }
@@ -171,6 +188,7 @@ impl MatchSession {
                 &source.distinct_tokens[i],
                 &target.distinct_tokens[j],
                 [rows.acronyms[i], columns.acronyms[j]],
+                [rows.content(i), columns.content(j)],
                 |p, q| table[row_ids[p] as usize * width + col_ids[q] as usize],
             )
         });

@@ -32,13 +32,17 @@ const WORDS: &[&str] = &[
 
 /// Identifier words for the label-table oracle: thesaurus synonyms,
 /// hypernyms, abbreviations and acronyms, plural forms that stem, near
-/// misses for the fuzzy fallback, and stopwords.
+/// misses for the fuzzy fallback (some a char off a word, near its floor),
+/// non-ASCII words, one word over 32 chars (past Jaro's on-stack flags),
+/// and stopwords. Every word starts with an ASCII letter: the acronym
+/// style slices off each word's first byte.
 const IDENT_WORDS: &str = "\
     order orders requisition purchase buy item items product quantity qty amount unit \
     measure uom price cost total number num no address addresses addr ship bill billing \
     invoice date day category categories box boxes class status book books volume \
     publication article author writer title protein sequence chain organism library \
-    quantety adress shipping description dscr id identifier of the to for in on a an";
+    quantety adress shipping description dscr id identifier of the to for in on a an \
+    quantiy adresss descripton größe numéro supplementaryshippinginstructionstext";
 
 /// Generates `count` schema identifiers of one to four words from a
 /// vocabulary of thesaurus words, plurals, near misses and stopwords, in

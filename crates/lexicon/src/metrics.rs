@@ -55,27 +55,6 @@ pub fn bigram_dice(a: &str, b: &str) -> f64 {
     bigram_dice_chars(&a, &bigrams(&a), &b, &bigrams(&b))
 }
 
-/// Dice coefficient over character trigrams.
-pub fn trigram_dice(a: &str, b: &str) -> f64 {
-    ngram_dice(a, b, 3)
-}
-
-/// Dice coefficient over character n-grams; identical strings score 1.0 even
-/// when shorter than `n`.
-pub fn ngram_dice(a: &str, b: &str, n: usize) -> f64 {
-    debug_assert!(n > 0);
-    if a == b {
-        return 1.0;
-    }
-    let (a, b) = (chars(a), chars(b));
-    let grams = |cs| {
-        let mut grams: Vec<&[char]> = <[char]>::windows(cs, n).collect();
-        grams.sort_unstable();
-        grams
-    };
-    dice_sorted(&grams(&a), &grams(&b))
-}
-
 fn chars(s: &str) -> Vec<char> {
     s.chars().collect()
 }
@@ -152,10 +131,10 @@ pub(crate) fn bigram_dice_chars(a: &[char], ga: &[[char; 2]], b: &[char], gb: &[
     dice_sorted(ga, gb)
 }
 
-/// Dice coefficient of two sorted n-gram multisets: each gram of one side
-/// pairs with at most one equal gram of the other, so the shared count is
+/// Dice coefficient of two sorted bigram multisets: each bigram of one side
+/// pairs with at most one equal bigram of the other, so the shared count is
 /// the multiset intersection, found in one merge pass.
-fn dice_sorted<G: Ord>(ga: &[G], gb: &[G]) -> f64 {
+fn dice_sorted(ga: &[[char; 2]], gb: &[[char; 2]]) -> f64 {
     if ga.is_empty() || gb.is_empty() {
         return 0.0;
     }
@@ -196,25 +175,6 @@ pub fn lcs_len(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// LCS similarity: `lcs / max_len`.
-pub fn lcs_similarity(a: &str, b: &str) -> f64 {
-    let max_len = a.chars().count().max(b.chars().count());
-    if max_len == 0 {
-        return 1.0;
-    }
-    lcs_len(a, b) as f64 / max_len as f64
-}
-
-/// Shared-prefix ratio: `common_prefix / max_len`.
-pub fn prefix_similarity(a: &str, b: &str) -> f64 {
-    let max_len = a.chars().count().max(b.chars().count());
-    if max_len == 0 {
-        return 1.0;
-    }
-    let common = a.chars().zip(b.chars()).take_while(|(x, y)| x == y).count();
-    common as f64 / max_len as f64
-}
-
 /// The fuzzy similarity the matchers use for unrelated tokens: the maximum
 /// of Jaro–Winkler and bigram Dice, which behaves well on both short
 /// (`qty`/`qnty`) and long (`shipping`/`shippingaddress`) identifiers.
@@ -227,6 +187,62 @@ pub fn combined_similarity(a: &str, b: &str) -> f64 {
 /// [`bigrams`].
 pub(crate) fn combined_chars(a: &[char], ga: &[[char; 2]], b: &[char], gb: &[[char; 2]]) -> f64 {
     jaro_winkler_chars(a, b).max(bigram_dice_chars(a, ga, b, gb))
+}
+
+/// An upper bound on [`combined_similarity`] from the tokens' lengths,
+/// common prefix and char counts in 32 buckets alone, or `None` when a
+/// token is empty or longer than 255 chars (a bucket may have saturated).
+pub fn combined_bound(a: &str, b: &str) -> Option<f64> {
+    let (a, b) = (chars(a), chars(b));
+    combined_bound_chars(&a, &sketch(&a), &b, &sketch(&b))
+}
+
+/// The char-count sketch of `cs`: how many of its chars fall in each of 32
+/// buckets (`char as u32 % 32`), saturating at 255.
+pub(crate) fn sketch(cs: &[char]) -> [u8; 32] {
+    let mut counts = [0u8; 32];
+    for &c in cs {
+        let k = c as usize % 32;
+        counts[k] = counts[k].saturating_add(1);
+    }
+    counts
+}
+
+/// Added to [`combined_bound_chars`] so that rounding cannot put the
+/// computed metric above the computed bound: the Winkler boost is monotone
+/// in Jaro only up to a few ulps in floating point.
+const BOUND_SLACK: f64 = 1e-9;
+
+/// [`combined_bound`] over `char` slices and their [`sketch`]es.
+///
+/// `m = Σ_k min(sa[k], sb[k])` bounds both counts the metrics share: Jaro's
+/// matched chars pair equal chars, and each shared bigram pairs the equal
+/// chars it starts with at distinct positions of either side, so both are
+/// at most `Σ_c min(count_a(c), count_b(c))`; bucketing chars only raises
+/// that sum. Then Jaro is at most `(m/|a| + m/|b| + 1)/3`, Jaro–Winkler at
+/// most that plus the exact ≤4-char prefix boost, and Dice at most
+/// `2·min(m, |a|−1, |b|−1)/(|a|−1 + |b|−1)`.
+pub(crate) fn combined_bound_chars(
+    a: &[char],
+    sa: &[u8; 32],
+    b: &[char],
+    sb: &[u8; 32],
+) -> Option<f64> {
+    if a.is_empty() || b.is_empty() || a.len() > 255 || b.len() > 255 {
+        return None;
+    }
+    let m: u32 = sa.iter().zip(sb).map(|(&x, &y)| u32::from(x.min(y))).sum();
+    let m = f64::from(m);
+    let jaro = (m / a.len() as f64 + m / b.len() as f64 + 1.0) / 3.0;
+    let prefix = a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count();
+    let winkler = jaro + prefix as f64 * 0.1 * (1.0 - jaro);
+    let (ga, gb) = ((a.len() - 1) as f64, (b.len() - 1) as f64);
+    let dice = if ga + gb > 0.0 {
+        2.0 * m.min(ga).min(gb) / (ga + gb)
+    } else {
+        0.0
+    };
+    Some(winkler.max(dice) + BOUND_SLACK)
 }
 
 #[cfg(test)]
@@ -294,15 +310,13 @@ mod tests {
         assert_close(bigram_dice("same", "same"), 1.0);
         assert_close(bigram_dice("a", "a"), 1.0); // shorter than the n-gram
         assert_close(bigram_dice("a", "b"), 0.0);
-        assert_close(trigram_dice("abcde", "abcde"), 1.0);
-        assert!(trigram_dice("abcdef", "abcxef") < 1.0);
     }
 
     #[test]
-    fn dice_handles_repeated_ngrams() {
+    fn dice_handles_repeated_bigrams() {
         // "aaaa" has bigrams {aa, aa, aa}; "aa" has {aa}. Multiset matching
         // must count the shared bigram once.
-        assert_close(ngram_dice("aaaa", "aa", 2), 2.0 * 1.0 / 4.0);
+        assert_close(bigram_dice("aaaa", "aa"), 2.0 * 1.0 / 4.0);
     }
 
     #[test]
@@ -311,15 +325,6 @@ mod tests {
         assert_eq!(lcs_len("", "abc"), 0);
         assert_eq!(lcs_len("abc", "abc"), 3);
         assert_eq!(lcs_len("qty", "quantity"), 3);
-        assert_close(lcs_similarity("qty", "quantity"), 3.0 / 8.0);
-        assert_close(lcs_similarity("", ""), 1.0);
-    }
-
-    #[test]
-    fn prefix_similarity_basics() {
-        assert_close(prefix_similarity("order", "orders"), 5.0 / 6.0);
-        assert_close(prefix_similarity("abc", "xbc"), 0.0);
-        assert_close(prefix_similarity("", ""), 1.0);
     }
 
     #[test]
@@ -328,6 +333,27 @@ mod tests {
         assert!(combined_similarity("quantity", "qnty") > 0.7);
         assert!(combined_similarity("orderno", "ordernumber") > 0.7);
         assert!(combined_similarity("head", "legs") <= 0.5);
+    }
+
+    #[test]
+    fn combined_bound_caps_the_metric() {
+        for (a, b) in [
+            ("quantity", "quantety"),
+            ("head", "legs"),
+            ("aaaa", "aa"),
+            ("x", "y"),
+            ("größe", "grösse"),
+        ] {
+            let bound = combined_bound(a, b).expect("short tokens");
+            assert!(bound >= combined_similarity(a, b), "{a} vs {b}");
+        }
+        // Disjoint buckets leave only the 1/3 transposition term.
+        assert_close(
+            combined_bound("abc", "xyz").expect("short"),
+            1.0 / 3.0 + 1e-9,
+        );
+        assert_eq!(combined_bound("", "a"), None);
+        assert_eq!(combined_bound(&"a".repeat(256), "a"), None);
     }
 
     #[test]

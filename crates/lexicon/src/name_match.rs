@@ -8,7 +8,7 @@
 //!   implementation also counts registered abbreviations and high-confidence
 //!   fuzzy matches, which is how CUPID-style matchers treat `Qty`/`Quantity`).
 
-use crate::metrics::{bigrams, combined_chars, combined_similarity};
+use crate::metrics::{bigrams, combined_bound_chars, combined_chars, combined_similarity, sketch};
 use crate::thesaurus::{Relation, Thesaurus, TokenEntry};
 use crate::tokenize::{tokenize, Token};
 
@@ -90,15 +90,22 @@ impl NameMatcher {
         self.compare_tokens(&tokenize(a), &tokenize(b))
     }
 
-    /// Compares two pre-tokenized labels, scoring every token pair from
-    /// scratch. This is the reference the batched path of a label build —
+    /// Compares two pre-tokenized labels, deriving their content positions
+    /// and scoring every token pair from scratch, with no fuzzy prefilter.
+    /// This is the reference the batched path of a label build —
     /// [`NameMatcher::compare_with`] over [`TokenForm`]s — must equal bit
     /// for bit.
     pub fn compare_tokens(&self, a: &[Token], b: &[Token]) -> NameMatch {
+        let content = |tokens| {
+            content_positions(tokens)
+                .map(|p| p as u32)
+                .collect::<Vec<_>>()
+        };
         self.compare_with(
             a,
             b,
             [self.label_acronyms(a), self.label_acronyms(b)],
+            [&content(a), &content(b)],
             |i, j| self.token_score(a[i].as_str(), b[j].as_str()),
         )
     }
@@ -113,22 +120,24 @@ impl NameMatcher {
         }
     }
 
-    /// Grades a label pair, taking each token-pair score from `score` and
-    /// the labels' registered acronym expansions from `acronyms`.
+    /// Grades a label pair, taking each token-pair score from `score`, the
+    /// labels' registered acronym expansions from `acronyms` and their
+    /// content-token positions from `content`.
     ///
     /// `acronyms` must hold [`NameMatcher::label_acronyms`] of `a` and `b`,
-    /// and `score(i, j)`, asked only for content tokens (see
-    /// [`content_positions`]), must return what
-    /// [`NameMatcher::score_forms`] returns for the [`TokenForm`]s of `a[i]`
-    /// and `b[j]`; the grade is then identical to
-    /// [`NameMatcher::compare_tokens`]. A label build uses this to look up
-    /// each label's expansions once and to read scores from a table it
-    /// filled once per distinct token pair.
+    /// `content` their [`content_positions`], and `score(i, j)`, asked only
+    /// for those positions, must return what [`NameMatcher::score_forms`]
+    /// returns for the [`TokenForm`]s of `a[i]` and `b[j]`; the grade is
+    /// then identical to [`NameMatcher::compare_tokens`]. A label build
+    /// uses this to derive each label's expansions and content positions
+    /// once and to read scores from a table it filled once per distinct
+    /// token pair.
     pub fn compare_with(
         &self,
         a: &[Token],
         b: &[Token],
         acronyms: [&[Vec<String>]; 2],
+        content: [&[u32]; 2],
         score: impl FnMut(usize, usize) -> (f64, bool),
     ) -> NameMatch {
         if a.is_empty() || b.is_empty() {
@@ -159,7 +168,7 @@ impl NameMatcher {
                 score: scores::ACRONYM,
             };
         }
-        let (score, all_exact) = align(a, b, score);
+        let (score, all_exact) = align(content, score);
         if all_exact && score >= 0.999 {
             NameMatch {
                 grade: LabelGrade::Exact,
@@ -231,6 +240,7 @@ impl NameMatcher {
             entry: self.thesaurus.entry(&stem),
             stem,
             bigrams: bigrams(&chars),
+            sketch: sketch(&chars),
             chars,
         }
     }
@@ -238,7 +248,10 @@ impl NameMatcher {
     /// Scores one token pair over its prepared forms: the same relation
     /// chain as the from-scratch scorer behind
     /// [`NameMatcher::compare_tokens`], without re-stemming or
-    /// re-collecting characters.
+    /// re-collecting characters. The fuzzy metric is skipped when
+    /// [`metrics::combined_bound`](crate::metrics::combined_bound) of the
+    /// forms' sketches is below the fuzzy floor (0.8): any metric under
+    /// the floor scores `(0.0, false)`, so the result is the same.
     pub fn score_forms(&self, a: &TokenForm, b: &TokenForm) -> (f64, bool) {
         if a.text == b.text {
             return (scores::EXACT, true);
@@ -250,7 +263,10 @@ impl NameMatcher {
                 self.thesaurus
                     .relation_of_entries(&a.stem, a.entry, &b.stem, b.entry)
             },
-            || combined_chars(&a.chars, &a.bigrams, &b.chars, &b.bigrams),
+            || match combined_bound_chars(&a.chars, &a.sketch, &b.chars, &b.sketch) {
+                Some(bound) if bound < scores::FUZZY_FLOOR => 0.0,
+                _ => combined_chars(&a.chars, &a.bigrams, &b.chars, &b.bigrams),
+            },
         )
     }
 
@@ -303,6 +319,8 @@ pub struct TokenForm {
     chars: Vec<char>,
     /// Sorted character bigrams of `text`.
     bigrams: Vec<[char; 2]>,
+    /// Char counts of `text` in 32 buckets, for the fuzzy metric's bound.
+    sketch: [u8; 32],
 }
 
 fn is_stopword(token: &str) -> bool {
@@ -316,22 +334,16 @@ pub fn content_positions(tokens: &[Token]) -> impl Iterator<Item = usize> + Clon
     (0..tokens.len()).filter(move |&i| keep_all || !is_stopword(tokens[i].as_str()))
 }
 
-/// Greedy best-pair token alignment over the content tokens of `a` and `b`,
-/// scoring positions through `score`. Returns the normalized aggregate
-/// score and whether every token on both sides found an exact-grade
-/// partner.
-fn align(
-    a: &[Token],
-    b: &[Token],
-    mut score: impl FnMut(usize, usize) -> (f64, bool),
-) -> (f64, bool) {
-    let (ca, cb) = (content_positions(a), content_positions(b));
-    let (na, nb) = (ca.clone().count(), cb.clone().count());
+/// Greedy best-pair token alignment over the content-token positions
+/// `[ca, cb]` of two labels, scoring positions through `score`. Returns the
+/// normalized aggregate score and whether every token on both sides found
+/// an exact-grade partner.
+fn align([ca, cb]: [&[u32]; 2], mut score: impl FnMut(usize, usize) -> (f64, bool)) -> (f64, bool) {
+    let (na, nb) = (ca.len(), cb.len());
     // Fast path: single-token labels (most schema element names) need no
     // bipartite machinery.
-    if na == 1 && nb == 1 {
-        let (i, j) = (ca.clone().next(), cb.clone().next());
-        let (score, exact) = score(i.expect("one token"), j.expect("one token"));
+    if let ([i], [j]) = (ca, cb) {
+        let (score, exact) = score(*i as usize, *j as usize);
         return (score, exact && score >= 0.999);
     }
     // Every content pair's score, row-major; on the stack for
@@ -344,9 +356,9 @@ fn align(
         heap.resize(na * nb, (0.0, false));
         &mut heap
     };
-    for (i, pa) in ca.enumerate() {
-        for (j, pb) in cb.clone().enumerate() {
-            cells[i * nb + j] = score(pa, pb);
+    for (i, &pa) in ca.iter().enumerate() {
+        for (j, &pb) in cb.iter().enumerate() {
+            cells[i * nb + j] = score(pa as usize, pb as usize);
         }
     }
     // Take the best pair whose tokens are both free until none scores

@@ -5,14 +5,17 @@
 //! run draws the same cases and failures reproduce from the case index.
 
 use qmatch_lexicon::metrics::{
-    bigram_dice, combined_similarity, jaro, jaro_winkler, lcs_len, levenshtein,
+    bigram_dice, combined_bound, combined_similarity, jaro, jaro_winkler, lcs_len, levenshtein,
     levenshtein_similarity,
 };
-use qmatch_lexicon::name_match::stem;
-use qmatch_lexicon::{tokenize, LabelGrade, NameMatcher};
+use qmatch_lexicon::name_match::{content_positions, stem};
+use qmatch_lexicon::{tokenize, LabelGrade, NameMatcher, Thesaurus, Token};
 use qmatch_prng::SmallRng;
 
 const CASES: usize = 256;
+
+/// Non-ASCII characters mixed into generated text and tokens.
+const EXOTIC: &[char] = &['é', 'ß', 'λ', 'Ж', '中', '✓', '№', '¼'];
 
 /// A random identifier-like label: `[A-Za-z][A-Za-z0-9_ -]{0,20}`.
 fn ident(rng: &mut SmallRng) -> String {
@@ -29,7 +32,6 @@ fn ident(rng: &mut SmallRng) -> String {
 
 /// Arbitrary printable text for the tokenizer tests.
 fn arbitrary_text(rng: &mut SmallRng, max_len: usize) -> String {
-    const EXOTIC: &[char] = &['é', 'ß', 'λ', 'Ж', '中', '✓', '№', '¼'];
     let len = rng.gen_range(0..=max_len);
     (0..len)
         .map(|_| {
@@ -209,5 +211,139 @@ fn self_comparison_is_exact() {
             "case {case}: {a:?} scored {}",
             m.score
         );
+    }
+}
+
+/// A random tokenizer-shaped token of `len` chars: lowercase letters and
+/// digits, with some [`EXOTIC`] chars.
+fn token(rng: &mut SmallRng, len: usize) -> String {
+    const ALNUM: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789";
+    (0..len)
+        .map(|_| {
+            if rng.gen_bool(0.1) {
+                EXOTIC[rng.gen_range(0..EXOTIC.len())]
+            } else {
+                ALNUM[rng.gen_range(0..ALNUM.len())] as char
+            }
+        })
+        .collect()
+}
+
+/// `t` after one char is deleted, substituted, transposed with the next,
+/// or repeated — a near miss that may land either side of the fuzzy floor.
+fn near_miss(rng: &mut SmallRng, t: &str) -> String {
+    let mut cs: Vec<char> = t.chars().collect();
+    let i = rng.gen_range(0..cs.len());
+    match rng.gen_range(0..4u32) {
+        0 if cs.len() > 1 => {
+            cs.remove(i);
+        }
+        1 => cs[i] = token(rng, 1).chars().next().expect("one char"),
+        2 if i + 1 < cs.len() => cs.swap(i, i + 1),
+        _ => cs.insert(i, cs[i]),
+    }
+    cs.into_iter().collect()
+}
+
+/// A token pair: mostly identifier-sized, some over 32 chars (Jaro's heap
+/// flags) and some over 255 (half of those one char repeated, more than a
+/// sketch bucket can count); the second token is a near miss of the first,
+/// two near misses, or unrelated.
+fn token_pair(rng: &mut SmallRng) -> (String, String) {
+    let (len, run) = match rng.gen_range(0..20u32) {
+        0 => (rng.gen_range(256..=300usize), rng.gen_bool(0.5)),
+        1 | 2 => (rng.gen_range(33..=64usize), false),
+        _ => (rng.gen_range(1..=12usize), false),
+    };
+    let a = if run {
+        token(rng, 1).repeat(len)
+    } else {
+        token(rng, len)
+    };
+    let b = match rng.gen_range(0..4u32) {
+        0 => token(rng, len),
+        1 => {
+            let once = near_miss(rng, &a);
+            near_miss(rng, &once)
+        }
+        _ => near_miss(rng, &a),
+    };
+    (a, b)
+}
+
+#[test]
+fn sketch_bound_never_undercuts_the_fuzzy_metric() {
+    let mut rng = SmallRng::seed_from_u64(0xAA);
+    let (mut above_floor, mut ruled_out, mut unbounded) = (0, 0, 0);
+    for case in 0..4 * CASES {
+        let (a, b) = token_pair(&mut rng);
+        let similarity = combined_similarity(&a, &b);
+        above_floor += usize::from(similarity >= 0.8);
+        match combined_bound(&a, &b) {
+            Some(bound) => {
+                assert!(
+                    bound >= similarity,
+                    "case {case}: {a:?} vs {b:?}: bound {bound} < {similarity}"
+                );
+                ruled_out += usize::from(bound < 0.8);
+            }
+            None => {
+                assert!(a.chars().count() > 255 || b.chars().count() > 255);
+                unbounded += 1;
+            }
+        }
+    }
+    // The cases reach both sides of the floor and the saturating fallback.
+    assert!(above_floor > 0 && ruled_out > 0 && unbounded > 0);
+}
+
+#[test]
+fn grading_over_token_forms_equals_the_reference_bit_for_bit() {
+    let matchers = [
+        NameMatcher::with_default_thesaurus(),
+        NameMatcher::new(Thesaurus::new()),
+    ];
+    for (m, matcher) in matchers.iter().enumerate() {
+        let mut rng = SmallRng::seed_from_u64(0xAB + m as u64);
+        for case in 0..CASES {
+            let (x, y) = token_pair(&mut rng);
+            let z = near_miss(&mut rng, &y);
+            let pool = [
+                x.as_str(),
+                &y,
+                &z,
+                "of",
+                "the",
+                "order",
+                "quantity",
+                "qty",
+                "purchase",
+                "number",
+            ];
+            let label = |rng: &mut SmallRng| -> Vec<Token> {
+                (0..rng.gen_range(1..=6usize))
+                    .map(|_| Token::from(pool[rng.gen_range(0..pool.len())]))
+                    .collect()
+            };
+            let (a, b) = (label(&mut rng), label(&mut rng));
+            let forms = |tokens: &[Token]| -> Vec<_> {
+                tokens.iter().map(|t| matcher.token_form(t)).collect()
+            };
+            let content =
+                |tokens| -> Vec<u32> { content_positions(tokens).map(|p| p as u32).collect() };
+            let (fa, fb) = (forms(&a), forms(&b));
+            let got = matcher.compare_with(
+                &a,
+                &b,
+                [matcher.label_acronyms(&a), matcher.label_acronyms(&b)],
+                [&content(&a), &content(&b)],
+                |i, j| matcher.score_forms(&fa[i], &fb[j]),
+            );
+            let want = matcher.compare_tokens(&a, &b);
+            assert!(
+                got.grade == want.grade && got.score.to_bits() == want.score.to_bits(),
+                "matcher {m} case {case}: {a:?} vs {b:?}: {got:?} != {want:?}"
+            );
+        }
     }
 }

@@ -85,7 +85,39 @@ fn pairs() -> Vec<(String, SchemaTree, SchemaTree)> {
         SchemaTree::from_labels("Codes", &codes),
         SchemaTree::from_labels("Refs", &refs),
     ));
+    let (a, b) = edge_labels();
+    pairs.push(("edge labels".to_owned(), a, b));
     pairs
+}
+
+/// Labels at the edges of the build: stopword-only labels (which align all
+/// their tokens), labels of five and more content tokens (more than 16
+/// alignment cells), and non-ASCII tokens a char off each other.
+fn edge_labels() -> (SchemaTree, SchemaTree) {
+    let source = [
+        ("Edges", None),
+        ("OfThe", Some(0)),
+        ("To_A", Some(0)),
+        ("PurchaseOrderShippingAddressLineNumberOfTheItem", Some(0)),
+        ("GrößeDerLieferung", Some(0)),
+        ("NuméroDeCommande", Some(0)),
+        ("DescriptonOfTheQuantiy", Some(0)),
+    ];
+    let target = [
+        ("Edge", None),
+        ("TheOf", Some(0)),
+        ("A_To", Some(0)),
+        ("Of", Some(0)),
+        ("ShippingAddressLineNumberOfPurchaseOrderItems", Some(0)),
+        ("GrösseDerLieferungen", Some(0)),
+        ("NumeroCommande", Some(0)),
+        ("NumérosDeCommandes", Some(0)),
+        ("DescriptionOfTheQuantity", Some(0)),
+    ];
+    (
+        SchemaTree::from_labels("Edges", &source),
+        SchemaTree::from_labels("Edge", &target),
+    )
 }
 
 #[test]
@@ -135,8 +167,19 @@ fn cold_label_builds_equal_the_from_scratch_reference_bit_for_bit() {
 fn a_cold_build_scores_each_distinct_content_token_pair_once() {
     let pir = synth::pir();
     let revision = drift::mutation_chain(pir, 1, 0.15, 42).remove(0);
-    let s = session(LexiconMode::Full, 1);
-    let (sp, tp) = (s.prepare(pir), s.prepare(&revision));
+    check_cold_counts(pir, &revision, 1);
+    let (a, b) = edge_labels();
+    for threads in [1, 4] {
+        check_cold_counts(&a, &b, threads);
+    }
+}
+
+/// A cold build of `a × b` misses every distinct label pair and scores
+/// exactly the distinct content-token pairs they align; a warm build (and
+/// a warm single-pair lookup) hits and scores nothing.
+fn check_cold_counts(a: &SchemaTree, b: &SchemaTree, threads: usize) {
+    let s = session(LexiconMode::Full, threads);
+    let (sp, tp) = (s.prepare(a), s.prepare(b));
     // Every distinct label pair misses in a fresh session; the distinct
     // content-token pairs those misses align, by token text.
     let mut expected = HashSet::new();
@@ -163,7 +206,7 @@ fn a_cold_build_scores_each_distinct_content_token_pair_once() {
     assert_eq!(again.hits, cells + 1);
     assert_eq!(again.misses, cells);
     assert_eq!(again.token_scores, stats.token_scores);
-    for (id, _) in pir.iter() {
+    for (id, _) in a.iter() {
         assert_eq!(warm.get(id, root), cold.get(id, root));
     }
 }
