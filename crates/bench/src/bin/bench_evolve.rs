@@ -1,28 +1,26 @@
-//! Schema-evolution benchmark: incremental vs full re-match across
-//! mutation intensities.
+//! Schema-evolution benchmark: incremental re-prepare vs scratch prepare
+//! across mutation intensities.
 //!
 //! Models the serve hot-update workload — a chain of `PUT`s replacing one
 //! registered schema — with `qmatch_datasets::drift::mutation_chain`. For
-//! every transition the harness runs both paths against a fixed target:
-//! the full hybrid recompute, and the diff-guided incremental path
-//! (`diff_trees` + `reprepare` + `rematch_evolved`, threading each step's
-//! outcome *and label matrix* into the next). Bit-identity of the two similarity
-//! matrices is asserted on every single transition; the wall-time split
-//! goes to `BENCH_evolve.json`.
+//! every transition the harness runs what a serve re-`PUT` runs,
+//! `diff_trees` + `reprepare` from the resident revision, and a scratch
+//! `prepare` of the same tree. Every transition must agree twice: the two
+//! prepared schemas are structurally identical (`assert_structural_eq`),
+//! and a hybrid match of each against a fixed target gives bit-identical
+//! matrices and total QoM. The wall-time split goes to
+//! `BENCH_evolve.json`.
 //!
 //! `cargo run --release -p qmatch-bench --bin bench_evolve [OUT.json] [--test] [--gate]`
 //!
 //! * `--test` — smoke mode: one short small-schema chain, no JSON written
 //!   (unless an output path is given explicitly).
-//! * `--gate` — CI evolution gate: pinned-seed chains over the small and
+//! * `--gate` — CI re-prepare gate: pinned-seed chains over the small and
 //!   medium bases, output restricted to deterministic counts (no wall
-//!   times, so two runs are byte-identical), exit 1 unless every
-//!   transition is bit-identical, the incremental path engages on every
-//!   low-intensity transition, and heavy intensity trips the fallback.
+//!   times, so two runs are byte-identical).
 //!
-//! The default (JSON) mode adds the large PDB chain (3753 nodes), where
-//! the low-intensity speedup headline lives (README, "Schema
-//! evolution").
+//! Every mode exits 1 if any transition diverges from the scratch path.
+//! The default (JSON) mode adds the large PDB chain (3753 nodes).
 
 use qmatch_core::algorithms::Algorithm;
 use qmatch_core::model::MatchConfig;
@@ -31,6 +29,8 @@ use qmatch_core::session::MatchSession;
 use qmatch_datasets::drift::{mutation_chain, GATE_SEED};
 use qmatch_datasets::{corpus, synth};
 use qmatch_xsd::SchemaTree;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One `(base, fixed target)` evolution workload.
@@ -47,24 +47,22 @@ struct ChainStats {
     nodes: usize,
     intensity: f64,
     transitions: usize,
-    incremental_runs: usize,
-    fallback_runs: usize,
-    rows_recomputed: usize,
+    shape_changed: usize,
+    recompute_rows: usize,
     rows_full: usize,
     dirty_fraction_mean: f64,
-    full_ms_per_rematch: f64,
-    incremental_ms_per_rematch: f64,
-    /// Incremental wall including diff + re-prepare, not just the kernel.
-    end_to_end_ms_per_rematch: f64,
+    /// Transitions whose re-prepared schema or hybrid match differed from
+    /// the scratch path's.
+    divergent: usize,
+    diff_ms: f64,
+    reprepare_ms: f64,
+    scratch_prepare_ms: f64,
 }
 
 impl ChainStats {
-    fn rematch_speedup(&self) -> f64 {
-        self.full_ms_per_rematch / self.incremental_ms_per_rematch.max(1e-9)
-    }
-
+    /// Scratch prepare time over the re-`PUT` path's diff + re-prepare.
     fn end_to_end_speedup(&self) -> f64 {
-        self.full_ms_per_rematch / self.end_to_end_ms_per_rematch.max(1e-9)
+        self.scratch_prepare_ms / (self.diff_ms + self.reprepare_ms).max(1e-9)
     }
 }
 
@@ -73,87 +71,75 @@ fn run_chain(workload: &Workload, intensity: f64, seed: u64) -> ChainStats {
     let target = session.prepare(&workload.target);
     let chain = mutation_chain(&workload.base, workload.steps, intensity, seed);
 
-    // Warm start: the registered revision and its resident match outcome,
-    // exactly what the serve fast path holds before a hot update arrives.
-    // Prepared schemas own their trees, so one revision's artifacts carry
-    // across loop iterations.
+    // The registered revision, as serve holds it before a hot update
+    // arrives. Prepared schemas own their trees, so one revision's
+    // artifacts carry across loop iterations.
     let mut prev = session.prepare(&workload.base);
-    let mut previous = session.run(&Algorithm::Hybrid, &prev, &target).unwrap();
-    // The resident revision's label matrix, threaded through the chain so
-    // each step copies unchanged label rows instead of re-walking the
-    // session cache — the serve fast path's steady state.
-    let mut labels = session.label_matrix(&prev, &target);
 
     let mut stats = ChainStats {
         workload: workload.name,
         nodes: workload.base.len(),
         intensity,
         transitions: 0,
-        incremental_runs: 0,
-        fallback_runs: 0,
-        rows_recomputed: 0,
+        shape_changed: 0,
+        recompute_rows: 0,
         rows_full: 0,
         dirty_fraction_mean: 0.0,
-        full_ms_per_rematch: 0.0,
-        incremental_ms_per_rematch: 0.0,
-        end_to_end_ms_per_rematch: 0.0,
+        divergent: 0,
+        diff_ms: 0.0,
+        reprepare_ms: 0.0,
+        scratch_prepare_ms: 0.0,
     };
-    let mut full_secs = 0.0f64;
-    let mut rematch_secs = 0.0f64;
-    let mut end_to_end_secs = 0.0f64;
+    let (mut diff_secs, mut reprepare_secs, mut scratch_secs) = (0.0f64, 0.0f64, 0.0f64);
     for next_tree in chain {
+        // Both paths share one tree, as serve's do, and intern the
+        // revision's fresh labels; whichever ran first would pay for that.
+        // Intern them outside both timed regions so the split measures the
+        // prepare work, not arrival order.
+        let next_tree = Arc::new(next_tree);
+        drop(session.prepare(Arc::clone(&next_tree)));
+
         let start = Instant::now();
         let diff = session.diff_trees(prev.tree(), &next_tree);
-        let new = session.reprepare(&prev, next_tree, &diff);
-        let prep_secs = start.elapsed().as_secs_f64();
-
-        // Both paths draw label similarities from the same session cache;
-        // whichever runs first would absorb the misses for the revision's
-        // fresh labels. Warm the cache outside both timed regions so the
-        // split measures the DP work, not cache-arrival order.
-        let warm = session.run(&Algorithm::Hybrid, &new, &target).unwrap();
-        session.recycle(warm);
+        diff_secs += start.elapsed().as_secs_f64();
 
         let start = Instant::now();
-        let got = session.rematch_evolved(&prev, &labels, &new, &target, &diff, &previous);
-        rematch_secs += start.elapsed().as_secs_f64();
-        end_to_end_secs += prep_secs + start.elapsed().as_secs_f64();
+        let new = session.reprepare(&prev, Arc::clone(&next_tree), &diff);
+        reprepare_secs += start.elapsed().as_secs_f64();
 
         let start = Instant::now();
-        let want = session.run(&Algorithm::Hybrid, &new, &target).unwrap();
-        full_secs += start.elapsed().as_secs_f64();
+        let scratch = session.prepare(next_tree);
+        scratch_secs += start.elapsed().as_secs_f64();
 
-        assert_eq!(
-            got.outcome.matrix, want.matrix,
-            "incremental re-match diverged from full on {} step {} \
-             (intensity {intensity}, incremental={})",
-            workload.name, stats.transitions, got.incremental,
-        );
-        assert_eq!(got.outcome.total_qom, want.total_qom);
+        let structural = catch_unwind(AssertUnwindSafe(|| new.assert_structural_eq(&scratch)));
+        let got = session.run(&Algorithm::Hybrid, &new, &target).unwrap();
+        let want = session.run(&Algorithm::Hybrid, &scratch, &target).unwrap();
+        if structural.is_err()
+            || got.matrix != want.matrix
+            || got.total_qom.to_bits() != want.total_qom.to_bits()
+        {
+            eprintln!(
+                "re-prepare diverged from scratch on {} step {} (intensity {intensity})",
+                workload.name, stats.transitions
+            );
+            stats.divergent += 1;
+        }
+        session.recycle(got);
+        session.recycle(want);
 
         stats.transitions += 1;
-        if got.incremental {
-            stats.incremental_runs += 1;
-        } else {
-            stats.fallback_runs += 1;
-        }
-        stats.rows_recomputed += got.rows_recomputed;
+        stats.shape_changed += usize::from(diff.shape_changed());
+        stats.recompute_rows += diff.recompute_count();
         stats.rows_full += new.tree().len();
         stats.dirty_fraction_mean += diff.dirty_fraction();
-
-        session.recycle(previous);
-        session.recycle(want);
-        previous = got.outcome;
-        labels = got.labels;
         prev = new;
     }
-    session.recycle(previous);
 
     let n = stats.transitions.max(1) as f64;
     stats.dirty_fraction_mean /= n;
-    stats.full_ms_per_rematch = full_secs * 1e3 / n;
-    stats.incremental_ms_per_rematch = rematch_secs * 1e3 / n;
-    stats.end_to_end_ms_per_rematch = end_to_end_secs * 1e3 / n;
+    stats.diff_ms = diff_secs * 1e3 / n;
+    stats.reprepare_ms = reprepare_secs * 1e3 / n;
+    stats.scratch_prepare_ms = scratch_secs * 1e3 / n;
     stats
 }
 
@@ -191,43 +177,31 @@ fn main() {
     }
 
     if gate {
-        // The evolution gate: deterministic output only (counts and
+        // The re-prepare gate: deterministic output only (counts and
         // diff-derived fractions — never wall times), so CI can diff two
-        // runs byte-for-byte. Bit-identity is asserted inside run_chain;
-        // the gate additionally pins the *planner*: low intensity must
-        // stay on the incremental path, heavy intensity must fall back.
+        // runs byte-for-byte.
         let intensities = [0.02, 0.15, 0.45];
-        println!("evolution-gate: seed={GATE_SEED:#x} intensities={intensities:?}");
-        let mut failed = false;
+        println!("reprepare-gate: seed={GATE_SEED:#x} intensities={intensities:?}");
+        let mut divergent = 0;
         for workload in small_workloads(8) {
             for &intensity in &intensities {
                 let stats = run_chain(&workload, intensity, GATE_SEED);
                 println!(
                     "chain {} ({} nodes) intensity={intensity}: transitions={} \
-                     incremental={} fallback={} rows={}/{} dirty_mean={:.4}",
+                     shape_changed={} recompute_rows={}/{} dirty_mean={:.4} divergent={}",
                     stats.workload,
                     stats.nodes,
                     stats.transitions,
-                    stats.incremental_runs,
-                    stats.fallback_runs,
-                    stats.rows_recomputed,
+                    stats.shape_changed,
+                    stats.recompute_rows,
                     stats.rows_full,
                     stats.dirty_fraction_mean,
+                    stats.divergent,
                 );
-                // A single insert can push a small tree past the fallback
-                // threshold, so low intensity demands a three-quarter
-                // majority on the incremental path, not unanimity.
-                if intensity <= 0.02 && stats.incremental_runs * 4 < stats.transitions * 3 {
-                    println!("  ^ low-intensity chain left the incremental path");
-                    failed = true;
-                }
-                if intensity >= 0.45 && stats.fallback_runs == 0 {
-                    println!("  ^ heavy-intensity chain never exercised the fallback");
-                    failed = true;
-                }
+                divergent += stats.divergent;
             }
         }
-        if failed {
+        if divergent > 0 {
             println!("FAIL");
             std::process::exit(1);
         }
@@ -258,60 +232,63 @@ fn main() {
         "chain",
         "nodes",
         "intensity",
-        "inc/fall",
-        "rows",
+        "shape chg",
+        "recompute",
         "dirty",
-        "full ms",
-        "inc ms",
+        "diff ms",
+        "reprep ms",
+        "scratch ms",
         "speedup",
-        "e2e ms",
     ]);
     let mut entries = Vec::new();
+    let mut divergent = 0;
     for workload in &workloads {
         for &intensity in intensities {
             let stats = run_chain(workload, intensity, GATE_SEED);
+            divergent += stats.divergent;
             table.row([
                 stats.workload.to_owned(),
                 stats.nodes.to_string(),
                 format!("{intensity}"),
-                format!("{}/{}", stats.incremental_runs, stats.fallback_runs),
-                format!("{}/{}", stats.rows_recomputed, stats.rows_full),
+                format!("{}/{}", stats.shape_changed, stats.transitions),
+                format!("{}/{}", stats.recompute_rows, stats.rows_full),
                 format!("{:.3}", stats.dirty_fraction_mean),
-                format!("{:.2}", stats.full_ms_per_rematch),
-                format!("{:.2}", stats.incremental_ms_per_rematch),
-                format!("{:.1}x", stats.rematch_speedup()),
-                format!("{:.2}", stats.end_to_end_ms_per_rematch),
+                format!("{:.3}", stats.diff_ms),
+                format!("{:.3}", stats.reprepare_ms),
+                format!("{:.3}", stats.scratch_prepare_ms),
+                format!("{:.2}x", stats.end_to_end_speedup()),
             ]);
             entries.push(format!(
                 "    {{\"chain\": \"{}\", \"nodes\": {}, \"intensity\": {}, \
-                 \"transitions\": {}, \"incremental_runs\": {}, \
-                 \"fallback_runs\": {}, \"rows_recomputed\": {}, \
-                 \"rows_full\": {}, \"dirty_fraction_mean\": {:.4}, \
-                 \"full_ms_per_rematch\": {:.3}, \
-                 \"incremental_ms_per_rematch\": {:.3}, \
-                 \"rematch_speedup\": {:.2}, \
-                 \"end_to_end_ms_per_rematch\": {:.3}, \
+                 \"transitions\": {}, \"shape_changed\": {}, \
+                 \"recompute_rows\": {}, \"rows_full\": {}, \
+                 \"dirty_fraction_mean\": {:.4}, \"diff_ms\": {:.3}, \
+                 \"reprepare_ms\": {:.3}, \"scratch_prepare_ms\": {:.3}, \
                  \"end_to_end_speedup\": {:.2}}}",
                 stats.workload,
                 stats.nodes,
                 stats.intensity,
                 stats.transitions,
-                stats.incremental_runs,
-                stats.fallback_runs,
-                stats.rows_recomputed,
+                stats.shape_changed,
+                stats.recompute_rows,
                 stats.rows_full,
                 stats.dirty_fraction_mean,
-                stats.full_ms_per_rematch,
-                stats.incremental_ms_per_rematch,
-                stats.rematch_speedup(),
-                stats.end_to_end_ms_per_rematch,
+                stats.diff_ms,
+                stats.reprepare_ms,
+                stats.scratch_prepare_ms,
                 stats.end_to_end_speedup(),
             ));
         }
     }
 
-    println!("Schema evolution: incremental vs full re-match (seed {GATE_SEED:#x})\n");
+    println!(
+        "Schema evolution: diff + re-prepare vs scratch prepare (seed {GATE_SEED:#x}, ms per transition)\n"
+    );
     print!("{}", table.render());
+    if divergent > 0 {
+        println!("\n{divergent} transition(s) diverged from the scratch path");
+        std::process::exit(1);
+    }
 
     if let Some(out_path) = out_path {
         let json = format!(

@@ -57,7 +57,7 @@ INSPECT / DIFF / GENERATE OPTIONS:
 DIFF:
     diff treats OLD and NEW as two revisions of one schema and prints the
     typed edit script (rename/move/insert/delete/prop-change) plus the
-    dirty-node summary the incremental re-match planner would see.
+    dirty-node summary: changed nodes and the DP rows they invalidate.
 
 FUZZ OPTIONS:
     --seed <N>                   master fuzzing seed (default 0)

@@ -691,7 +691,8 @@ fn inspect(path: &str, root: Option<&str>) -> Result<(), CommandError> {
 }
 
 /// `qmatch diff`: the typed edit script between two revisions of a schema,
-/// plus the dirty-node summary the incremental re-match planner consumes.
+/// plus the dirty-node summary: how many nodes changed and how many DP rows
+/// (dirty nodes and their ancestors) the drift invalidates.
 fn diff_command(old: &str, new: &str, root: Option<&str>) -> Result<(), CommandError> {
     let old_tree = load_tree(old, root)?;
     let new_tree = load_tree(new, root)?;
@@ -743,21 +744,6 @@ fn diff_command(old: &str, new: &str, root: Option<&str>) -> Result<(), CommandE
         ),
     ]);
     table.row(["shape changed".to_owned(), diff.shape_changed().to_string()]);
-    // The same plan the serve hot-update path would pick for a re-match
-    // against an unchanged target.
-    let incremental = !diff.shape_changed()
-        && diff.recompute_fraction() <= qmatch_core::EVOLVE_FALLBACK_THRESHOLD;
-    table.row([
-        "re-match plan".to_owned(),
-        if incremental {
-            "incremental (dirty rows + ancestors)".to_owned()
-        } else {
-            format!(
-                "full recompute (shape changed or recompute fraction > {})",
-                qmatch_core::EVOLVE_FALLBACK_THRESHOLD
-            )
-        },
-    ]);
     println!();
     print!("{}", table.render());
     Ok(())

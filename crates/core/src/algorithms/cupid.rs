@@ -24,7 +24,7 @@
 use super::{LabelMatrix, MatchOutcome};
 use crate::arena::MatchArena;
 use crate::mapping::{Correspondence, Mapping};
-use crate::matrix::{Precision, RawRows, Score, SimMatrix};
+use crate::matrix::{Precision, Score, SimMatrix};
 use crate::model::CupidParams;
 use crate::par;
 use crate::props::type_similarity;
@@ -394,25 +394,16 @@ fn recompute_wsim(
     rows.concat()
 }
 
-/// Writes the finished wsim grid into the outcome matrix through
-/// [`RawRows`], converting once per cell for `f32` storage.
+/// Writes the finished wsim grid into the outcome matrix, one disjoint
+/// block of rows per worker, converting once per cell for `f32` storage.
 fn fill_rows<S: Score>(wsim: &[f64], threads: usize, matrix: &mut SimMatrix) {
-    let rows_n = matrix.rows();
-    let cols_n = matrix.cols();
-    let raw = RawRows::<S>::new(matrix).expect("matrix storage matches the kernel scalar");
-    par::for_rows_with(
-        rows_n,
-        threads,
-        || (),
-        |_, s| {
-            // SAFETY: each row index is visited exactly once, so no two
-            // workers write the same row.
-            let row = unsafe { raw.row_mut(s) };
-            for (cell, &v) in row.iter_mut().zip(&wsim[s * cols_n..][..cols_n]) {
-                *cell = S::from_f64(v);
-            }
-        },
-    );
+    let cols = matrix.cols();
+    let data = S::data_vec_mut(matrix).expect("matrix storage matches the kernel scalar");
+    par::for_each_row_mut(data, cols, threads, |s, row| {
+        for (cell, &v) in row.iter_mut().zip(&wsim[s * cols..][..cols]) {
+            *cell = S::from_f64(v);
+        }
+    });
 }
 
 #[cfg(test)]

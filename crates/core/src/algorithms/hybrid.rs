@@ -26,7 +26,6 @@
 
 use super::{compare_single_labels, matcher_for_mode, LabelMatrix, MatchOutcome};
 use crate::arena::{MatchArena, RowScratch};
-use crate::diff::TreeDiff;
 use crate::matrix::{Precision, RawRows, Score, SimMatrix};
 use crate::model::{children_qom, MatchConfig};
 use crate::par;
@@ -37,12 +36,12 @@ use crate::trace::{Phase, Span, Trace};
 use qmatch_lexicon::name_match::LabelGrade;
 use qmatch_xsd::{NodeId, SchemaTree};
 
-/// Slack added to the floating-point upper bounds of the band prefilter.
-/// The bounds are weighted sums of values in `[0, 1]`, so their rounding
-/// error is ≤ 1e-15, and an `f32`-stored child score sits within 2⁻²⁴ of its
-/// `f64` value; 1e-6 covers both with orders of magnitude to spare, making
-/// a pruned row *provably* free of threshold-clearing cells in either
-/// precision.
+/// Slack added to the floating-point upper bound of the cross-kind
+/// prefilter. The bound is a weighted sum of values in `[0, 1]`, so its
+/// rounding error is ≤ 1e-15, and an `f32`-stored child score sits within
+/// 2⁻²⁴ of its `f64` value; 1e-6 covers both with orders of magnitude to
+/// spare, making the pruned cells *provably* unable to clear the threshold
+/// in either precision.
 const PRUNE_MARGIN: f64 = 1e-6;
 
 /// The engine proper, over prepared artifacts: the wave schedule, leaf
@@ -88,149 +87,6 @@ pub(crate) fn hybrid_match_impl(
     MatchOutcome { matrix, total_qom }
 }
 
-/// The incremental re-match engine (DESIGN.md §17). Rows outside the
-/// diff's recompute closure are copied verbatim from `previous` (the
-/// finished matrix of the *old* source against the same target) at their
-/// old row indices; rows inside the closure rerun the standard
-/// [`kernel_row`] wave by wave. Because a DP row is a pure function of the
-/// node's own facts and its children's finalized rows, the result is
-/// bit-identical to a full recompute — the property `tests` in
-/// `qmatch-datasets` pin this over drift-generated mutation chains.
-///
-/// The caller ([`MatchSession::rematch_with_precision`]) guarantees:
-/// `previous` has `diff.old_len()` rows, `target.tree().len()` columns, and
-/// storage precision `precision`.
-///
-/// [`MatchSession::rematch_with_precision`]: crate::session::MatchSession::rematch_with_precision
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn hybrid_rematch_impl(
-    source: &PreparedSchema,
-    target: &PreparedSchema,
-    config: &MatchConfig,
-    labels: &LabelMatrix,
-    diff: &TreeDiff,
-    previous: &SimMatrix,
-    threads: usize,
-    trace: &Trace,
-    arena: &MatchArena,
-    precision: Precision,
-) -> MatchOutcome {
-    let (rows, cols) = (source.tree().len(), target.tree().len());
-    debug_assert_eq!(previous.rows(), diff.old_len());
-    debug_assert_eq!(previous.cols(), cols);
-    debug_assert_eq!(previous.precision(), precision);
-    let t0 = trace.start();
-    let mut matrix = arena.take_matrix(rows, cols, precision);
-    let tables = PairTables::build(source, target, labels);
-    trace.finish(
-        t0,
-        Span {
-            rows: rows as u64,
-            cells: (rows * cols) as u64,
-            ..Span::empty(Phase::Alloc)
-        },
-    );
-    match precision {
-        Precision::F64 => run_waves_incremental::<f64>(
-            source,
-            config,
-            &tables,
-            diff,
-            previous,
-            threads,
-            trace,
-            arena,
-            &mut matrix,
-        ),
-        Precision::F32 => run_waves_incremental::<f32>(
-            source,
-            config,
-            &tables,
-            diff,
-            previous,
-            threads,
-            trace,
-            arena,
-            &mut matrix,
-        ),
-    }
-    let total_qom = matrix.get(source.tree().root_id(), target.tree().root_id());
-    MatchOutcome { matrix, total_qom }
-}
-
-/// Wavefront driver of the incremental re-match: clean rows are copied
-/// up-front (they are finalized facts of the previous revision and depend
-/// on nothing computed here), then each bottom-up wave recomputes only its
-/// closure rows. A recomputed row's children are either clean (copied
-/// before the waves started) or members of earlier waves — finalized either
-/// way, exactly the invariant [`kernel_row`] already relies on.
-#[allow(clippy::too_many_arguments)]
-fn run_waves_incremental<S: Score>(
-    source: &PreparedSchema,
-    config: &MatchConfig,
-    tables: &PairTables,
-    diff: &TreeDiff,
-    previous: &SimMatrix,
-    threads: usize,
-    trace: &Trace,
-    arena: &MatchArena,
-    matrix: &mut SimMatrix,
-) {
-    let (rows, cols) = (matrix.rows(), matrix.cols());
-    let raw = RawRows::<S>::new(matrix).expect("matrix storage matches the kernel scalar");
-    let prev = S::data_vec(previous).expect("previous matrix matches the kernel scalar");
-    for r in 0..rows {
-        let id = NodeId(r as u32);
-        if diff.needs_recompute(id) {
-            continue;
-        }
-        let old_r = diff
-            .old_of(id)
-            .expect("nodes outside the recompute closure are matched")
-            .index();
-        // SAFETY: single-threaded copy phase before any wave runs; each row
-        // is written at most once and recomputed rows are never touched.
-        unsafe {
-            raw.row_mut(r)
-                .copy_from_slice(&prev[old_r * cols..(old_r + 1) * cols]);
-        }
-    }
-    for (w, wave) in source.waves_by_height().iter().enumerate() {
-        let live: Vec<NodeId> = wave
-            .iter()
-            .copied()
-            .filter(|&id| diff.needs_recompute(id))
-            .collect();
-        if live.is_empty() {
-            continue;
-        }
-        let t0 = trace.start();
-        let states = par::for_rows_with(
-            live.len(),
-            threads,
-            || (arena.take_scratch(cols), 0u64),
-            |(scratch, skipped), i| {
-                *skipped += kernel_row::<S>(&raw, live[i], source, config, tables, scratch);
-            },
-        );
-        let mut skipped = 0u64;
-        for (scratch, n) in states {
-            arena.put_scratch(scratch);
-            skipped += n;
-        }
-        trace.finish(
-            t0,
-            Span {
-                wave: w as u32,
-                rows: live.len() as u64,
-                cells: (live.len() * cols) as u64,
-                skipped,
-                ..Span::empty(Phase::HybridWave)
-            },
-        );
-    }
-}
-
 /// Per-pair lookup tables gathered once per match so the wave kernels run
 /// tight loops over dense slices instead of chasing `NodeId`s. Label and
 /// property scores are stored once per *distinct* pair — always as `f64`,
@@ -244,7 +100,7 @@ struct PairTables<'p> {
     s_label: &'p [u32],
     t_label: &'p [u32],
     /// Per distinct source label: the best score over every distinct target
-    /// label — the label-similarity upper bound of the band prefilter.
+    /// label — the label-similarity term of the cross-kind prefilter's bound.
     lmax: Vec<f64>,
     /// Distinct property-profile scores, `… × prop_cols` row-major.
     ptab: Vec<f64>,
@@ -349,7 +205,7 @@ fn run_waves<S: Score>(
     for (w, wave) in source.waves_by_height().iter().enumerate() {
         // One span per wave, recorded by this coordinating thread after the
         // row join — never per cell. Workers lease one scratch set each and
-        // count the cells their prefilters skipped.
+        // count the cells their prefilter skipped.
         let t0 = trace.start();
         let states = par::for_rows_with(
             wave.len(),
@@ -378,7 +234,7 @@ fn run_waves<S: Score>(
 }
 
 /// One source node's full DP row, written in place. Returns the number of
-/// cells the children-pass prefilters skipped.
+/// cells the children-pass prefilter skipped.
 ///
 /// Safety of the in-place write: each source node appears exactly once in
 /// exactly one wave, so this worker holds the row exclusively; the children
@@ -453,15 +309,11 @@ fn kernel_row<S: Score>(
 /// source-child order, so the `f64` sums are bit-identical to the reference
 /// recursion's (max is order-free; the sum is not).
 ///
-/// Two prefilters skip cells that provably cannot clear the Figure 3
-/// threshold (bounds padded by [`PRUNE_MARGIN`]):
-///
-/// - a child whose best label score caps its QoM below the threshold skips
-///   its entire row;
-/// - a child whose *cross-kind* bound (no children credit) falls below the
-///   threshold scans only same-kind targets.
-///
-/// Returns the number of cells skipped (never read).
+/// A child whose *cross-kind* bound (its best label score plus the property
+/// and level axes, padded by [`PRUNE_MARGIN`]; no children credit) falls
+/// below the Figure 3 threshold scans only same-kind targets: a cross-kind
+/// cell provably cannot clear. Returns the number of cells skipped (never
+/// read).
 fn children_pass<S: Score>(
     raw: &RawRows<S>,
     sn: &qmatch_xsd::SchemaNode,
@@ -479,12 +331,6 @@ fn children_pass<S: Score>(
     let scan = (cols - 1) as u64; // non-root targets per child row
     for &cs in &sn.children {
         let lmax = tables.lmax[tables.s_label[cs.index()] as usize];
-        let full_ub = w.label * lmax + (w.properties + w.level + w.children) + PRUNE_MARGIN;
-        if full_ub < threshold {
-            // No cell in this child's row can clear the threshold.
-            skipped += scan;
-            continue;
-        }
         // SAFETY: `cs` has strictly smaller subtree height than its parent,
         // so its row was finalized by an earlier wave; nothing writes it now.
         let child_row = unsafe { raw.row(cs.index()) };

@@ -7,7 +7,7 @@
 
 use super::{LabelMatrix, MatchOutcome};
 use crate::arena::MatchArena;
-use crate::matrix::{Precision, RawRows, Score, SimMatrix};
+use crate::matrix::{Precision, Score, SimMatrix};
 use crate::par;
 use crate::session::PreparedSchema;
 use crate::trace::{Phase, Span, Trace};
@@ -54,28 +54,20 @@ pub(crate) fn linguistic_match_impl(
     MatchOutcome { matrix, total_qom }
 }
 
-/// Writes every label score in place through [`RawRows`], gathering from the
-/// distinct score table's contiguous rows.
+/// Writes every label score in place, one disjoint block of rows per
+/// worker, gathering from the distinct score table's contiguous rows.
 fn fill_rows<S: Score>(labels: &LabelMatrix, threads: usize, matrix: &mut SimMatrix) {
-    let rows_n = matrix.rows();
+    let cols = matrix.cols();
     let ltab = labels.score_table();
     let lcols = labels.distinct_cols_raw();
     let (sids, tids) = (labels.source_ids_raw(), labels.target_ids_raw());
-    let raw = RawRows::<S>::new(matrix).expect("matrix storage matches the kernel scalar");
-    par::for_rows_with(
-        rows_n,
-        threads,
-        || (),
-        |_, s| {
-            // SAFETY: each row index is visited exactly once, so no two
-            // workers write the same row.
-            let row = unsafe { raw.row_mut(s) };
-            let lrow = &ltab[sids[s] as usize * lcols..][..lcols];
-            for (cell, &t) in row.iter_mut().zip(tids) {
-                *cell = S::from_f64(lrow[t as usize]);
-            }
-        },
-    );
+    let data = S::data_vec_mut(matrix).expect("matrix storage matches the kernel scalar");
+    par::for_each_row_mut(data, cols, threads, |s, row| {
+        let lrow = &ltab[sids[s] as usize * lcols..][..lcols];
+        for (cell, &t) in row.iter_mut().zip(tids) {
+            *cell = S::from_f64(lrow[t as usize]);
+        }
+    });
 }
 
 #[cfg(test)]

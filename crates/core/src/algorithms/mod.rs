@@ -26,7 +26,7 @@ pub use hybrid::{hybrid_root_category, hybrid_root_category_from};
 
 pub(crate) use composite::composite_match_impl;
 pub(crate) use cupid::cupid_match_impl;
-pub(crate) use hybrid::{hybrid_match_impl, hybrid_rematch_impl, root_category_with_label};
+pub(crate) use hybrid::{hybrid_match_impl, root_category_with_label};
 pub(crate) use linguistic::linguistic_match_impl;
 pub(crate) use structural::structural_match_impl;
 pub(crate) use tree_edit::tree_edit_match;
@@ -228,16 +228,10 @@ impl LabelMatrix {
             .checked_div(self.distinct_cols)
             .unwrap_or(0)
     }
-
-    /// One distinct source label's comparison row — the unit the evolved
-    /// label build copies wholesale for labels shared between revisions.
-    pub(crate) fn distinct_row_raw(&self, row: usize) -> &[NameMatch] {
-        &self.table[row * self.distinct_cols..(row + 1) * self.distinct_cols]
-    }
 }
 
 // The full table is thousands of cells; a dimensional summary is what a
-// debug dump of a containing struct (e.g. `evolve::Rematch`) wants.
+// debug dump wants.
 impl std::fmt::Debug for LabelMatrix {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LabelMatrix")

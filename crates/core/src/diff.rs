@@ -4,10 +4,10 @@
 //! a handful of labels renamed, a subtree added, a leaf dropped. The match
 //! pipeline's artifacts (prepared tables, index signatures, DP matrices)
 //! are pure functions of the tree, so knowing *what changed* is enough to
-//! recompute only the affected slices — that is what [`crate::evolve`]
-//! does. This module computes the change set: a typed edit script plus the
-//! per-node dirty set and the old↔new node mapping the incremental paths
-//! consume.
+//! recompute only the affected slices — [`crate::evolve`] does that for
+//! the prepared tables. This module computes the change set: a typed edit
+//! script plus the per-node dirty set and the old↔new node mapping the
+//! incremental re-prepare consumes.
 //!
 //! # Anchoring
 //!
@@ -131,8 +131,9 @@ impl std::fmt::Display for EditOp {
 }
 
 /// The diff between an old and a new revision of a schema tree: the edit
-/// script, the old↔new node mapping, and the dirty/recompute sets the
-/// incremental re-prepare and re-match paths consume.
+/// script, the old↔new node mapping the incremental re-prepare consumes,
+/// and the dirty/recompute sets that measure how much of the DP a drift
+/// invalidates.
 #[derive(Debug, Clone)]
 pub struct TreeDiff {
     ops: Vec<EditOp>,
@@ -492,8 +493,8 @@ impl TreeDiff {
         self.dirty_count as f64 / self.new_to_old.len().max(1) as f64
     }
 
-    /// Recompute closure as a fraction of the new tree — the quantity the
-    /// incremental re-match compares against its fallback threshold.
+    /// Recompute closure as a fraction of the new tree — the share of DP
+    /// rows a drift invalidates.
     pub fn recompute_fraction(&self) -> f64 {
         self.recompute_count as f64 / self.new_to_old.len().max(1) as f64
     }

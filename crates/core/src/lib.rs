@@ -19,9 +19,9 @@
 //! - [`diff`] — deterministic tree diff between two schema revisions: a
 //!   typed edit script ([`diff::EditOp`]) plus per-node dirty/recompute
 //!   sets ([`diff::TreeDiff`]).
-//! - [`evolve`] — schema evolution over a diff: incremental re-prepare and
-//!   incremental re-match ([`evolve::Rematch`]), bit-identical to the
-//!   from-scratch paths (DESIGN.md §17).
+//! - [`evolve`] — schema evolution over a diff: the incremental re-prepare
+//!   ([`session::MatchSession::reprepare`]), structurally identical to a
+//!   scratch prepare (DESIGN.md §17).
 //! - [`algorithms`] — the engines behind [`algorithms::Algorithm`]:
 //!   linguistic, structural, hybrid (Figure 3), full-fidelity CUPID,
 //!   COMA-style composite, and a tree-edit-distance baseline (related work
@@ -91,7 +91,6 @@ pub use algorithms::{
 pub use arena::{ArenaStats, MatchArena};
 pub use diff::{EditCounts, EditOp, TreeDiff};
 pub use eval::{evaluate, GoldStandard, MatchQuality};
-pub use evolve::{Rematch, EVOLVE_FALLBACK_THRESHOLD};
 pub use explain::{explain_pair, Explanation};
 pub use index::{
     pair_is_candidate, CandidateSet, CorpusIndex, IndexParams, IndexPolicy, Signature,

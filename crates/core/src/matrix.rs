@@ -120,10 +120,6 @@ pub(crate) trait Score: Copy + Send + Sync + 'static {
     fn to_f64(self) -> f64;
     /// The matrix's backing vec, if it stores this precision.
     fn data_vec_mut(m: &mut SimMatrix) -> Option<&mut Vec<Self>>;
-    /// Read-only view of the backing vec, if it stores this precision —
-    /// lets the incremental re-match copy finalized rows out of a previous
-    /// outcome without widening through `f64`.
-    fn data_vec(m: &SimMatrix) -> Option<&Vec<Self>>;
 }
 
 impl Score for f64 {
@@ -137,12 +133,6 @@ impl Score for f64 {
     }
     fn data_vec_mut(m: &mut SimMatrix) -> Option<&mut Vec<f64>> {
         match &mut m.data {
-            MatrixData::F64(v) => Some(v),
-            MatrixData::F32(_) => None,
-        }
-    }
-    fn data_vec(m: &SimMatrix) -> Option<&Vec<f64>> {
-        match &m.data {
             MatrixData::F64(v) => Some(v),
             MatrixData::F32(_) => None,
         }
@@ -164,17 +154,15 @@ impl Score for f32 {
             MatrixData::F64(_) => None,
         }
     }
-    fn data_vec(m: &SimMatrix) -> Option<&Vec<f32>> {
-        match &m.data {
-            MatrixData::F32(v) => Some(v),
-            MatrixData::F64(_) => None,
-        }
-    }
 }
 
-/// Raw row-granular access to a [`SimMatrix`] for the wavefront kernels:
-/// rows of the current wave are written in place (no per-row `Vec`
-/// allocation + copy) while rows finalized in earlier waves are read.
+/// Raw row-granular access to a [`SimMatrix`] for the hybrid wavefront
+/// (`run_waves`): rows of the current wave are written in place (no per-row
+/// `Vec` allocation + copy) while rows finalized in earlier waves are read. A
+/// wave holds every source node of one subtree height, scattered over the
+/// pre-order, so its rows are not one contiguous block that
+/// `chunks_mut` could hand out; the flat linguistic and CUPID fills, whose
+/// rows are, write through [`crate::par::for_each_row_mut`] instead.
 ///
 /// # Safety contract
 ///

@@ -99,6 +99,39 @@ where
     states
 }
 
+/// Calls `f(r, row)` for every `cols`-wide row `r` of `data` on up to
+/// `threads` workers. Each worker owns one contiguous block of rows, cut
+/// with `chunks_mut` in the same chunking as [`for_rows_with`], so rows are
+/// written in place through plain `&mut` slices.
+pub(crate) fn for_each_row_mut<T, F>(data: &mut [T], cols: usize, threads: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    if cols == 0 {
+        return;
+    }
+    let n = data.len() / cols;
+    let threads = threads.min(n);
+    if threads <= 1 {
+        for (r, row) in data.chunks_mut(cols).enumerate() {
+            f(r, row);
+        }
+        return;
+    }
+    let chunk = n.div_ceil(threads);
+    let f = &f;
+    std::thread::scope(|scope| {
+        for (w, block) in data.chunks_mut(chunk * cols).enumerate() {
+            scope.spawn(move || {
+                for (k, row) in block.chunks_mut(cols).enumerate() {
+                    f(w * chunk + k, row);
+                }
+            });
+        }
+    });
+}
+
 /// Sets `out[idx[k] - idx[0]]` to `f(k)` for every `k` on up to `threads`
 /// workers, in place: `idx` is strictly ascending and `out` covers
 /// `idx[0]..=idx[last]`, so each worker's contiguous run of `idx` writes a
@@ -215,6 +248,23 @@ mod tests {
             );
         }
         scatter_ascending(&[], &mut [0u8; 0], 4, |_| 1u8);
+    }
+
+    #[test]
+    fn for_each_row_mut_writes_every_row_once_on_any_thread_count() {
+        for threads in [1, 2, 3, 4, 1000] {
+            let mut data = vec![usize::MAX; 7 * 5];
+            for_each_row_mut(&mut data, 5, threads, |r, row| {
+                for (c, cell) in row.iter_mut().enumerate() {
+                    *cell = r * 10 + c;
+                }
+            });
+            let want: Vec<usize> = (0..7)
+                .flat_map(|r| (0..5).map(move |c| r * 10 + c))
+                .collect();
+            assert_eq!(data, want, "threads {threads}");
+        }
+        for_each_row_mut(&mut [0u8; 0], 3, 4, |_, _| unreachable!());
     }
 
     #[test]

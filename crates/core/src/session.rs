@@ -476,12 +476,6 @@ impl MatchSession {
         self.arena.stats()
     }
 
-    /// The session's buffer arena (for the evolve engine, which drives the
-    /// kernels directly).
-    pub(crate) fn arena(&self) -> &MatchArena {
-        &self.arena
-    }
-
     /// The session's label interner (for the incremental re-prepare).
     pub(crate) fn interner(&self) -> &Mutex<Interner> {
         &self.interner
@@ -799,8 +793,7 @@ impl MatchSession {
         let rows = source.distinct.len();
         let cols = target.distinct.len();
         let mut table = vec![UNFILLED; rows * cols];
-        let all: Vec<usize> = (0..rows).collect();
-        let (hits, misses) = self.fill_rows(source, target, &all, &mut table);
+        let (hits, misses) = self.fill_table(source, target, &mut table);
         let matrix = LabelMatrix::from_parts(
             source.node_distinct.clone(),
             target.node_distinct.clone(),
@@ -820,84 +813,20 @@ impl MatchSession {
         matrix
     }
 
-    /// The dense label matrix for a prepared pair — the reusable artifact
-    /// [`MatchSession::rematch_evolved`] copies forward across revisions.
+    /// The dense label matrix for a prepared pair, built through the
+    /// session cache like the one every engine reads.
     pub fn label_matrix(&self, source: &PreparedSchema, target: &PreparedSchema) -> LabelMatrix {
         self.pair_labels(source, target)
     }
 
-    /// Builds the label matrix for `(new_source, target)` by reusing
-    /// `old_labels` — the matrix previously built for `(old_source,
-    /// target)` in this session. Distinct labels present in both revisions
-    /// copy their comparison row wholesale (label comparisons are pure in
-    /// the symbol pair, so the copied row is bit-identical to a recompute);
-    /// only the new revision's fresh labels go through the cache/compare
-    /// path. Returns `None` when `old_labels` does not line up with
-    /// `old_source`/`target`, in which case the caller must fall back to
-    /// [`MatchSession::pair_labels`].
-    pub(crate) fn pair_labels_evolved(
-        &self,
-        old_source: &PreparedSchema,
-        old_labels: &LabelMatrix,
-        new_source: &PreparedSchema,
-        target: &PreparedSchema,
-    ) -> Option<LabelMatrix> {
-        let rows = new_source.distinct.len();
-        let cols = target.distinct.len();
-        if old_labels.distinct_cols_raw() != cols
-            || old_labels.distinct_rows_raw() != old_source.distinct.len()
-        {
-            return None;
-        }
-        let t0 = self.trace.start();
-        let old_row: SymMap<usize> = old_source
-            .distinct
-            .iter()
-            .enumerate()
-            .map(|(i, &symbol)| (symbol, i))
-            .collect();
-        let mut table: Vec<NameMatch> = Vec::with_capacity(rows * cols);
-        let mut fresh: Vec<usize> = Vec::new();
-        for i in 0..rows {
-            match old_row.get(&new_source.distinct[i]) {
-                Some(&old_i) => table.extend_from_slice(old_labels.distinct_row_raw(old_i)),
-                None => {
-                    fresh.push(i);
-                    table.resize(table.len() + cols, UNFILLED);
-                }
-            }
-        }
-        let copied = (rows - fresh.len()) as u64 * cols as u64;
-        let (hits, misses) = self.fill_rows(new_source, target, &fresh, &mut table);
-        let matrix = LabelMatrix::from_parts(
-            new_source.node_distinct.clone(),
-            target.node_distinct.clone(),
-            cols,
-            table,
-        );
-        self.trace.finish(
-            t0,
-            Span {
-                rows: rows as u64,
-                cells: (rows * cols) as u64,
-                skipped: copied,
-                cache_hits: hits,
-                cache_misses: misses,
-                ..Span::empty(Phase::Labels)
-            },
-        );
-        Some(matrix)
-    }
-
-    /// Fills `rows` of `table` — the dense `source × target` distinct-label
-    /// table — from the session cache in one locked pass, then resolves
-    /// every miss in one batch ([`MatchSession::resolve_misses`]). Returns
-    /// the hit and miss counts, which it also adds to the session's.
-    fn fill_rows(
+    /// Fills `table` — the dense `source × target` distinct-label table —
+    /// from the session cache in one locked pass, then resolves every miss
+    /// in one batch ([`MatchSession::resolve_misses`]). Returns the hit and
+    /// miss counts, which it also adds to the session's.
+    fn fill_table(
         &self,
         source: &PreparedSchema,
         target: &PreparedSchema,
-        rows: &[usize],
         table: &mut [NameMatch],
     ) -> (u64, u64) {
         let cols = target.distinct.len();
@@ -906,13 +835,14 @@ impl MatchSession {
             let cache = self.labels.lock().expect("label cache lock");
             // A row the cache has never seen misses in full: room for those
             // up front, not by doubling.
-            let unseen = rows
+            let unseen = source
+                .distinct
                 .iter()
-                .filter(|&&i| !cache.contains_key(&source.distinct[i]))
+                .filter(|&symbol| !cache.contains_key(symbol))
                 .count();
             missing.reserve(unseen * cols);
-            for &i in rows {
-                let Some(row) = cache.get(&source.distinct[i]) else {
+            for (i, symbol) in source.distinct.iter().enumerate() {
+                let Some(row) = cache.get(symbol) else {
                     missing.extend(i * cols..(i + 1) * cols);
                     continue;
                 };
@@ -925,7 +855,7 @@ impl MatchSession {
             }
         }
         let misses = missing.len() as u64;
-        let hits = (rows.len() * cols) as u64 - misses;
+        let hits = (source.distinct.len() * cols) as u64 - misses;
         self.hits.fetch_add(hits, Ordering::Relaxed);
         self.misses.fetch_add(misses, Ordering::Relaxed);
         if let Some(&first) = missing.first() {
