@@ -691,8 +691,8 @@ fn inspect(path: &str, root: Option<&str>) -> Result<(), CommandError> {
 }
 
 /// `qmatch diff`: the typed edit script between two revisions of a schema,
-/// plus the dirty-node summary: how many nodes changed and how many DP rows
-/// (dirty nodes and their ancestors) the drift invalidates.
+/// plus a summary of the per-kind op counts and how many nodes of the new
+/// revision the drift touched.
 fn diff_command(old: &str, new: &str, root: Option<&str>) -> Result<(), CommandError> {
     let old_tree = load_tree(old, root)?;
     let new_tree = load_tree(new, root)?;
@@ -732,15 +732,6 @@ fn diff_command(old: &str, new: &str, root: Option<&str>) -> Result<(), CommandE
             diff.dirty_count(),
             new_tree.len(),
             f3(diff.dirty_fraction())
-        ),
-    ]);
-    table.row([
-        "recompute rows".to_owned(),
-        format!(
-            "{} / {} ({})",
-            diff.recompute_count(),
-            new_tree.len(),
-            f3(diff.recompute_fraction())
         ),
     ]);
     table.row(["shape changed".to_owned(), diff.shape_changed().to_string()]);

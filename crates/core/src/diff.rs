@@ -1,13 +1,11 @@
 //! Deterministic tree diff between two revisions of a schema.
 //!
 //! Schema registries are not write-once: a resident schema is re-`PUT` with
-//! a handful of labels renamed, a subtree added, a leaf dropped. The match
-//! pipeline's artifacts (prepared tables, index signatures, DP matrices)
-//! are pure functions of the tree, so knowing *what changed* is enough to
-//! recompute only the affected slices — [`crate::evolve`] does that for
-//! the prepared tables. This module computes the change set: a typed edit
-//! script plus the per-node dirty set and the old↔new node mapping the
-//! incremental re-prepare consumes.
+//! a handful of labels renamed, a subtree added, a leaf dropped. This
+//! module computes what changed between two revisions: a typed edit script
+//! plus the per-node dirty set. `qmatch diff` prints both; a re-`PUT`
+//! itself prepares the new revision from scratch and does not consult a
+//! diff.
 //!
 //! # Anchoring
 //!
@@ -22,18 +20,14 @@
 //! trees — no hashing with randomized state, no tie-breaking on pointer
 //! identity — so the same pair of trees always yields the same script.
 //!
-//! # Dirty set and recompute closure
+//! # Dirty set
 //!
 //! A node of the *new* tree is **dirty** when its own match-relevant facts
 //! changed: its label, its properties, its level (moves), or its child
 //! list (a child inserted, deleted, moved in/out, or reordered — the
 //! children axis of the QoM, and the order of the `f64` child-sum
-//! accumulation, both depend on it). The **recompute closure** is the dirty
-//! set plus all ancestors of dirty nodes: a DP row is a pure function of
-//! the node's own facts and its children's finalized rows, so invalidation
-//! propagates exactly one way — up the wavefront. Rows outside the closure
-//! are bit-identical to their old-revision rows by construction (see
-//! DESIGN.md §17).
+//! accumulation, both depend on it). The dirty fraction measures how much
+//! of a schema a drift touches (see DESIGN.md §17).
 
 use qmatch_xsd::{NodeId, SchemaTree};
 use std::collections::HashMap;
@@ -43,8 +37,7 @@ use std::collections::HashMap;
 /// `Rename`, `Move`, `PropChange`, and `InsertSubtree` carry node ids of
 /// the **new** tree; `DeleteSubtree` refers to the **old** tree (the
 /// subtree has no counterpart in the new one). Paths are `/`-joined label
-/// paths for human consumption (CLI, traces); the machine-facing mapping
-/// lives in [`TreeDiff`].
+/// paths for human consumption.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EditOp {
     /// A matched node's label changed.
@@ -130,30 +123,17 @@ impl std::fmt::Display for EditOp {
     }
 }
 
-/// The diff between an old and a new revision of a schema tree: the edit
-/// script, the old↔new node mapping the incremental re-prepare consumes,
-/// and the dirty/recompute sets that measure how much of the DP a drift
-/// invalidates.
+/// The diff between an old and a new revision of a schema tree, as
+/// `qmatch diff` prints it: the edit script, the dirty set of the new
+/// tree, and whether the node numbering changed.
 #[derive(Debug, Clone)]
 pub struct TreeDiff {
     ops: Vec<EditOp>,
-    /// New-tree index per old node; `u32::MAX` for deleted nodes.
-    old_to_new: Vec<u32>,
-    /// Old-tree index per new node; `u32::MAX` for inserted nodes.
-    new_to_old: Vec<u32>,
-    /// New-tree nodes whose label changed (subset of `dirty`); the
-    /// incremental re-prepare uses this to reuse interned symbols.
-    renamed: Vec<bool>,
     /// New-tree nodes whose own match-relevant facts changed.
     dirty: Vec<bool>,
-    /// `dirty` plus all ancestors of dirty nodes — the rows the DP must
-    /// recompute.
-    recompute: Vec<bool>,
     dirty_count: usize,
-    recompute_count: usize,
     /// Whether the old→new node mapping differs from the pre-order
-    /// identity. When `false`, every structural table of the old prepared
-    /// schema (waves, levels, leaf flags, parents) is reusable verbatim.
+    /// identity.
     shape_changed: bool,
 }
 
@@ -359,22 +339,6 @@ impl TreeDiff {
             }
         }
 
-        // ---- Recompute closure: dirty ∪ ancestors of dirty ----
-        let mut recompute = dirty.clone();
-        for (id, _) in new.iter() {
-            if !dirty[id.index()] {
-                continue;
-            }
-            let mut cur = new.node(id).parent;
-            while let Some(p) = cur {
-                if recompute[p.index()] {
-                    break;
-                }
-                recompute[p.index()] = true;
-                cur = new.node(p).parent;
-            }
-        }
-
         // ---- Edit script, in new-tree pre-order then old-tree pre-order ----
         let path = |tree: &SchemaTree, id: NodeId| tree.path_labels(id).join("/");
         let mut ops = Vec::new();
@@ -429,20 +393,13 @@ impl TreeDiff {
         // The identity test must look at the mapping, not the op list: a
         // delete under one parent plus an insert under another can leave
         // every node matched with per-parent order intact, yet shift the
-        // global pre-order numbering (old 9 ↔ new 8, old 8 ↔ new 9) — the
-        // old structural tables would silently describe the wrong ids.
+        // global pre-order numbering (old 9 ↔ new 8, old 8 ↔ new 9).
         let shape_changed = on != nn || old_to_new.iter().enumerate().any(|(i, &v)| v != i as u32);
         let dirty_count = dirty.iter().filter(|&&d| d).count();
-        let recompute_count = recompute.iter().filter(|&&d| d).count();
         TreeDiff {
             ops,
-            old_to_new,
-            new_to_old,
-            renamed,
             dirty,
-            recompute,
             dirty_count,
-            recompute_count,
             shape_changed,
         }
     }
@@ -461,21 +418,9 @@ impl TreeDiff {
     /// Whether the old→new node mapping differs from the pre-order
     /// identity. Any structural edit (insert/delete/move/reorder) does
     /// this, but so does a delete-plus-insert under different parents that
-    /// leaves every node matched — only `false` guarantees the old
-    /// revision's structural tables (waves, levels, leaf flags, parents)
-    /// are reusable verbatim.
+    /// leaves every node matched yet renumbers the pre-order.
     pub fn shape_changed(&self) -> bool {
         self.shape_changed
-    }
-
-    /// Number of nodes in the old tree.
-    pub fn old_len(&self) -> usize {
-        self.old_to_new.len()
-    }
-
-    /// Number of nodes in the new tree.
-    pub fn new_len(&self) -> usize {
-        self.new_to_old.len()
     }
 
     /// Number of new-tree nodes whose own match-relevant facts changed.
@@ -483,44 +428,9 @@ impl TreeDiff {
         self.dirty_count
     }
 
-    /// Size of the recompute closure (dirty nodes plus their ancestors).
-    pub fn recompute_count(&self) -> usize {
-        self.recompute_count
-    }
-
     /// Dirty nodes as a fraction of the new tree.
     pub fn dirty_fraction(&self) -> f64 {
-        self.dirty_count as f64 / self.new_to_old.len().max(1) as f64
-    }
-
-    /// Recompute closure as a fraction of the new tree — the share of DP
-    /// rows a drift invalidates.
-    pub fn recompute_fraction(&self) -> f64 {
-        self.recompute_count as f64 / self.new_to_old.len().max(1) as f64
-    }
-
-    /// The old-tree counterpart of a new-tree node, if it was matched.
-    #[inline]
-    pub fn old_of(&self, new_node: NodeId) -> Option<NodeId> {
-        match self.new_to_old[new_node.index()] {
-            u32::MAX => None,
-            i => Some(NodeId(i)),
-        }
-    }
-
-    /// The new-tree counterpart of an old-tree node, if it was matched.
-    #[inline]
-    pub fn new_of(&self, old_node: NodeId) -> Option<NodeId> {
-        match self.old_to_new[old_node.index()] {
-            u32::MAX => None,
-            i => Some(NodeId(i)),
-        }
-    }
-
-    /// Whether a new-tree node's label changed (subset of the dirty set).
-    #[inline]
-    pub fn is_renamed(&self, new_node: NodeId) -> bool {
-        self.renamed[new_node.index()]
+        self.dirty_count as f64 / self.dirty.len().max(1) as f64
     }
 
     /// Whether a new-tree node is in the dirty set.
@@ -529,15 +439,7 @@ impl TreeDiff {
         self.dirty[new_node.index()]
     }
 
-    /// Whether a new-tree node's DP row must be recomputed (dirty, or an
-    /// ancestor of a dirty node).
-    #[inline]
-    pub fn needs_recompute(&self, new_node: NodeId) -> bool {
-        self.recompute[new_node.index()]
-    }
-
-    /// Per-kind totals of the edit script (for CLI summaries and serve
-    /// metrics).
+    /// Per-kind totals of the edit script (for the CLI summary).
     pub fn op_counts(&self) -> EditCounts {
         let mut c = EditCounts::default();
         for op in &self.ops {
@@ -602,16 +504,13 @@ mod tests {
         assert!(diff.is_identity());
         assert!(!diff.shape_changed());
         assert_eq!(diff.dirty_count(), 0);
-        assert_eq!(diff.recompute_count(), 0);
         for (id, _) in a.iter() {
-            assert_eq!(diff.old_of(id), Some(id), "identity mapping");
-            assert_eq!(diff.new_of(id), Some(id));
-            assert!(!diff.needs_recompute(id));
+            assert!(!diff.is_dirty(id));
         }
     }
 
     #[test]
-    fn rename_dirties_node_and_ancestors() {
+    fn rename_dirties_only_the_renamed_node() {
         let old = po();
         let new = SchemaTree::from_labels(
             "PO",
@@ -632,16 +531,11 @@ mod tests {
             diff.ops()
         );
         assert!(!diff.shape_changed());
-        assert!(diff.is_renamed(NodeId(4)));
         assert!(diff.is_dirty(NodeId(4)));
-        // Closure: the renamed leaf, its parent (Lines), and the root.
-        assert!(diff.needs_recompute(NodeId(4)));
-        assert!(diff.needs_recompute(NodeId(2)));
-        assert!(diff.needs_recompute(NodeId(0)));
-        assert!(!diff.needs_recompute(NodeId(1)), "OrderNo row is clean");
-        assert!(!diff.needs_recompute(NodeId(3)), "Item row is clean");
+        // Ancestors of a renamed node keep their own facts: not dirty.
+        assert!(!diff.is_dirty(NodeId(2)), "Lines is clean");
+        assert!(!diff.is_dirty(NodeId(0)), "the root is clean");
         assert_eq!(diff.dirty_count(), 1);
-        assert_eq!(diff.recompute_count(), 3);
     }
 
     #[test]
@@ -698,9 +592,13 @@ mod tests {
         assert_eq!(counts.moves, 1, "{:?}", diff.ops());
         assert_eq!(counts.inserts, 0);
         assert_eq!(counts.deletes, 0);
-        // The moved subtree maps node-for-node.
-        assert_eq!(diff.new_of(NodeId(2)), Some(NodeId(3)), "Sub");
-        assert_eq!(diff.new_of(NodeId(3)), Some(NodeId(4)), "Leaf");
+        // The moved subtree is one op on its root.
+        let moved = EditOp::Move {
+            node: NodeId(3),
+            from_path: "R/A/Sub".to_owned(),
+            to_path: "R/B/Sub".to_owned(),
+        };
+        assert!(diff.ops().contains(&moved), "{:?}", diff.ops());
         // Both attachment points are dirty.
         assert!(diff.is_dirty(NodeId(1)), "old parent A");
         assert!(diff.is_dirty(NodeId(2)), "new parent B");
@@ -714,10 +612,14 @@ mod tests {
         assert!(diff.is_dirty(NodeId(0)), "accumulation order changed");
         assert!(!diff.is_identity());
         assert_eq!(diff.op_counts().moves, 1, "{:?}", diff.ops());
-        // The children's own rows are unchanged facts, but children of a
-        // reordered parent still map by label.
-        assert_eq!(diff.old_of(NodeId(1)), Some(NodeId(2)), "B");
-        assert_eq!(diff.old_of(NodeId(2)), Some(NodeId(1)), "A");
+        // Children of a reordered parent still map by label: A, now at
+        // new index 2, is the one child that moved.
+        let moved = EditOp::Move {
+            node: NodeId(2),
+            from_path: "R/A".to_owned(),
+            to_path: "R/A".to_owned(),
+        };
+        assert!(diff.ops().contains(&moved), "{:?}", diff.ops());
     }
 
     #[test]
@@ -734,9 +636,19 @@ mod tests {
             ],
         );
         let diff = TreeDiff::compute(&old, &new);
-        assert_eq!(diff.op_counts().renames, 1);
-        assert_eq!(diff.old_of(NodeId(0)), Some(NodeId(0)));
-        assert_eq!(diff.recompute_count(), 1, "only the root row changes");
+        assert!(
+            matches!(
+                diff.ops(),
+                [EditOp::Rename {
+                    node: NodeId(0),
+                    ..
+                }]
+            ),
+            "{:?}",
+            diff.ops()
+        );
+        assert!(!diff.shape_changed());
+        assert_eq!(diff.dirty_count(), 1, "only the root changes");
     }
 
     #[test]
@@ -755,7 +667,6 @@ mod tests {
         let a = TreeDiff::compute(&old, &new);
         let b = TreeDiff::compute(&old, &new);
         assert_eq!(a.ops(), b.ops());
-        assert_eq!(a.dirty_count(), b.dirty_count());
-        assert_eq!(a.recompute_count(), b.recompute_count());
+        assert_eq!(a.dirty, b.dirty);
     }
 }

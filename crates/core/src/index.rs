@@ -37,7 +37,7 @@ use crate::session::{MatchSession, PreparedSchema};
 use qmatch_lexicon::name_match::NameMatcher;
 use qmatch_lexicon::thesaurus::Thesaurus;
 use qmatch_lexicon::tokenize::Token;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::str::FromStr;
 
 /// FNV-1a 64-bit over a namespace byte plus content — the feature hash.
@@ -199,9 +199,8 @@ fn push_concepts(features: &mut Vec<u64>, thesaurus: &Thesaurus, token: &str) {
 /// Pushes every feature one distinct folded label contributes: the label
 /// hash, per-token hashes with consonant skeletons and thesaurus concepts,
 /// and the character trigrams. A pure function of `(label, tokens,
-/// thesaurus)` — both [`Signature::of`] and [`Signature::evolved`] build
-/// their feature sets exclusively through this, which is what makes the
-/// incremental union below exact.
+/// thesaurus)`, so a signature is the deduplicated union of its distinct
+/// labels' contributions.
 fn push_label_features(
     features: &mut Vec<u64>,
     thesaurus: &Thesaurus,
@@ -249,52 +248,6 @@ impl Signature {
             nodes: prepared.tree().len() as u32,
             depth: prepared.tree().max_depth(),
         }
-    }
-
-    /// Updates `self` (the signature of the *old* revision, built with the
-    /// same `matcher`) across a schema evolution, without re-hashing the
-    /// unchanged labels. The feature set is a deduplicated union over the
-    /// distinct folded labels, so:
-    ///
-    /// - equal label sets reuse the old features verbatim (only the
-    ///   node-count and depth bands change);
-    /// - added labels merge in exactly their `push_label_features`
-    ///   contribution;
-    /// - removed labels return `None` — a deduplicated union cannot be
-    ///   subtracted from (another label may contribute the same feature),
-    ///   so the caller must rebuild with [`Signature::of`].
-    ///
-    /// When `Some`, the result is identical to `Signature::of(new,
-    /// matcher)`.
-    pub fn evolved(
-        &self,
-        old: &PreparedSchema,
-        new: &PreparedSchema,
-        matcher: &NameMatcher,
-    ) -> Option<Signature> {
-        let old_set: HashSet<&str> = old.distinct_folded().iter().map(String::as_str).collect();
-        let new_set: HashSet<&str> = new.distinct_folded().iter().map(String::as_str).collect();
-        if !old_set.iter().all(|label| new_set.contains(label)) {
-            return None;
-        }
-        let mut features = self.features.clone();
-        let thesaurus = matcher.thesaurus();
-        let mut added = false;
-        for (label, tokens) in new.distinct_folded().iter().zip(new.distinct_tokens()) {
-            if !old_set.contains(label.as_str()) {
-                push_label_features(&mut features, thesaurus, label, tokens);
-                added = true;
-            }
-        }
-        if added {
-            features.sort_unstable();
-            features.dedup();
-        }
-        Some(Signature {
-            features,
-            nodes: new.tree().len() as u32,
-            depth: new.tree().max_depth(),
-        })
     }
 
     /// Number of distinct features.
@@ -462,8 +415,7 @@ impl CorpusIndex {
         self.by_name.is_empty()
     }
 
-    /// The signature registered under `name`, if any — the seed for
-    /// [`Signature::evolved`] on the serve hot-update path.
+    /// The signature registered under `name`, if any.
     pub fn get(&self, name: &str) -> Option<&Signature> {
         let id = *self.by_name.get(name)?;
         Some(
@@ -554,18 +506,6 @@ impl MatchSession {
     /// produce identical signatures.
     pub fn signature(&self, prepared: &PreparedSchema) -> Signature {
         Signature::of(prepared, self.matcher())
-    }
-
-    /// [`Signature::evolved`] through this session's matcher: incrementally
-    /// updates a resident signature across a schema revision, or `None`
-    /// when labels were removed and the caller must re-sign from scratch.
-    pub fn signature_evolved(
-        &self,
-        old_signature: &Signature,
-        old: &PreparedSchema,
-        new: &PreparedSchema,
-    ) -> Option<Signature> {
-        old_signature.evolved(old, new, self.matcher())
     }
 
     /// Ranks `corpus` against `source` by hybrid root QoM and returns the
@@ -716,51 +656,6 @@ mod tests {
         assert_eq!(sig_a.nodes(), 4);
         assert_eq!(sig_a.depth(), 1);
         assert!(sig_a.len() > 4, "labels + tokens + trigrams");
-    }
-
-    #[test]
-    fn evolved_signatures_match_from_scratch_builds() {
-        let session = MatchSession::new(MatchConfig::default());
-        let old_tree = po();
-        let old = session.prepare(&old_tree);
-        let old_sig = session.signature(&old);
-        // Additions only: incremental merge equals a fresh signature.
-        let grown = SchemaTree::from_labels(
-            "PO",
-            &[
-                ("PO", None),
-                ("OrderNo", Some(0)),
-                ("BillingAddress", Some(0)),
-                ("ShippingAddress", Some(0)),
-                ("DeliveryDate", Some(0)),
-            ],
-        );
-        let new = session.prepare(&grown);
-        let evolved = session
-            .signature_evolved(&old_sig, &old, &new)
-            .expect("additions merge incrementally");
-        assert_eq!(evolved, session.signature(&new));
-        // Equal label sets (structure-only change): features reused, bands
-        // updated.
-        let reshaped = SchemaTree::from_labels(
-            "PO",
-            &[
-                ("PO", None),
-                ("OrderNo", Some(0)),
-                ("BillingAddress", Some(1)),
-                ("ShippingAddress", Some(2)),
-            ],
-        );
-        let deep = session.prepare(&reshaped);
-        let evolved = session
-            .signature_evolved(&old_sig, &old, &deep)
-            .expect("equal label sets reuse features");
-        assert_eq!(evolved, session.signature(&deep));
-        assert_eq!(evolved.depth(), 3);
-        // A removed label forces a rebuild.
-        let shrunk = order();
-        let small = session.prepare(&shrunk);
-        assert!(session.signature_evolved(&old_sig, &old, &small).is_none());
     }
 
     #[test]

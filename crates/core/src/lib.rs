@@ -17,11 +17,8 @@
 //! - [`arena`] — the session-owned buffer pool ([`arena::MatchArena`])
 //!   reusing matrix and kernel-scratch allocations across matches.
 //! - [`diff`] — deterministic tree diff between two schema revisions: a
-//!   typed edit script ([`diff::EditOp`]) plus per-node dirty/recompute
-//!   sets ([`diff::TreeDiff`]).
-//! - [`evolve`] — schema evolution over a diff: the incremental re-prepare
-//!   ([`session::MatchSession::reprepare`]), structurally identical to a
-//!   scratch prepare (DESIGN.md §17).
+//!   typed edit script ([`diff::EditOp`]) plus the per-node dirty set
+//!   ([`diff::TreeDiff`]), printed by `qmatch diff`.
 //! - [`algorithms`] — the engines behind [`algorithms::Algorithm`]:
 //!   linguistic, structural, hybrid (Figure 3), full-fidelity CUPID,
 //!   COMA-style composite, and a tree-edit-distance baseline (related work
@@ -67,7 +64,6 @@ pub mod algorithms;
 pub mod arena;
 pub mod diff;
 pub mod eval;
-pub mod evolve;
 pub mod explain;
 pub mod index;
 pub mod intern;

@@ -70,9 +70,10 @@ pub enum Phase {
     /// One shard-thread execution of a queued serve job (`wall` = time on
     /// the shard, excluding queue wait).
     Shard,
-    /// A schema-evolution tree diff ([`crate::diff::TreeDiff::compute`]):
-    /// `rows` = new-tree nodes, `cells` = edit ops, `skipped` = rows the
-    /// recompute closure excludes.
+    /// Nothing records this phase. It exists only because the frozen
+    /// repository benchmark (`perfbench/`) names it, as it names
+    /// [`OwnedPreparedSchema`](crate::session::OwnedPreparedSchema); no
+    /// code in this workspace may emit it.
     Diff,
     /// One pass of the CUPID structural-similarity propagation (`wave` = 0
     /// leaf init, 1 bottom-up flag pass, 2 adjust + recompute): `rows` =

@@ -756,7 +756,6 @@ fn do_topk(req: &Request, state: &ServeState) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::Shard;
     use qmatch_core::model::MatchConfig;
     use qmatch_core::MatchSession;
 
@@ -1165,8 +1164,9 @@ mod tests {
         let single = state();
         let sharded = state_with(Registry::new(
             (0..4)
-                .map(|i| Arc::new(Shard::new(i, MatchSession::new(MatchConfig::default()), 8)))
+                .map(|_| MatchSession::new(MatchConfig::default()))
                 .collect(),
+            8,
         ));
         // Near-duplicates of the source (index candidates) plus one
         // unrelated schema the prefilter prunes.
@@ -1233,8 +1233,9 @@ mod tests {
         let single = state();
         let sharded = state_with(Registry::new(
             (0..4)
-                .map(|i| Arc::new(Shard::new(i, MatchSession::new(MatchConfig::default()), 8)))
+                .map(|_| MatchSession::new(MatchConfig::default()))
                 .collect(),
+            8,
         ));
         let order = PO.replace("\"PO\"", "\"Order\"");
         let purchase = PO.replace("\"PO\"", "\"Purchase\"");
@@ -1281,8 +1282,9 @@ mod tests {
     fn disposition_routes_by_owner_shard() {
         let state = state_with(Registry::new(
             (0..4)
-                .map(|i| Arc::new(Shard::new(i, MatchSession::new(MatchConfig::default()), 8)))
+                .map(|_| MatchSession::new(MatchConfig::default()))
                 .collect(),
+            8,
         ));
         let registry = &state.registry;
         assert_eq!(disposition(&get("/healthz"), registry), Disposition::Inline);

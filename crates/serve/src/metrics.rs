@@ -138,12 +138,6 @@ pub struct RegistrySnapshot {
     pub index_candidates: u64,
     /// Schemas pruned by the shard indexes before the DP ran.
     pub index_filtered: u64,
-    /// Schema replacements served by the diff-guided incremental
-    /// re-prepare (the `PUT /schemas/{name}` hot-update fast path).
-    pub evolve_incremental: u64,
-    /// Schema replacements that fell back to a full from-scratch prepare
-    /// (old revision not resident, or the diff was unusable).
-    pub evolve_full: u64,
     /// Schemas removed via `DELETE /schemas/{name}`.
     pub deletes: u64,
 }
@@ -370,12 +364,6 @@ impl Metrics {
             "qmatch_index_filtered_total {}",
             registry.index_filtered
         );
-        let _ = writeln!(
-            out,
-            "qmatch_evolve_incremental_total {}",
-            registry.evolve_incremental
-        );
-        let _ = writeln!(out, "qmatch_evolve_full_total {}", registry.evolve_full);
         let _ = writeln!(out, "qmatch_schema_deletes_total {}", registry.deletes);
         // Per-phase pipeline observability (fed by PhaseSink). Phases that
         // never fired are skipped so a fresh server stays terse.
@@ -537,8 +525,6 @@ mod tests {
             label_cached_pairs: 25,
             index_candidates: 7,
             index_filtered: 93,
-            evolve_incremental: 4,
-            evolve_full: 2,
             deletes: 1,
         };
         let text = m.render(&snapshot);
@@ -550,8 +536,6 @@ mod tests {
         assert!(text.contains("qmatch_label_cache_pairs 25"));
         assert!(text.contains("qmatch_index_candidates 7"));
         assert!(text.contains("qmatch_index_filtered_total 93"));
-        assert!(text.contains("qmatch_evolve_incremental_total 4"));
-        assert!(text.contains("qmatch_evolve_full_total 2"));
         assert!(text.contains("qmatch_schema_deletes_total 1"));
         let summary = m.summary(&snapshot);
         assert!(summary.contains("3 schema(s)"), "{summary}");

@@ -48,17 +48,30 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// A registry over an already-built shard vector (the server builds
-    /// one shard per worker thread, each with its own session).
-    pub fn new(shards: Vec<Arc<Shard>>) -> Registry {
-        assert!(!shards.is_empty(), "a registry needs at least one shard");
+    /// A registry of one shard per session (the server builds one per
+    /// worker thread). A match runs on the source's shard over the
+    /// target's artifact from its owner shard, so every session is made to
+    /// intern through the first one's interner
+    /// ([`MatchSession::share_interner`]).
+    pub fn new(mut sessions: Vec<MatchSession>, max_resident: usize) -> Registry {
+        let (first, rest) = sessions
+            .split_first_mut()
+            .expect("a registry needs at least one shard");
+        for session in rest {
+            session.share_interner(first);
+        }
+        let shards = sessions
+            .into_iter()
+            .enumerate()
+            .map(|(i, session)| Arc::new(Shard::new(i, session, max_resident)))
+            .collect();
         Registry { shards }
     }
 
     /// A single-shard registry — the old monolithic behavior, used by unit
     /// tests and embedders that do not need the sharded server.
     pub fn single(session: MatchSession, max_resident: usize) -> Registry {
-        Registry::new(vec![Arc::new(Shard::new(0, session, max_resident))])
+        Registry::new(vec![session], max_resident)
     }
 
     /// Number of shards.
@@ -172,8 +185,6 @@ impl Registry {
             total.label_cached_pairs += s.label_cached_pairs;
             total.index_candidates += s.index_candidates;
             total.index_filtered += s.index_filtered;
-            total.evolve_incremental += s.evolve_incremental;
-            total.evolve_full += s.evolve_full;
             total.deletes += s.deletes;
         }
         total
@@ -208,14 +219,9 @@ mod tests {
     fn sharded(shards: usize, max_resident: usize) -> Registry {
         Registry::new(
             (0..shards)
-                .map(|i| {
-                    Arc::new(Shard::new(
-                        i,
-                        MatchSession::new(MatchConfig::default()),
-                        max_resident,
-                    ))
-                })
+                .map(|_| MatchSession::new(MatchConfig::default()))
                 .collect(),
+            max_resident,
         )
     }
 
@@ -239,7 +245,7 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_and_reprepares_on_demand() {
+    fn lru_evicts_and_prepares_again_on_demand() {
         let r = registry(2);
         r.register("a", tree("A"), b"x");
         r.register("b", tree("B"), b"x");

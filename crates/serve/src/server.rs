@@ -21,7 +21,7 @@ use crate::metrics::{Metrics, PhaseSink};
 use crate::persist::Persist;
 use crate::reactor::{self, Timing, WakeFd};
 use crate::registry::Registry;
-use crate::shard::{run_worker, Completion, CompletionSender, Job, Shard};
+use crate::shard::{run_worker, Completion, CompletionSender, Job};
 use qmatch_core::model::MatchConfig;
 use qmatch_core::MatchSession;
 use qmatch_lexicon::NameMatcher;
@@ -133,8 +133,8 @@ impl Server {
         } else {
             config.threads
         };
-        let shards: Vec<Arc<Shard>> = (0..threads)
-            .map(|i| {
+        let sessions = (0..threads)
+            .map(|_| {
                 let mut session = match &config.matcher {
                     Some(matcher) => MatchSession::with_matcher(config.config, matcher.clone()),
                     None => MatchSession::new(config.config),
@@ -144,10 +144,10 @@ impl Server {
                 // qmatch_phase_* series of GET /metrics. Wired before the
                 // session is shared, as the sink API requires.
                 session.set_trace_sink(Arc::new(PhaseSink::new(metrics.clone())));
-                Arc::new(Shard::new(i, session, config.max_resident))
+                session
             })
             .collect();
-        let registry = Registry::new(shards);
+        let registry = Registry::new(sessions, config.max_resident);
         let persist = match &config.data_dir {
             Some(dir) => {
                 let (persist, replayed) =

@@ -6,10 +6,10 @@
 //! its own [`MatchSession`] (label cache, matrix arena). A match on
 //! `source` always executes on `shard_of(source)`'s thread, so the hot
 //! per-session state is touched by exactly one thread; a cross-shard
-//! *target* costs only an `Arc` clone of the owner's prepared artifact
-//! (preparation is a pure function of the tree, so artifacts are
-//! interchangeable between sessions — scores are bit-identical regardless
-//! of which session runs the match).
+//! *target* costs only an `Arc` clone of the owner's prepared artifact.
+//! Every shard's session interns labels through one shared interner, so
+//! artifacts are interchangeable between them — scores are bit-identical
+//! regardless of which session runs the match.
 //!
 //! The reactor feeds shards through per-shard channels of [`Job`]s:
 //! [`Job::Exec`] for single-shard work (PUT, `/match`), [`Job::Partial`]
@@ -84,8 +84,6 @@ pub struct Shard {
     evictions: AtomicU64,
     index_candidates: AtomicU64,
     index_filtered: AtomicU64,
-    evolve_incremental: AtomicU64,
-    evolve_full: AtomicU64,
     deletes: AtomicU64,
 }
 
@@ -104,8 +102,6 @@ impl Shard {
             evictions: AtomicU64::new(0),
             index_candidates: AtomicU64::new(0),
             index_filtered: AtomicU64::new(0),
-            evolve_incremental: AtomicU64::new(0),
-            evolve_full: AtomicU64::new(0),
             deletes: AtomicU64::new(0),
         }
     }
@@ -122,30 +118,14 @@ impl Shard {
 
     /// Registers (or replaces) a schema this shard owns. The tree is
     /// prepared eagerly so the first match does not pay preparation
-    /// latency.
-    ///
-    /// When a *revision* of a resident schema arrives (the hot-update
-    /// path), the new tree is diffed against the resident one and the
-    /// prepared artifacts and index signature are derived incrementally —
-    /// bit-identical to the from-scratch path, counted by the
-    /// `qmatch_evolve_*` metrics.
+    /// latency. A replacement is prepared and signed from scratch like a
+    /// first registration, so a re-`PUT` is equal to a fresh one by
+    /// construction.
     pub fn register(&self, name: &str, tree: SchemaTree, source: &[u8]) -> Registered {
         let profile = TreeProfile::of(&tree);
         let tree = Arc::new(tree);
-        let (prepared, signature) = match self.try_evolve(name, &tree) {
-            Some(pair) => {
-                self.evolve_incremental.fetch_add(1, Ordering::Relaxed);
-                pair
-            }
-            None => {
-                if self.contains(name) {
-                    self.evolve_full.fetch_add(1, Ordering::Relaxed);
-                }
-                let prepared = Arc::new(self.session.prepare(tree.clone()));
-                let signature = self.session.signature(&prepared);
-                (prepared, signature)
-            }
-        };
+        let prepared = Arc::new(self.session.prepare(tree.clone()));
+        let signature = self.session.signature(&prepared);
         let mut inner = self.inner.write().expect("shard lock");
         inner.index.insert(name, signature);
         let tick = self.next_tick();
@@ -174,38 +154,6 @@ impl Shard {
             nodes: profile.nodes,
             max_depth: profile.max_depth,
         }
-    }
-
-    /// The incremental half of [`Shard::register`]: when the old revision
-    /// of `name` is resident, reuse it. The diff drives an incremental
-    /// re-prepare (symbol + structural-table reuse), and the index
-    /// signature evolves in place unless labels were removed — then the
-    /// signature (only) is rebuilt from scratch. `None` means the caller
-    /// must take the full path: first registration, or the prepared
-    /// artifact was evicted (re-deriving it would cost a full prepare
-    /// anyway).
-    fn try_evolve(
-        &self,
-        name: &str,
-        new_tree: &Arc<SchemaTree>,
-    ) -> Option<(Arc<PreparedSchema>, Signature)> {
-        let (old_tree, old_prepared, old_signature) = {
-            let inner = self.inner.read().expect("shard lock");
-            let entry = inner.entries.get(name)?;
-            let resident = inner.resident.get(name)?;
-            let signature = inner.index.get(name)?.clone();
-            (entry.tree.clone(), resident.prepared.clone(), signature)
-        };
-        let diff = self.session.diff_trees(&old_tree, new_tree);
-        let prepared = Arc::new(
-            self.session
-                .reprepare(&old_prepared, new_tree.clone(), &diff),
-        );
-        let signature = self
-            .session
-            .signature_evolved(&old_signature, &old_prepared, &prepared)
-            .unwrap_or_else(|| self.session.signature(&prepared));
-        Some((prepared, signature))
     }
 
     /// Removes a schema this shard owns: the compiled tree, its resident
@@ -395,8 +343,6 @@ impl Shard {
             label_cached_pairs: labels.cached_pairs,
             index_candidates: self.index_candidates.load(Ordering::Relaxed),
             index_filtered: self.index_filtered.load(Ordering::Relaxed),
-            evolve_incremental: self.evolve_incremental.load(Ordering::Relaxed),
-            evolve_full: self.evolve_full.load(Ordering::Relaxed),
             deletes: self.deletes.load(Ordering::Relaxed),
         }
     }
@@ -637,31 +583,30 @@ mod tests {
     }
 
     #[test]
-    fn replacing_a_resident_schema_takes_the_evolve_fast_path() {
-        let s = shard(2);
-        s.register("po", tree("PO"), b"<po/>");
-        assert_eq!(s.snapshot().evolve_incremental, 0);
-        // Old revision is registered, resident, and indexed → diff-guided
-        // re-prepare instead of a from-scratch prepare.
-        let second = s.register("po", tree("PO"), b"<po v2/>");
-        assert!(second.replaced);
-        let snap = s.snapshot();
-        assert_eq!(snap.evolve_incremental, 1);
-        assert_eq!(snap.evolve_full, 0);
-        // The evolved entry still serves matches.
-        let prepared = s.prepared("po").expect("registered");
-        assert_eq!(prepared.tree().len(), 2);
-    }
-
-    #[test]
-    fn replacing_an_evicted_schema_counts_a_full_prepare() {
-        let s = shard(1);
-        s.register("po", tree("PO"), b"<po/>");
-        s.register("other", tree("O"), b"<o/>"); // evicts "po"
-        assert!(s.register("po", tree("PO"), b"<po v2/>").replaced);
-        let snap = s.snapshot();
-        assert_eq!(snap.evolve_incremental, 0, "old revision was not resident");
-        assert_eq!(snap.evolve_full, 1);
+    fn a_replacement_equals_a_fresh_registration() {
+        let revised = || {
+            SchemaTree::from_labels(
+                "PO",
+                &[("PO", None), ("OrderNumber", Some(0)), ("Qty", Some(0))],
+            )
+        };
+        // Cap 2 keeps the old revision resident; cap 1 lets "other" evict it.
+        for (max_resident, evicted) in [(2, false), (1, true)] {
+            let s = shard(max_resident);
+            s.register("po", tree("PO"), b"<po/>");
+            s.register("other", tree("O"), b"<o/>");
+            assert_eq!(s.snapshot().evictions, u64::from(evicted));
+            assert!(s.register("po", revised(), b"<po v2/>").replaced);
+            let prepared = s.prepared("po").expect("registered");
+            let scratch = s.session().prepare(revised());
+            prepared.assert_structural_eq(&scratch);
+            let inner = s.inner.read().expect("shard lock");
+            assert_eq!(
+                inner.index.get("po"),
+                Some(&s.session().signature(&scratch)),
+                "evicted={evicted}"
+            );
+        }
     }
 
     #[test]
@@ -676,10 +621,9 @@ mod tests {
         assert!(!s.remove("po"), "second delete is a no-op");
         assert_eq!(s.snapshot().deletes, 1);
         // A removed name can be registered afresh — and the re-register is
-        // a first registration, not a replacement or an evolve.
+        // a first registration, not a replacement.
         let again = s.register("po", tree("PO"), b"<po v3/>");
         assert!(!again.replaced);
-        assert_eq!(s.snapshot().evolve_full, 0);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 use qmatch::core::mapping::extract_mapping;
 use qmatch::core::model::MatchConfig;
 use qmatch::core::{Aggregation, Algorithm, Component, MatchSession};
-use qmatch::datasets::corpus;
-use qmatch::xsd::IngestLimits;
+use qmatch::datasets::{corpus, drift};
+use qmatch::xsd::{DataType, IngestLimits, NodeId, SchemaTree};
 use qmatch_serve::{fmt_f64, Server, ServerConfig, ShutdownHandle};
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
@@ -119,8 +120,40 @@ fn json_field<'a>(body: &'a str, key: &str) -> &'a str {
     &rest[..end]
 }
 
+/// Renders a tree as an XSD document with nested inline complex types
+/// (leaves keep their built-in type; empty complex leaves become strings).
+fn to_xsd(tree: &SchemaTree) -> String {
+    fn render(tree: &SchemaTree, id: NodeId, out: &mut String, depth: usize) {
+        let node = tree.node(id);
+        let pad = "  ".repeat(depth);
+        if node.children.is_empty() {
+            let ty = match &node.properties.data_type {
+                DataType::Builtin(b) => b.name(),
+                DataType::Complex(_) => "string",
+            };
+            let _ = writeln!(
+                out,
+                "{pad}<xs:element name=\"{}\" type=\"xs:{ty}\"/>",
+                node.label
+            );
+        } else {
+            let _ = writeln!(out, "{pad}<xs:element name=\"{}\">", node.label);
+            let _ = writeln!(out, "{pad}  <xs:complexType><xs:sequence>");
+            for &child in &node.children {
+                render(tree, child, out, depth + 2);
+            }
+            let _ = writeln!(out, "{pad}  </xs:sequence></xs:complexType>");
+            let _ = writeln!(out, "{pad}</xs:element>");
+        }
+    }
+    let mut out = String::from("<xs:schema xmlns:xs=\"http://www.w3.org/2001/XMLSchema\">\n");
+    render(tree, tree.root_id(), &mut out, 1);
+    out.push_str("</xs:schema>\n");
+    out
+}
+
 /// A library session prepared over the same corpus, for expectations.
-fn library() -> (MatchSession, Vec<(&'static str, qmatch::xsd::SchemaTree)>) {
+fn library() -> (MatchSession, Vec<(&'static str, SchemaTree)>) {
     let session = MatchSession::new(MatchConfig::default());
     let trees = vec![
         ("po1", corpus::po1()),
@@ -476,25 +509,51 @@ fn delete_and_hot_update_evolution() {
     // Baseline response for a pair that will ride through a hot update.
     let (status, baseline) = send(addr, "POST", "/v1/match?source=po1&target=po2", b"");
     assert_eq!(status, 200, "{baseline}");
-    // Re-PUT of a resident schema takes the diff-guided evolve fast path;
-    // the served bytes must not change (incremental = bit-identical).
+    // Re-PUT of an identical revision: the served bytes must not change.
     let (status, body) = send(addr, "PUT", "/v1/schemas/po1", corpus::po1_xsd().as_bytes());
     assert_eq!(status, 200, "{body}");
     assert!(body.contains(r#""replaced":true"#), "{body}");
     let (status, after) = send(addr, "POST", "/v1/match?source=po1&target=po2", b"");
     assert_eq!(status, 200);
     assert_eq!(baseline, after, "hot update must not change match bytes");
-    let (_, metrics) = send(addr, "GET", "/v1/metrics", b"");
-    let evolve_line = metrics
-        .lines()
-        .find(|l| l.starts_with("qmatch_evolve_incremental_total "))
-        .expect("evolve metric");
-    let evolved: u64 = evolve_line.rsplit(' ').next().unwrap().parse().unwrap();
-    assert!(evolved >= 1, "{metrics}");
-    assert!(
-        metrics.contains("qmatch_phase_count{phase=\"diff\"}"),
-        "the evolve path records Diff spans: {metrics}"
-    );
+    // Re-PUT of a drifted revision: every match and index-forced topk body
+    // equals that of a fresh server that only ever saw the final revision,
+    // so no posting of the old revision survives in the index.
+    let drifted = to_xsd(&drift::mutation_chain(&corpus::po1(), 1, 0.3, 7)[0]);
+    let (status, body) = send(addr, "PUT", "/v1/schemas/po1", drifted.as_bytes());
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains(r#""replaced":true"#), "{body}");
+    let (fresh_addr, fresh_shutdown, fresh_runner) = boot();
+    for (name, xsd) in CORPUS {
+        let xsd = if name == "po1" {
+            drifted.as_str()
+        } else {
+            xsd()
+        };
+        let (status, body) = send(
+            fresh_addr,
+            "PUT",
+            &format!("/v1/schemas/{name}"),
+            xsd.as_bytes(),
+        );
+        assert_eq!(status, 201, "registering {name}: {body}");
+    }
+    let queries = [
+        "/v1/match?source=po1&target=po2",
+        "/v1/match?source=po2&target=po1",
+        "/v1/match/topk?source=po1&k=10&index=force",
+        "/v1/match/topk?source=po2&k=10&index=force",
+    ];
+    for query in queries {
+        let (status, replaced) = send(addr, "POST", query, b"");
+        assert_eq!(status, 200, "{query}: {replaced}");
+        let (_, fresh) = send(fresh_addr, "POST", query, b"");
+        assert_eq!(replaced, fresh, "{query}");
+    }
+    let (_, drifted_match) = send(addr, "POST", queries[0], b"");
+    assert_ne!(baseline, drifted_match, "the drift changes the match");
+    fresh_shutdown.shutdown();
+    fresh_runner.join().expect("fresh server thread");
     // DELETE removes the schema from listings, matching, and the index.
     let (status, body) = send(addr, "DELETE", "/v1/schemas/book", b"");
     assert_eq!(status, 200, "{body}");
