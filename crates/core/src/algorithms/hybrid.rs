@@ -27,7 +27,7 @@
 use super::{compare_single_labels, matcher_for_mode, LabelMatrix, MatchOutcome};
 use crate::arena::{MatchArena, RowScratch};
 use crate::matrix::{Precision, RawRows, Score, SimMatrix};
-use crate::model::{children_qom, MatchConfig};
+use crate::model::{children_qom, MatchConfig, Weights};
 use crate::par;
 use crate::props::compare_properties;
 use crate::session::{MatchSession, PreparedSchema};
@@ -43,6 +43,24 @@ use qmatch_xsd::{NodeId, SchemaTree};
 /// spare, making the pruned cells *provably* unable to clear the threshold
 /// in either precision.
 const PRUNE_MARGIN: f64 = 1e-6;
+
+/// An upper bound on the hybrid root QoM (`total_qom`) of a pair, from the
+/// two roots' label score `label` and property score `properties` alone.
+///
+/// The root cell is Equation 1 (`qom(L, P, H, C)`, `H ∈ {0, 1}`, `C ≤ 1`)
+/// or, for two single-node schemas, Equation 2 (`leaf_qom(L, P)`). Weights
+/// are non-negative and round-to-nearest is monotone, so
+/// `qom(L, P, 1, 1) ≥ qom(L, P, H, C)` holds in `f64`; the maximum with
+/// the leaf form covers Equation 2's other summation order, and
+/// [`PRUNE_MARGIN`] covers a cell's `f32` storage rounding and the 1e-9
+/// unit-sum tolerance of [`Weights`](crate::model::Weights). DESIGN.md §19
+/// has the full argument.
+pub(crate) fn root_qom_bound(weights: &Weights, label: f64, properties: f64) -> f64 {
+    weights
+        .qom(label, properties, 1.0, 1.0)
+        .max(weights.leaf_qom(label, properties))
+        + PRUNE_MARGIN
+}
 
 /// The engine proper, over prepared artifacts: the wave schedule, leaf
 /// flags, levels, parent links, and distinct property profiles all come

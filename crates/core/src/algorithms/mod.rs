@@ -26,7 +26,7 @@ pub use hybrid::{hybrid_root_category, hybrid_root_category_from};
 
 pub(crate) use composite::composite_match_impl;
 pub(crate) use cupid::cupid_match_impl;
-pub(crate) use hybrid::{hybrid_match_impl, root_category_with_label};
+pub(crate) use hybrid::{hybrid_match_impl, root_category_with_label, root_qom_bound};
 pub(crate) use linguistic::linguistic_match_impl;
 pub(crate) use structural::structural_match_impl;
 pub(crate) use tree_edit::tree_edit_match;

@@ -434,8 +434,8 @@ impl TreeDiff {
     }
 
     /// Whether a new-tree node is in the dirty set.
-    #[inline]
-    pub fn is_dirty(&self, new_node: NodeId) -> bool {
+    #[cfg(test)]
+    fn is_dirty(&self, new_node: NodeId) -> bool {
         self.dirty[new_node.index()]
     }
 

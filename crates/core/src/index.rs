@@ -32,8 +32,9 @@
 //! [`tokenize`]: qmatch_lexicon::tokenize()
 //! [`Thesaurus::canonical_folded`]: qmatch_lexicon::Thesaurus::canonical_folded
 
-use crate::algorithms::MatchOutcome;
+use crate::algorithms::{Algorithm, MatchOutcome};
 use crate::session::{MatchSession, PreparedSchema};
+use crate::topk::Candidate;
 use qmatch_lexicon::name_match::NameMatcher;
 use qmatch_lexicon::thesaurus::Thesaurus;
 use qmatch_lexicon::tokenize::Token;
@@ -415,17 +416,6 @@ impl CorpusIndex {
         self.by_name.is_empty()
     }
 
-    /// The signature registered under `name`, if any.
-    pub fn get(&self, name: &str) -> Option<&Signature> {
-        let id = *self.by_name.get(name)?;
-        Some(
-            &self.docs[id as usize]
-                .as_ref()
-                .expect("doc slot in sync")
-                .signature,
-        )
-    }
-
     /// Indexes (or replaces) a schema's signature under `name`.
     pub fn insert(&mut self, name: &str, signature: Signature) {
         self.remove(name);
@@ -514,11 +504,12 @@ impl MatchSession {
     /// `exclude` (the source's own registry name, if any) are skipped.
     ///
     /// Under [`IndexPolicy::Off`] — and under [`IndexPolicy::Auto`] when
-    /// the corpus is at or below [`IndexParams::floor`] — every entry runs
-    /// the full DP. Otherwise a throwaway [`CorpusIndex`] gates the DP to
-    /// the candidate set (callers ranking the same corpus repeatedly
-    /// should maintain a [`CorpusIndex`] themselves, as the serve shards
-    /// do).
+    /// the corpus is at or below [`IndexParams::floor`] — every entry is a
+    /// candidate. Otherwise a throwaway [`CorpusIndex`] narrows the
+    /// candidates (callers ranking the same corpus repeatedly should
+    /// maintain a [`CorpusIndex`] themselves, as the serve shards do).
+    /// [`MatchSession::rank_topk`] then runs the DP only on candidates
+    /// whose root-QoM bound can still reach the top `k`.
     pub fn topk(
         &self,
         source: &PreparedSchema,
@@ -537,23 +528,30 @@ impl MatchSession {
         } else {
             None
         };
-        let mut ranking: Vec<(String, f64)> = Vec::new();
-        for (name, prepared) in corpus {
-            if Some(*name) == exclude {
-                continue;
-            }
-            if let Some(names) = &candidate_names {
-                if names.binary_search_by(|n| n.as_str().cmp(name)).is_err() {
-                    continue;
+        let admitted = |name: &str| {
+            Some(name) != exclude
+                && match &candidate_names {
+                    Some(names) => names.binary_search_by(|n| n.as_str().cmp(name)).is_ok(),
+                    None => true,
                 }
-            }
-            let outcome = self.hybrid(source, prepared);
-            ranking.push(((*name).to_owned(), outcome.total_qom));
-            self.recycle(outcome);
-        }
-        ranking.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        ranking.truncate(k);
-        ranking
+        };
+        let candidates: Vec<Candidate> = corpus
+            .iter()
+            .filter(|(name, _)| admitted(name))
+            .map(|&(name, prepared)| Candidate::of(name, prepared))
+            .collect();
+        let by_name: HashMap<&str, &PreparedSchema> = corpus.iter().copied().collect();
+        let fetch = |name: &str| by_name.get(name).copied();
+        self.rank_topk(
+            &Algorithm::Hybrid,
+            source,
+            &candidates,
+            k,
+            self.config().precision,
+            fetch,
+        )
+        .expect("hybrid is infallible")
+        .ranking
     }
 
     /// [`MatchSession::match_corpus`] with an [`IndexPolicy`] gate: pairs

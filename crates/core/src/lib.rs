@@ -32,6 +32,8 @@
 //!   ([`session::MatchSession`], [`session::PreparedSchema`]) with the
 //!   cross-schema label cache; [`session::MatchSession::run`] is the one
 //!   entry point to every engine.
+//! - [`topk`] — exact top-k ranking that runs the DP only on candidates
+//!   whose root-QoM bound can still reach the top `k`.
 //! - [`mapping`] — extraction of 1:1 correspondences from a matrix.
 //! - [`trace`] — zero-dependency pipeline observability: [`trace::Span`]s
 //!   per phase through a [`trace::TraceSink`] (see DESIGN.md §13).
@@ -77,6 +79,7 @@ pub mod report;
 pub mod session;
 pub mod taxonomy;
 mod token_table;
+pub mod topk;
 pub mod trace;
 pub mod tuning;
 
@@ -100,4 +103,5 @@ pub use quality::{
 };
 pub use session::{CacheStats, MatchSession, OwnedPreparedSchema, PreparedSchema};
 pub use taxonomy::{AxisGrade, CoverageGrade, MatchCategory};
+pub use topk::{Candidate, Topk, TopkWork};
 pub use trace::{NullSink, Phase, PhaseStats, Recorder, Span, Trace, TraceSink};

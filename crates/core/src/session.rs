@@ -165,6 +165,15 @@ impl PreparedSchema {
         &self.waves_depth
     }
 
+    /// The distinct labels of this tree as one side of a label build.
+    pub(crate) fn labels(&self) -> Labels<'_> {
+        Labels {
+            symbols: &self.distinct,
+            folded: &self.distinct_folded,
+            tokens: &self.distinct_tokens,
+        }
+    }
+
     /// Dense per-node nesting levels (kernel fast path).
     pub(crate) fn levels_raw(&self) -> &[u32] {
         &self.levels
@@ -213,6 +222,26 @@ impl PreparedSchema {
         assert_eq!(self.parents, other.parents, "parents");
         assert_eq!(self.node_props, other.node_props, "node_props");
         assert_eq!(self.distinct_props, other.distinct_props, "distinct_props");
+    }
+}
+
+/// One side of a label build: distinct labels as parallel slices of
+/// symbols, case-folded forms and token sequences.
+#[derive(Clone, Copy)]
+pub(crate) struct Labels<'a> {
+    pub(crate) symbols: &'a [Symbol],
+    pub(crate) folded: &'a [String],
+    pub(crate) tokens: &'a [Vec<Token>],
+}
+
+impl<'a> Labels<'a> {
+    /// The one-label side holding label `i` only.
+    fn single(self, i: usize) -> Labels<'a> {
+        Labels {
+            symbols: &self.symbols[i..=i],
+            folded: &self.folded[i..=i],
+            tokens: &self.tokens[i..=i],
+        }
     }
 }
 
@@ -752,12 +781,71 @@ impl MatchSession {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut computed = [UNFILLED];
         self.resolve_misses(
-            source,
-            target,
+            source.labels(),
+            target.labels(),
             &[i * target.distinct.len() + j],
             &mut computed,
         );
         computed[0]
+    }
+
+    /// The label score of `source`'s root against each of `roots`, in
+    /// order, through the session cache. Every symbol of `roots` must come
+    /// from this session's interner: it is the root symbol of a schema
+    /// prepared through it (or through a session sharing it). A miss is
+    /// graded by the code that fills a label-matrix build and then cached,
+    /// so each score carries the bits the hybrid DP reads for that root
+    /// pair. Counts one cache hit or miss per distinct symbol.
+    pub(crate) fn root_label_scores(&self, source: &PreparedSchema, roots: &[Symbol]) -> Vec<f64> {
+        assert!(
+            Arc::ptr_eq(&self.interner, &source.interner),
+            "a schema prepared through another interner; see MatchSession::share_interner"
+        );
+        let i = source.node_distinct[source.tree.root_id().index()] as usize;
+        let mut distinct = roots.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let mut found = vec![UNFILLED; distinct.len()];
+        let mut missing: Vec<usize> = Vec::new();
+        {
+            let cache = self.labels.lock().expect("label cache lock");
+            let row = cache.get(&source.distinct[i]);
+            for (j, &symbol) in distinct.iter().enumerate() {
+                match row.and_then(|row| row.get(symbol)) {
+                    Some(hit) => found[j] = hit,
+                    None => missing.push(j),
+                }
+            }
+        }
+        self.hits
+            .fetch_add((distinct.len() - missing.len()) as u64, Ordering::Relaxed);
+        self.misses
+            .fetch_add(missing.len() as u64, Ordering::Relaxed);
+        if !missing.is_empty() {
+            let symbols: Vec<Symbol> = missing.iter().map(|&j| distinct[j]).collect();
+            let (folded, tokens): (Vec<String>, Vec<Vec<Token>>) = {
+                let interner = self.interner.lock().expect("interner lock");
+                symbols
+                    .iter()
+                    .map(|&t| (interner.folded(t).to_owned(), interner.tokens(t).to_vec()))
+                    .unzip()
+            };
+            let targets = Labels {
+                symbols: &symbols,
+                folded: &folded,
+                tokens: &tokens,
+            };
+            let all: Vec<usize> = (0..symbols.len()).collect();
+            let mut computed = vec![UNFILLED; symbols.len()];
+            self.resolve_misses(source.labels().single(i), targets, &all, &mut computed);
+            for (&j, m) in missing.iter().zip(computed) {
+                found[j] = m;
+            }
+        }
+        roots
+            .iter()
+            .map(|root| found[distinct.binary_search(root).expect("deduplicated root")].score)
+            .collect()
     }
 
     /// Builds the dense per-pair label table from the session cache,
@@ -838,7 +926,12 @@ impl MatchSession {
         self.hits.fetch_add(hits, Ordering::Relaxed);
         self.misses.fetch_add(misses, Ordering::Relaxed);
         if let Some(&first) = missing.first() {
-            self.resolve_misses(source, target, &missing, &mut table[first..]);
+            self.resolve_misses(
+                source.labels(),
+                target.labels(),
+                &missing,
+                &mut table[first..],
+            );
         }
         (hits, misses)
     }
@@ -851,17 +944,17 @@ impl MatchSession {
     /// cache.
     fn resolve_misses(
         &self,
-        source: &PreparedSchema,
-        target: &PreparedSchema,
+        source: Labels<'_>,
+        target: Labels<'_>,
         missing: &[usize],
         out: &mut [NameMatch],
     ) {
-        let (cols, first) = (target.distinct.len(), missing[0]);
+        let (cols, first) = (target.symbols.len(), missing[0]);
         let scored = self.compare_misses(source, target, missing, out);
         self.token_scores.fetch_add(scored, Ordering::Relaxed);
         // Every row this build touches grows its known bits once, to the
         // largest target symbol.
-        let bound = target.distinct.iter().max().map_or(0, |s| s.index() + 1);
+        let bound = target.symbols.iter().max().map_or(0, |s| s.index() + 1);
         let mut added = 0;
         let mut cache = self.labels.lock().expect("label cache lock");
         // Ascending indices group by source row: one row lookup per row.
@@ -869,10 +962,10 @@ impl MatchSession {
         while start < missing.len() {
             let i = missing[start] / cols;
             let end = start + missing[start..].partition_point(|&idx| idx / cols == i);
-            let row = cache.entry(source.distinct[i]).or_default();
+            let row = cache.entry(source.symbols[i]).or_default();
             row.grow(bound);
             for &idx in &missing[start..end] {
-                added += u64::from(row.insert(target.distinct[idx % cols], out[idx - first]));
+                added += u64::from(row.insert(target.symbols[idx % cols], out[idx - first]));
             }
             start = end;
         }

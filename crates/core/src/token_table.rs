@@ -24,7 +24,7 @@
 
 use crate::model::LexiconMode;
 use crate::par;
-use crate::session::{MatchSession, PreparedSchema};
+use crate::session::{Labels, MatchSession};
 use qmatch_lexicon::name_match::{content_positions, LabelGrade, NameMatch, NameMatcher};
 use qmatch_lexicon::tokenize::Token;
 use qmatch_lexicon::TokenForm;
@@ -104,15 +104,15 @@ impl MatchSession {
     /// token pairs scored.
     pub(crate) fn compare_misses(
         &self,
-        source: &PreparedSchema,
-        target: &PreparedSchema,
+        source: Labels<'_>,
+        target: Labels<'_>,
         missing: &[usize],
         out: &mut [NameMatch],
     ) -> u64 {
-        let cols = target.distinct.len();
+        let cols = target.symbols.len();
         if self.config().lexicon == LexiconMode::ExactOnly {
             let exact = |idx: usize| {
-                if source.distinct_folded[idx / cols] == target.distinct_folded[idx % cols] {
+                if source.folded[idx / cols] == target.folded[idx % cols] {
                     NameMatch {
                         grade: LabelGrade::Exact,
                         score: 1.0,
@@ -127,14 +127,14 @@ impl MatchSession {
             par::scatter_ascending(missing, out, 1, |k| exact(missing[k]));
             return 0;
         }
-        let (mut row_used, mut col_used) = (vec![false; source.distinct.len()], vec![false; cols]);
+        let (mut row_used, mut col_used) = (vec![false; source.symbols.len()], vec![false; cols]);
         for &idx in missing {
             row_used[idx / cols] = true;
             col_used[idx % cols] = true;
         }
         let matcher: &NameMatcher = self.matcher();
-        let rows = Side::new(matcher, &source.distinct_tokens, &row_used);
-        let columns = Side::new(matcher, &target.distinct_tokens, &col_used);
+        let rows = Side::new(matcher, source.tokens, &row_used);
+        let columns = Side::new(matcher, target.tokens, &col_used);
         let width = columns.forms.len();
 
         // Mark the content-token pairs the misses align.
@@ -185,8 +185,8 @@ impl MatchSession {
             let (i, j) = (missing[k] / cols, missing[k] % cols);
             let (row_ids, col_ids) = (rows.ids(i), columns.ids(j));
             matcher.compare_with(
-                &source.distinct_tokens[i],
-                &target.distinct_tokens[j],
+                &source.tokens[i],
+                &target.tokens[j],
                 [rows.acronyms[i], columns.acronyms[j]],
                 [rows.content(i), columns.content(j)],
                 |p, q| table[row_ids[p] as usize * width + col_ids[q] as usize],

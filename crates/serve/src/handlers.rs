@@ -584,54 +584,77 @@ pub struct TopkPlan {
     pub signature: Signature,
 }
 
+/// The query parameters of `/match/topk` other than `source`, decoded and
+/// typed. Decoding checks `k`, `algo`, `precision` and `index` in that
+/// order and answers the first bad one with its typed 400.
+#[derive(Debug)]
+struct TopkQuery {
+    /// `k=` (default 5): how many ranked targets to return, at least 1.
+    k: usize,
+    /// `algo=` (default `hybrid`): the ranking engine, `hybrid` or `cupid`.
+    algo: Algorithm,
+    /// `precision=` (default: the session's): matrix storage precision.
+    precision: Precision,
+    /// `index=` (default `auto`): the candidate-index policy.
+    policy: IndexPolicy,
+}
+
+impl TopkQuery {
+    /// Decodes the query of `req`; `precision` is the session default.
+    fn decode(req: &Request, precision: Precision) -> Result<TopkQuery, Response> {
+        let raw_k = req.query_param("k").unwrap_or("5");
+        let k = match raw_k.parse::<usize>() {
+            Ok(k) if k > 0 => k,
+            _ => {
+                return Err(error(
+                    400,
+                    "bad_k",
+                    format!("k {raw_k:?} must be a positive integer"),
+                ))
+            }
+        };
+        let algo = match req.query_param("algo").unwrap_or("hybrid") {
+            "hybrid" => Algorithm::Hybrid,
+            "cupid" => Algorithm::Cupid,
+            other => {
+                return Err(error(
+                    400,
+                    "unknown_algo",
+                    format!("unknown topk algorithm {other:?} (use hybrid|cupid)"),
+                ))
+            }
+        };
+        let precision = parse_precision(req)?.unwrap_or(precision);
+        let policy = req
+            .query_param("index")
+            .unwrap_or("auto")
+            .parse::<IndexPolicy>()
+            .map_err(|message| error(400, "bad_index", message))?;
+        Ok(TopkQuery {
+            k,
+            algo,
+            precision,
+            policy,
+        })
+    }
+}
+
 /// Validates a `/match/topk` request into a [`TopkPlan`]. Runs on the
 /// reactor thread so invalid queries never occupy the match queue; the
 /// `Err` response is NOT yet finalized (the caller applies [`finalize`]).
 pub fn validate_topk(req: &Request, registry: &Registry) -> Result<TopkPlan, Response> {
     let (source, prepared) = required_schema(req, registry, "source")?;
-    let raw_k = req.query_param("k").unwrap_or("5");
-    let k = match raw_k.parse::<usize>() {
-        Ok(k) if k > 0 => k,
-        _ => {
-            return Err(error(
-                400,
-                "bad_k",
-                format!("k {raw_k:?} must be a positive integer"),
-            ))
-        }
-    };
-    let algo = match req.query_param("algo").unwrap_or("hybrid") {
-        "hybrid" => Algorithm::Hybrid,
-        "cupid" => Algorithm::Cupid,
-        other => {
-            return Err(error(
-                400,
-                "unknown_algo",
-                format!("unknown topk algorithm {other:?} (use hybrid|cupid)"),
-            ))
-        }
-    };
-    let precision = match parse_precision(req) {
-        Ok(p) => p.unwrap_or_else(|| registry.session().config().precision),
-        Err(response) => return Err(response),
-    };
-    let policy = match req
-        .query_param("index")
-        .unwrap_or("auto")
-        .parse::<IndexPolicy>()
-    {
-        Ok(policy) => policy,
-        Err(message) => return Err(error(400, "bad_index", message)),
-    };
-    let signature = registry.session().signature(&prepared);
+    let session = registry.session();
+    let query = TopkQuery::decode(req, session.config().precision)?;
+    let signature = session.signature(&prepared);
     Ok(TopkPlan {
         path: req.path.clone(),
         source,
         prepared,
-        k,
-        algo,
-        precision,
-        policy,
+        k: query.k,
+        algo: query.algo,
+        precision: query.precision,
+        policy: query.policy,
         signature,
     })
 }
@@ -639,43 +662,24 @@ pub fn validate_topk(req: &Request, registry: &Registry) -> Result<TopkPlan, Res
 /// One shard's share of a topk scatter: rank the schemas *this shard
 /// owns* against the plan's source, keep its local top `k`. The global
 /// top `k` is a subset of the union of per-shard top `k`s, so local
-/// truncation loses nothing.
+/// truncation loses nothing — and each shard's bounded ranking
+/// ([`Shard::rank`](crate::shard::Shard::rank)) is exactly its exhaustive
+/// one.
 pub fn topk_partial(state: &ServeState, shard_index: usize, plan: &TopkPlan) -> Vec<(String, f64)> {
     let shard = state.registry.shard(shard_index);
-    let session = shard.session();
     // The auto policy keys off the GLOBAL registry size, never the
     // shard-local one: every shard must make the same indexed/exhaustive
     // decision or the ranking would depend on how names hash to shards.
     let indexed = plan
         .policy
         .engages(state.registry.len(), &IndexParams::default());
-    let names = if indexed {
+    let mut names = if indexed {
         shard.candidates(&plan.signature)
     } else {
         shard.names()
     };
-    let mut ranking: Vec<(String, f64)> = Vec::new();
-    for name in names {
-        if name == plan.source {
-            continue;
-        }
-        // The shard only drops names under concurrent replacement, and
-        // replacement never removes: the lookup cannot fail here, but stay
-        // defensive and skip rather than 500.
-        let Some(target) = shard.prepared(&name) else {
-            continue;
-        };
-        // Only the root QoM survives the loop, so the matrix goes straight
-        // back into the session arena for the next candidate to reuse.
-        let outcome = session
-            .run_with_precision(&plan.algo, &plan.prepared, &target, plan.precision)
-            .expect("hybrid and cupid are infallible");
-        ranking.push((name, outcome.total_qom));
-        session.recycle(outcome);
-    }
-    ranking.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    ranking.truncate(plan.k);
-    ranking
+    names.retain(|name| *name != plan.source);
+    shard.rank(&plan.prepared, &names, &plan.algo, plan.k, plan.precision)
 }
 
 /// A ranking entry ordered for the gather heap: max-pop yields the

@@ -138,6 +138,11 @@ pub struct RegistrySnapshot {
     pub index_candidates: u64,
     /// Schemas pruned by the shard indexes before the DP ran.
     pub index_filtered: u64,
+    /// Topk candidates the match engine ran on.
+    pub topk_dp_runs: u64,
+    /// Topk candidates whose root-QoM bound ruled them out before any
+    /// prepare or DP.
+    pub topk_bound_pruned: u64,
     /// Schemas removed via `DELETE /schemas/{name}`.
     pub deletes: u64,
 }
@@ -364,6 +369,12 @@ impl Metrics {
             "qmatch_index_filtered_total {}",
             registry.index_filtered
         );
+        let _ = writeln!(out, "qmatch_topk_dp_runs_total {}", registry.topk_dp_runs);
+        let _ = writeln!(
+            out,
+            "qmatch_topk_bound_pruned_total {}",
+            registry.topk_bound_pruned
+        );
         let _ = writeln!(out, "qmatch_schema_deletes_total {}", registry.deletes);
         // Per-phase pipeline observability (fed by PhaseSink). Phases that
         // never fired are skipped so a fresh server stays terse.
@@ -525,6 +536,8 @@ mod tests {
             label_cached_pairs: 25,
             index_candidates: 7,
             index_filtered: 93,
+            topk_dp_runs: 5,
+            topk_bound_pruned: 2,
             deletes: 1,
         };
         let text = m.render(&snapshot);
@@ -536,6 +549,8 @@ mod tests {
         assert!(text.contains("qmatch_label_cache_pairs 25"));
         assert!(text.contains("qmatch_index_candidates 7"));
         assert!(text.contains("qmatch_index_filtered_total 93"));
+        assert!(text.contains("qmatch_topk_dp_runs_total 5"));
+        assert!(text.contains("qmatch_topk_bound_pruned_total 2"));
         assert!(text.contains("qmatch_schema_deletes_total 1"));
         let summary = m.summary(&snapshot);
         assert!(summary.contains("3 schema(s)"), "{summary}");

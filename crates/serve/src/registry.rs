@@ -185,6 +185,8 @@ impl Registry {
             total.label_cached_pairs += s.label_cached_pairs;
             total.index_candidates += s.index_candidates;
             total.index_filtered += s.index_filtered;
+            total.topk_dp_runs += s.topk_dp_runs;
+            total.topk_bound_pruned += s.topk_bound_pruned;
             total.deletes += s.deletes;
         }
         total

@@ -23,6 +23,7 @@ use crate::metrics::{Endpoint, RegistrySnapshot};
 use qmatch_core::index::{CorpusIndex, Signature};
 use qmatch_core::session::{MatchSession, PreparedSchema};
 use qmatch_core::trace::{Phase, Span};
+use qmatch_core::{Algorithm, Candidate, Precision, Symbol};
 use qmatch_xsd::{SchemaTree, TreeProfile};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -46,6 +47,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 struct Entry {
     tree: Arc<SchemaTree>,
+    /// The root label's symbol in the registry's shared interner: with the
+    /// tree's root properties, all a topk's root-QoM bound reads.
+    root: Symbol,
     /// Raw XSD bytes as ingested — kept for snapshot compaction dumps.
     source: Arc<[u8]>,
     nodes: usize,
@@ -84,6 +88,8 @@ pub struct Shard {
     evictions: AtomicU64,
     index_candidates: AtomicU64,
     index_filtered: AtomicU64,
+    topk_dp_runs: AtomicU64,
+    topk_bound_pruned: AtomicU64,
     deletes: AtomicU64,
 }
 
@@ -102,6 +108,8 @@ impl Shard {
             evictions: AtomicU64::new(0),
             index_candidates: AtomicU64::new(0),
             index_filtered: AtomicU64::new(0),
+            topk_dp_runs: AtomicU64::new(0),
+            topk_bound_pruned: AtomicU64::new(0),
             deletes: AtomicU64::new(0),
         }
     }
@@ -126,6 +134,7 @@ impl Shard {
         let tree = Arc::new(tree);
         let prepared = Arc::new(self.session.prepare(tree.clone()));
         let signature = self.session.signature(&prepared);
+        let root = prepared.symbol(tree.root_id());
         let mut inner = self.inner.write().expect("shard lock");
         inner.index.insert(name, signature);
         let tick = self.next_tick();
@@ -135,6 +144,7 @@ impl Shard {
                 name.to_owned(),
                 Entry {
                     tree,
+                    root,
                     source: Arc::from(source),
                     nodes: profile.nodes,
                     max_depth: profile.max_depth,
@@ -296,6 +306,51 @@ impl Shard {
         set.names
     }
 
+    /// This shard's share of a topk: the top `k` of `names` (schemas this
+    /// shard owns; unknown names are skipped) against `source`, through
+    /// [`MatchSession::rank_topk`] — under `hybrid`, only candidates whose
+    /// root-QoM bound can still reach the top `k` are prepared and matched.
+    /// Feeds the `qmatch_topk_dp_runs_total` /
+    /// `qmatch_topk_bound_pruned_total` counters.
+    pub fn rank(
+        &self,
+        source: &PreparedSchema,
+        names: &[String],
+        algo: &Algorithm,
+        k: usize,
+        precision: Precision,
+    ) -> Vec<(String, f64)> {
+        let roots: Vec<(&str, Symbol, Arc<SchemaTree>)> = {
+            let inner = self.inner.read().expect("shard lock");
+            names
+                .iter()
+                .filter_map(|name| {
+                    let entry = inner.entries.get(name)?;
+                    Some((name.as_str(), entry.root, entry.tree.clone()))
+                })
+                .collect()
+        };
+        let candidates: Vec<Candidate> = roots
+            .iter()
+            .map(|(name, root, tree)| Candidate {
+                name,
+                root: *root,
+                root_props: &tree.node(tree.root_id()).properties,
+            })
+            .collect();
+        let topk = self
+            .session
+            .rank_topk(algo, source, &candidates, k, precision, |name| {
+                self.prepared(name)
+            })
+            .expect("hybrid and cupid are infallible");
+        self.topk_dp_runs
+            .fetch_add(topk.work.dp_runs, Ordering::Relaxed);
+        self.topk_bound_pruned
+            .fetch_add(topk.work.bound_pruned, Ordering::Relaxed);
+        topk.ranking
+    }
+
     /// Listing metadata for this shard's partition, sorted by name.
     pub fn list(&self) -> Vec<SchemaInfo> {
         let inner = self.inner.read().expect("shard lock");
@@ -343,6 +398,8 @@ impl Shard {
             label_cached_pairs: labels.cached_pairs,
             index_candidates: self.index_candidates.load(Ordering::Relaxed),
             index_filtered: self.index_filtered.load(Ordering::Relaxed),
+            topk_dp_runs: self.topk_dp_runs.load(Ordering::Relaxed),
+            topk_bound_pruned: self.topk_bound_pruned.load(Ordering::Relaxed),
             deletes: self.deletes.load(Ordering::Relaxed),
         }
     }
@@ -600,12 +657,20 @@ mod tests {
             let prepared = s.prepared("po").expect("registered");
             let scratch = s.session().prepare(revised());
             prepared.assert_structural_eq(&scratch);
-            let inner = s.inner.read().expect("shard lock");
-            assert_eq!(
-                inner.index.get("po"),
-                Some(&s.session().signature(&scratch)),
-                "evicted={evicted}"
-            );
+            // The index answers every probe as a fresh registration's does;
+            // only the revision's `Qty` admits "po" for the lone `Qty` probe.
+            let fresh = shard(max_resident);
+            fresh.register("other", tree("O"), b"<o/>");
+            fresh.register("po", revised(), b"<po v2/>");
+            let qty = SchemaTree::from_labels("Qty", &[("Qty", None)]);
+            for probe in [tree("PO"), revised(), tree("O"), qty] {
+                let signature = s.session().signature(&s.session().prepare(probe));
+                assert_eq!(
+                    s.candidates(&signature),
+                    fresh.candidates(&signature),
+                    "evicted={evicted}"
+                );
+            }
         }
     }
 
