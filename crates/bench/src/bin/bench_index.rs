@@ -11,7 +11,9 @@
 //! while a candidate's root-QoM bound can still reach the top k). For each
 //! registry size it records DP invocations of each, candidates examined,
 //! recall@k of the indexed ranking against the exhaustive one, and wall
-//! times to `BENCH_index.json`.
+//! times to `BENCH_index.json`, among them the cost of the root-QoM bound
+//! itself over the whole registry (`bound_ms`: one root-label lookup on a
+//! cold label cache and one property comparison per schema).
 //!
 //! `cargo run --release -p qmatch-bench --bin bench_index [OUT.json] [--test] [--gate] [--full]`
 //!
@@ -121,6 +123,9 @@ struct SizeStats {
     exhaustive_ms_per_query: f64,
     indexed_ms_per_query: f64,
     bounded_ms_per_query: f64,
+    /// Wall time of the root-QoM bounds of every schema but the query, on
+    /// a session whose label cache is cold.
+    bound_ms_per_query: f64,
     /// Per-query lines for `--gate` output.
     per_query: Vec<QueryStats>,
 }
@@ -165,6 +170,11 @@ fn run_size(count: usize, queries: usize, k: usize) -> SizeStats {
     session.recycle(warm);
 
     let all: Vec<usize> = (0..count).collect();
+    let everyone: Vec<Candidate> = names
+        .iter()
+        .zip(&prepared)
+        .map(|(name, p)| Candidate::of(name, p))
+        .collect();
     let query_set: Vec<usize> = (0..queries).map(|j| j * count / queries).collect();
     let mut exhaustive_dp = 0u64;
     let mut indexed_dp = 0u64;
@@ -175,6 +185,7 @@ fn run_size(count: usize, queries: usize, k: usize) -> SizeStats {
     let mut exhaustive_secs = 0.0f64;
     let mut indexed_secs = 0.0f64;
     let mut bounded_secs = 0.0f64;
+    let mut bound_secs = 0.0f64;
     let mut per_query = Vec::with_capacity(queries);
     for &q in &query_set {
         let start = Instant::now();
@@ -201,6 +212,21 @@ fn run_size(count: usize, queries: usize, k: usize) -> SizeStats {
         bounded_dp += inside.dp_runs;
         bounded_all_dp += all_work.dp_runs;
         mismatches += usize::from(answer != indexed || everywhere != truth);
+
+        // The bound alone over the whole registry, from a cold label cache:
+        // a session sharing only the interner.
+        let mut cold = MatchSession::new(MatchConfig::default());
+        cold.share_interner(&session);
+        let others: Vec<Candidate> = everyone
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != q)
+            .map(|(_, c)| *c)
+            .collect();
+        let start = Instant::now();
+        let bounds = cold.root_qom_bounds(&prepared[q], &others);
+        bound_secs += start.elapsed().as_secs_f64();
+        assert_eq!(bounds.len(), count - 1);
 
         let truth_names: HashSet<&str> = truth.iter().map(|(n, _)| n.as_str()).collect();
         let hits = answer
@@ -239,6 +265,7 @@ fn run_size(count: usize, queries: usize, k: usize) -> SizeStats {
         exhaustive_ms_per_query: exhaustive_secs * 1e3 / queries as f64,
         indexed_ms_per_query: indexed_secs * 1e3 / queries as f64,
         bounded_ms_per_query: bounded_secs * 1e3 / queries as f64,
+        bound_ms_per_query: bound_secs * 1e3 / queries as f64,
         per_query,
     }
 }
@@ -330,6 +357,7 @@ fn main() {
         "exh ms/q",
         "idx ms/q",
         "bound ms/q",
+        "bound-only ms/q",
     ]);
     let mut entries = Vec::new();
     for (count, queries) in sizes {
@@ -347,6 +375,7 @@ fn main() {
             format!("{:.1}", stats.exhaustive_ms_per_query),
             format!("{:.1}", stats.indexed_ms_per_query),
             format!("{:.1}", stats.bounded_ms_per_query),
+            format!("{:.2}", stats.bound_ms_per_query),
         ]);
         entries.push(format!(
             "    {{\"size\": {}, \"queries\": {}, \"k\": {}, \
@@ -355,7 +384,8 @@ fn main() {
              \"bounded_mismatches\": {}, \"dp_reduction\": {:.3}, \
              \"candidates_mean\": {:.1}, \"recall_at_10_min\": {:.3}, \
              \"recall_at_10_mean\": {:.3}, \"exhaustive_topk_ms\": {:.3}, \
-             \"indexed_topk_ms\": {:.3}, \"bounded_topk_ms\": {:.3}}}",
+             \"indexed_topk_ms\": {:.3}, \"bounded_topk_ms\": {:.3}, \
+             \"bound_ms\": {:.3}}}",
             stats.size,
             stats.queries,
             stats.k,
@@ -372,6 +402,7 @@ fn main() {
             stats.exhaustive_ms_per_query,
             stats.indexed_ms_per_query,
             stats.bounded_ms_per_query,
+            stats.bound_ms_per_query,
         ));
     }
 

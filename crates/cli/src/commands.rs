@@ -601,14 +601,15 @@ fn build_session(
 
 /// Prints the `--trace` per-phase report to stderr, keeping stdout clean
 /// for the match result itself, followed by the session's label-cache
-/// counters (the token pairs its cold label comparisons scored).
+/// counters (the candidate token pairs its cold label comparisons scored
+/// and the label pairs they graded in full).
 fn emit_trace(session: &MatchSession, recorder: Option<&Recorder>) {
     if let Some(recorder) = recorder {
         eprint!("{}", recorder.report());
         let stats = session.cache_stats();
         eprintln!(
-            "label cache: {} hits, {} misses, {} token scores",
-            stats.hits, stats.misses, stats.token_scores
+            "label cache: {} hits, {} misses, {} token scores, {} graded pairs",
+            stats.hits, stats.misses, stats.token_scores, stats.graded_pairs
         );
     }
 }

@@ -37,6 +37,7 @@ use crate::matrix::{Precision, SimMatrix};
 use crate::model::MatchConfig;
 use crate::par;
 use crate::taxonomy::MatchCategory;
+use crate::token_table::Misses;
 use crate::trace::{Phase, Span, Trace, TraceSink};
 use qmatch_lexicon::name_match::{LabelGrade, NameMatch, NameMatcher};
 use qmatch_lexicon::tokenize::Token;
@@ -263,9 +264,13 @@ pub struct CacheStats {
     pub hits: u64,
     /// Distinct-label-pair lookups that had to run the linguistic matcher.
     pub misses: u64,
-    /// Token pairs scored to resolve those misses: each build scores every
-    /// distinct content-token pair its misses align once.
+    /// Candidate token pairs scored to resolve those misses: each build
+    /// scores once every distinct pair of its content tokens that its
+    /// joins find may score above 0.
     pub token_scores: u64,
+    /// Missing label pairs graded in full: those that can be related to
+    /// each other. Every other miss is unrelated without any work.
+    pub graded_pairs: u64,
     /// Distinct label pairs the cache holds. The cache never evicts, so
     /// this only grows over a session's life.
     pub cached_pairs: u64,
@@ -316,6 +321,7 @@ pub struct MatchSession {
     hits: AtomicU64,
     misses: AtomicU64,
     token_scores: AtomicU64,
+    graded_pairs: AtomicU64,
     cached_pairs: AtomicU64,
     trace: Trace,
     /// Pooled matrix/scratch buffers reused across matches (see
@@ -346,6 +352,7 @@ impl MatchSession {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             token_scores: AtomicU64::new(0),
+            graded_pairs: AtomicU64::new(0),
             cached_pairs: AtomicU64::new(0),
             trace: Trace::disabled(),
             arena: MatchArena::default(),
@@ -450,6 +457,7 @@ impl MatchSession {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             token_scores: self.token_scores.load(Ordering::Relaxed),
+            graded_pairs: self.graded_pairs.load(Ordering::Relaxed),
             cached_pairs: self.cached_pairs.load(Ordering::Relaxed),
         }
     }
@@ -780,10 +788,12 @@ impl MatchSession {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut computed = [UNFILLED];
+        let mut misses = Misses::default();
+        misses.push_row(0);
         self.resolve_misses(
-            source.labels(),
-            target.labels(),
-            &[i * target.distinct.len() + j],
+            source.labels().single(i),
+            target.labels().single(j),
+            &misses,
             &mut computed,
         );
         computed[0]
@@ -835,7 +845,8 @@ impl MatchSession {
                 folded: &folded,
                 tokens: &tokens,
             };
-            let all: Vec<usize> = (0..symbols.len()).collect();
+            let mut all = Misses::default();
+            all.push_row(0);
             let mut computed = vec![UNFILLED; symbols.len()];
             self.resolve_misses(source.labels().single(i), targets, &all, &mut computed);
             for (&j, m) in missing.iter().zip(computed) {
@@ -897,77 +908,91 @@ impl MatchSession {
     ) -> (u64, u64) {
         self.check_symbols(source, target);
         let cols = target.distinct.len();
-        let mut missing: Vec<usize> = Vec::new();
+        let mut missing = Misses::default();
         {
             let cache = self.labels.lock().expect("label cache lock");
-            // A row the cache has never seen misses in full: room for those
-            // up front, not by doubling.
-            let unseen = source
-                .distinct
-                .iter()
-                .filter(|&symbol| !cache.contains_key(symbol))
-                .count();
-            missing.reserve(unseen * cols);
             for (i, symbol) in source.distinct.iter().enumerate() {
+                // A row the cache has never seen misses in full.
                 let Some(row) = cache.get(symbol) else {
-                    missing.extend(i * cols..(i + 1) * cols);
+                    missing.push_row(i);
                     continue;
                 };
-                for (j, &symbol) in target.distinct.iter().enumerate() {
-                    match row.get(symbol) {
-                        Some(hit) => table[i * cols + j] = hit,
-                        None => missing.push(i * cols + j),
-                    }
-                }
+                let cells = &mut table[i * cols..(i + 1) * cols];
+                let missed = target.distinct.iter().zip(cells).enumerate();
+                missing.push_cols(
+                    i,
+                    missed.filter_map(|(j, (&symbol, cell))| match row.get(symbol) {
+                        Some(hit) => {
+                            *cell = hit;
+                            None
+                        }
+                        None => Some(j),
+                    }),
+                );
             }
         }
-        let misses = missing.len() as u64;
+        let misses = missing.count(cols) as u64;
         let hits = (source.distinct.len() * cols) as u64 - misses;
         self.hits.fetch_add(hits, Ordering::Relaxed);
         self.misses.fetch_add(misses, Ordering::Relaxed);
-        if let Some(&first) = missing.first() {
-            self.resolve_misses(
-                source.labels(),
-                target.labels(),
-                &missing,
-                &mut table[first..],
-            );
+        if !missing.is_empty() {
+            self.resolve_misses(source.labels(), target.labels(), &missing, table);
         }
         (hits, misses)
     }
 
-    /// Compares the label-cache misses `missing` (flat `i * cols + j`
-    /// indices, ascending) through one per-build token table
-    /// ([`MatchSession::compare_misses`]) into `out` — the table from the
-    /// first miss on, so the match of `idx` lands at `out[idx - missing[0]]`
-    /// — and caches them under one lock, counting the pairs new to the
-    /// cache.
+    /// Compares the label-cache misses `missing` of the `source × target`
+    /// distinct-label table `out` (flat, `i * cols + j`, holding
+    /// `{None, +0.0}` at every miss) through one per-build token table
+    /// ([`MatchSession::compare_misses`]) and caches them under one lock,
+    /// counting the pairs new to the cache.
     fn resolve_misses(
         &self,
         source: Labels<'_>,
         target: Labels<'_>,
-        missing: &[usize],
+        missing: &Misses,
         out: &mut [NameMatch],
     ) {
-        let (cols, first) = (target.symbols.len(), missing[0]);
-        let scored = self.compare_misses(source, target, missing, out);
-        self.token_scores.fetch_add(scored, Ordering::Relaxed);
+        let cols = target.symbols.len();
+        let resolved = self.compare_misses(source, target, missing, out);
+        self.token_scores
+            .fetch_add(resolved.scored, Ordering::Relaxed);
+        self.graded_pairs
+            .fetch_add(resolved.graded, Ordering::Relaxed);
         // Every row this build touches grows its known bits once, to the
-        // largest target symbol.
+        // largest target symbol; a row missing every column sets the bits
+        // of every target symbol, a word at a time.
         let bound = target.symbols.iter().max().map_or(0, |s| s.index() + 1);
-        let mut added = 0;
-        let mut cache = self.labels.lock().expect("label cache lock");
-        // Ascending indices group by source row: one row lookup per row.
-        let mut start = 0;
-        while start < missing.len() {
-            let i = missing[start] / cols;
-            let end = start + missing[start..].partition_point(|&idx| idx / cols == i);
-            let row = cache.entry(source.symbols[i]).or_default();
-            row.grow(bound);
-            for &idx in &missing[start..end] {
-                added += u64::from(row.insert(target.symbols[idx % cols], out[idx - first]));
+        let mut every = Vec::new();
+        if missing.rows().any(|(_, cols)| cols.is_none()) {
+            every = vec![0u64; bound.div_ceil(64)];
+            for symbol in target.symbols {
+                every[symbol.index() / 64] |= 1 << (symbol.index() % 64);
             }
-            start = end;
+        }
+        let mut added = 0;
+        let mut written = resolved.written.iter().peekable();
+        let mut cache = self.labels.lock().expect("label cache lock");
+        for (i, cols_missing) in missing.rows() {
+            let row = cache.entry(source.symbols[i]).or_default();
+            match cols_missing {
+                None => added += row.fill(&every),
+                Some(js) => {
+                    row.grow(bound);
+                    for &j in js {
+                        added += u64::from(row.mark(target.symbols[j as usize]));
+                    }
+                }
+            }
+            // Only written pairs can need an entry: the rest are
+            // `{None, +0.0}`.
+            while let Some(&&idx) = written.peek() {
+                if idx / cols != i {
+                    break;
+                }
+                row.remember(target.symbols[idx % cols], out[idx]);
+                written.next();
+            }
         }
         self.cached_pairs.fetch_add(added, Ordering::Relaxed);
     }
@@ -1006,19 +1031,37 @@ impl LabelRow {
         }
     }
 
-    /// Caches `m` for the pair with `target`; returns whether the pair was
-    /// new to the row.
-    fn insert(&mut self, target: Symbol, m: NameMatch) -> bool {
+    /// Marks the pair with `target` cached; returns whether it was new to
+    /// the row. Until [`LabelRow::remember`] gives it another match, it
+    /// reads back as `{None, +0.0}`.
+    fn mark(&mut self, target: Symbol) -> bool {
         let (word, bit) = (target.index() / 64, target.index() % 64);
         self.grow(target.index() + 1);
         let new = self.known[word] >> bit & 1 == 0;
         self.known[word] |= 1 << bit;
+        new
+    }
+
+    /// Marks cached every pair whose bit is set in `targets`, a word at a
+    /// time; returns how many were new to the row.
+    fn fill(&mut self, targets: &[u64]) -> u64 {
+        self.grow(targets.len() * 64);
+        let mut added = 0;
+        for (known, &word) in self.known.iter_mut().zip(targets) {
+            added += u64::from((word & !*known).count_ones());
+            *known |= word;
+        }
+        added
+    }
+
+    /// Keeps `m` as the match of the marked pair with `target` (no entry
+    /// for `{None, +0.0}`, which a marked pair reads back anyway).
+    fn remember(&mut self, target: Symbol, m: NameMatch) {
         let unrelated =
             m.grade == LabelGrade::None && m.score.to_bits() == UNFILLED.score.to_bits();
         if !unrelated {
             self.matches.insert(target, CachedMatch::new(m));
         }
-        new
     }
 }
 
@@ -1302,8 +1345,9 @@ mod tests {
             let mut row = LabelRow::default();
             for t in [0, 63, 64] {
                 assert!(row.get(Symbol(t)).is_none(), "a fresh row misses");
-                assert!(row.insert(Symbol(t), value), "first insert is new");
-                assert!(!row.insert(Symbol(t), value), "second insert is not");
+                assert!(row.mark(Symbol(t)), "first mark is new");
+                assert!(!row.mark(Symbol(t)), "second mark is not");
+                row.remember(Symbol(t), value);
             }
             for t in [0, 63, 64] {
                 let got = row.get(Symbol(t)).expect("cached pair hits");

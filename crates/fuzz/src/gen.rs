@@ -47,13 +47,21 @@ const IDENT_WORDS: &str = "\
 /// Generates `count` schema identifiers of one to four words from a
 /// vocabulary of thesaurus words, plurals, near misses and stopwords, in
 /// mixed styles: camelCase, snake_case, spaced, ALLCAPS, or the words'
-/// initials as an acronym; some get a trailing `#` or number.
+/// initials as an acronym; some get a trailing `#` or number. A quarter of
+/// the words are drawn a char off a vocabulary word (`near_miss`).
 pub fn gen_identifiers(rng: &mut SmallRng, count: usize) -> Vec<String> {
     let vocabulary: Vec<&str> = IDENT_WORDS.split_whitespace().collect();
     let mut out: Vec<String> = Vec::with_capacity(count);
     for _ in 0..count {
-        let words: Vec<&str> = (0..rng.gen_range(1..=4usize))
-            .map(|_| vocabulary[rng.gen_range(0..vocabulary.len())])
+        let words: Vec<String> = (0..rng.gen_range(1..=4usize))
+            .map(|_| {
+                let word = vocabulary[rng.gen_range(0..vocabulary.len())];
+                if rng.gen_range(0..4u32) == 0 {
+                    near_miss(rng, word)
+                } else {
+                    word.to_owned()
+                }
+            })
             .collect();
         let mut ident = match rng.gen_range(0..5u32) {
             0 => words.join("_"),
@@ -77,6 +85,34 @@ pub fn gen_identifiers(rng: &mut SmallRng, count: usize) -> Vec<String> {
         out.push(ident);
     }
     out
+}
+
+/// `word` a char off: one char dropped, two neighbours swapped, or one
+/// char replaced, by an ASCII letter or by the non-ASCII letter 128 code
+/// points up, which falls in the same bucket of the fuzzy metric's sketch
+/// (`char as u32 % 32`). The first char takes part too, so the two words
+/// may start differently; a result that does not start with an ASCII
+/// letter (the acronym style slices off its first byte) is `word` itself.
+fn near_miss(rng: &mut SmallRng, word: &str) -> String {
+    let mut cs: Vec<char> = word.chars().collect();
+    let i = rng.gen_range(0..cs.len());
+    match rng.gen_range(0..4u32) {
+        0 if cs.len() > 2 => {
+            cs.remove(i);
+        }
+        1 if i + 1 < cs.len() => cs.swap(i, i + 1),
+        2 => cs[i] = char::from(b'a' + rng.gen_range(0..26u8)),
+        _ => {
+            if let Some(c) = char::from_u32(cs[i] as u32 + 128).filter(|c| c.is_alphabetic()) {
+                cs[i] = c;
+            }
+        }
+    }
+    if cs[0].is_ascii_alphabetic() {
+        cs.into_iter().collect()
+    } else {
+        word.to_owned()
+    }
 }
 
 /// Deterministic name generator with a per-document counter suffix, so two

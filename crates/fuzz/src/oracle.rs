@@ -183,24 +183,40 @@ pub fn check_labels(rng: &mut SmallRng) -> Result<(), (OracleFailure, String)> {
         session.prepare(tree("source", &source)),
         session.prepare(tree("target", &target)),
     );
-    let built = catch_unwind(AssertUnwindSafe(|| session.label_matrix(&sp, &tp)));
     let repro = || format!("{mode:?}\nsource: {source:?}\ntarget: {target:?}\n");
-    let labels = match built {
-        Ok(labels) => labels,
-        Err(payload) => return Err((OracleFailure::Panic(panic_message(payload)), repro())),
-    };
-    let (rows, cols) = (representatives(&sp), representatives(&tp));
-    for (i, &x) in rows.iter().enumerate() {
-        for (j, &y) in cols.iter().enumerate() {
-            let (a, b) = (&sp.distinct_tokens()[i], &tp.distinct_tokens()[j]);
-            let (got, want) = (labels.get(x, y), session.matcher().compare_tokens(a, b));
-            if got.grade != want.grade || got.score.to_bits() != want.score.to_bits() {
-                let message = format!("{a:?} vs {b:?}: table {got:?}, from scratch {want:?}");
-                return Err((OracleFailure::LabelDivergence(message), repro()));
+    let check = |session: &MatchSession, sp: &PreparedSchema, tp: &PreparedSchema| {
+        let built = catch_unwind(AssertUnwindSafe(|| session.label_matrix(sp, tp)));
+        let labels = match built {
+            Ok(labels) => labels,
+            Err(payload) => return Err((OracleFailure::Panic(panic_message(payload)), repro())),
+        };
+        let (rows, cols) = (representatives(sp), representatives(tp));
+        for (i, &x) in rows.iter().enumerate() {
+            for (j, &y) in cols.iter().enumerate() {
+                let (a, b) = (&sp.distinct_tokens()[i], &tp.distinct_tokens()[j]);
+                let (got, want) = (labels.get(x, y), session.matcher().compare_tokens(a, b));
+                if got.grade != want.grade || got.score.to_bits() != want.score.to_bits() {
+                    let message = format!("{a:?} vs {b:?}: table {got:?}, from scratch {want:?}");
+                    return Err((OracleFailure::LabelDivergence(message), repro()));
+                }
             }
         }
-    }
-    Ok(())
+        Ok(())
+    };
+    // A cold build of every pair.
+    check(&session, &sp, &tp)?;
+    // A partially warm one: source × a prefix of the target first, then
+    // source × the whole target, whose rows then miss only the rest.
+    let mut warming = MatchSession::new(config);
+    warming.set_threads(4);
+    let cut = rng.gen_range(1..=target.len());
+    let prefix = warming.prepare(tree("target", &target[..cut]));
+    let (sp, tp) = (
+        warming.prepare(tree("source", &source)),
+        warming.prepare(tree("target", &target)),
+    );
+    check(&warming, &sp, &prefix)?;
+    check(&warming, &sp, &tp)
 }
 
 /// One node per distinct label, in the prepared schema's distinct order.

@@ -32,6 +32,7 @@
 //! ```
 
 pub mod builtin;
+pub mod join;
 pub mod metrics;
 pub mod name_match;
 pub mod thesaurus;

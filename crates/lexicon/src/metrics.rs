@@ -219,9 +219,18 @@ const BOUND_SLACK: f64 = 1e-9;
 /// matched chars pair equal chars, and each shared bigram pairs the equal
 /// chars it starts with at distinct positions of either side, so both are
 /// at most `Σ_c min(count_a(c), count_b(c))`; bucketing chars only raises
-/// that sum. Then Jaro is at most `(m/|a| + m/|b| + 1)/3`, Jaro–Winkler at
-/// most that plus the exact ≤4-char prefix boost, and Dice at most
-/// `2·min(m, |a|−1, |b|−1)/(|a|−1 + |b|−1)`.
+/// that sum. Two sharper counts come at no extra pass:
+///
+/// - when neither token is longer than 3 chars, Jaro's match window is 0,
+///   so its matched chars are exactly the equal positions;
+/// - a shared bigram's first chars sit before each token's last char and
+///   its second chars after each token's first char, so the shared
+///   bigrams are also at most the bucket overlap without the two last
+///   chars, and at most the one without the two first chars.
+///
+/// Then Jaro is at most `(mj/|a| + mj/|b| + 1)/3`, Jaro–Winkler at most
+/// that plus the exact ≤4-char prefix boost, and Dice at most
+/// `2·min(mb, |a|−1, |b|−1)/(|a|−1 + |b|−1)` ([`bound_of_counts`]).
 pub(crate) fn combined_bound_chars(
     a: &[char],
     sa: &[u8; 32],
@@ -232,17 +241,49 @@ pub(crate) fn combined_bound_chars(
         return None;
     }
     let m: u32 = sa.iter().zip(sb).map(|(&x, &y)| u32::from(x.min(y))).sum();
-    let m = f64::from(m);
-    let jaro = (m / a.len() as f64 + m / b.len() as f64 + 1.0) / 3.0;
+    let jaro_m = if a.len().max(b.len()) <= 3 {
+        a.iter().zip(b).filter(|(x, y)| x == y).count() as u32
+    } else {
+        m
+    };
+    let (first, last) = (|cs: &[char]| cs[0], |cs: &[char]| cs[cs.len() - 1]);
+    let bigram_m =
+        overlap_less(m, sa, last(a), sb, last(b)).min(overlap_less(m, sa, first(a), sb, first(b)));
     let prefix = a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count();
+    Some(bound_of_counts(jaro_m, bigram_m, a.len(), b.len(), prefix))
+}
+
+/// The bucket overlap `m` of sketches `sa` and `sb` once one char `x` is
+/// taken out of `sa` and one char `y` out of `sb` (both are counted there).
+fn overlap_less(m: u32, sa: &[u8; 32], x: char, sb: &[u8; 32], y: char) -> u32 {
+    let (kx, ky) = (x as usize % 32, y as usize % 32);
+    if kx == ky {
+        return m - 1;
+    }
+    m - u32::from(sa[kx] <= sb[kx]) - u32::from(sb[ky] <= sa[ky])
+}
+
+/// The fuzzy metric's bound for tokens of `la` and `lb` chars with common
+/// prefix `prefix` (≤ 4), given at most `jaro_m` Jaro-matched chars and at
+/// most `bigram_m` shared bigrams: [`combined_bound_chars`]'s formula. It
+/// never decreases as either count grows.
+pub(crate) fn bound_of_counts(
+    jaro_m: u32,
+    bigram_m: u32,
+    la: usize,
+    lb: usize,
+    prefix: usize,
+) -> f64 {
+    let m = f64::from(jaro_m);
+    let jaro = (m / la as f64 + m / lb as f64 + 1.0) / 3.0;
     let winkler = jaro + prefix as f64 * 0.1 * (1.0 - jaro);
-    let (ga, gb) = ((a.len() - 1) as f64, (b.len() - 1) as f64);
+    let (ga, gb) = ((la - 1) as f64, (lb - 1) as f64);
     let dice = if ga + gb > 0.0 {
-        2.0 * m.min(ga).min(gb) / (ga + gb)
+        2.0 * f64::from(bigram_m).min(ga).min(gb) / (ga + gb)
     } else {
         0.0
     };
-    Some(winkler.max(dice) + BOUND_SLACK)
+    winkler.max(dice) + BOUND_SLACK
 }
 
 #[cfg(test)]

@@ -450,40 +450,72 @@ fn run_algo(
         .map_err(|e| error(400, "bad_composite", e.to_string()))
 }
 
-fn do_match(req: &Request, registry: &Registry) -> Response {
-    let algorithm = match parse_algo(req) {
-        Ok(algorithm) => algorithm,
-        Err(response) => return response,
-    };
-    let explain = req.query_param("explain") == Some("1");
-    // Reject the invalid combination up front, before the (potentially
-    // expensive) match runs.
-    if explain && algorithm != Algorithm::Hybrid {
-        return error(
-            400,
-            "bad_request",
-            "explain=1 requires the hybrid algorithm",
-        );
+/// The query of `/match`, decoded and typed. Decoding checks `algo=`
+/// (with `components=` and `agg=` for `composite`), then `explain=`
+/// against the algorithm, then the `source` and `target` schemas, then
+/// `threshold=` and `precision=`, and answers the first bad one with its
+/// typed 400 (404 for an unknown schema).
+struct MatchQuery {
+    /// `algo=` (default `hybrid`).
+    algorithm: Algorithm,
+    /// `explain=1`: explain every mapped pair (hybrid only).
+    explain: bool,
+    /// The `source` schema's name and prepared artifact.
+    source: (String, Arc<PreparedSchema>),
+    /// The `target` schema's name and prepared artifact.
+    target: (String, Arc<PreparedSchema>),
+    /// `threshold=` (default: the algorithm's).
+    threshold: Option<f64>,
+    /// `precision=` (default: the matching session's).
+    precision: Option<Precision>,
+}
+
+impl MatchQuery {
+    /// Decodes the query of `req`, looking its schemas up in `registry`.
+    fn decode(req: &Request, registry: &Registry) -> Result<MatchQuery, Response> {
+        let algorithm = parse_algo(req)?;
+        let explain = req.query_param("explain") == Some("1");
+        // Reject the invalid combination up front, before the
+        // (potentially expensive) match runs.
+        if explain && algorithm != Algorithm::Hybrid {
+            return Err(error(
+                400,
+                "bad_request",
+                "explain=1 requires the hybrid algorithm",
+            ));
+        }
+        let source = required_schema(req, registry, "source")?;
+        let target = required_schema(req, registry, "target")?;
+        Ok(MatchQuery {
+            algorithm,
+            explain,
+            source,
+            target,
+            threshold: parse_threshold(req)?,
+            precision: parse_precision(req)?,
+        })
     }
-    let lookup = required_schema(req, registry, "source")
-        .and_then(|s| required_schema(req, registry, "target").map(|t| (s, t)));
-    let ((source_name, source), (target_name, target)) = match lookup {
-        Ok(pair) => pair,
+}
+
+fn do_match(req: &Request, registry: &Registry) -> Response {
+    let query = match MatchQuery::decode(req, registry) {
+        Ok(query) => query,
         Err(response) => return response,
     };
+    let MatchQuery {
+        algorithm,
+        explain,
+        source: (source_name, source),
+        target: (target_name, target),
+        threshold,
+        precision,
+    } = query;
     // The owner shard's session: on the server this IS the current worker
     // thread's session, so its label cache and arena stay thread-hot.
     // Scores are pure functions of config + trees, so which session runs
     // the match never shows in the bytes.
     let session = registry.owner(&source_name).session();
-    let threshold = match parse_threshold(req) {
-        Ok(t) => t,
-        Err(response) => return response,
-    };
-    let precision = match parse_precision(req) {
-        Ok(p) => p.unwrap_or_else(|| session.config().precision),
-        Err(response) => return response,
-    };
+    let precision = precision.unwrap_or_else(|| session.config().precision);
     let (sp, tp) = (&*source, &*target);
     let (outcome, default_threshold) = match run_algo(&algorithm, session, sp, tp, precision) {
         Ok(pair) => pair,

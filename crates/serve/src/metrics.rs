@@ -129,8 +129,11 @@ pub struct RegistrySnapshot {
     pub label_hits: u64,
     /// Label-cache misses of the shared match session.
     pub label_misses: u64,
-    /// Token pairs the session scored to resolve those misses.
+    /// Candidate token pairs the session scored to resolve those misses.
     pub label_token_scores: u64,
+    /// Missing label pairs the session graded in full: those that can be
+    /// related.
+    pub label_graded_pairs: u64,
     /// Distinct label pairs the sessions' label caches hold (a gauge that
     /// only grows: the cache never evicts).
     pub label_cached_pairs: u64,
@@ -355,6 +358,11 @@ impl Metrics {
         );
         let _ = writeln!(
             out,
+            "qmatch_label_graded_pairs_total {}",
+            registry.label_graded_pairs
+        );
+        let _ = writeln!(
+            out,
             "qmatch_label_cache_hit_rate {}",
             fmt_f64(registry.label_hit_rate())
         );
@@ -533,6 +541,7 @@ mod tests {
             label_hits: 75,
             label_misses: 25,
             label_token_scores: 40,
+            label_graded_pairs: 12,
             label_cached_pairs: 25,
             index_candidates: 7,
             index_filtered: 93,
@@ -546,6 +555,7 @@ mod tests {
         assert!(text.contains("qmatch_registry_schemas 3"));
         assert!(text.contains("qmatch_label_cache_hit_rate 0.75"));
         assert!(text.contains("qmatch_label_token_scores_total 40"));
+        assert!(text.contains("qmatch_label_graded_pairs_total 12"));
         assert!(text.contains("qmatch_label_cache_pairs 25"));
         assert!(text.contains("qmatch_index_candidates 7"));
         assert!(text.contains("qmatch_index_filtered_total 93"));

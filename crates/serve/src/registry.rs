@@ -157,6 +157,7 @@ impl Registry {
             hits: 0,
             misses: 0,
             token_scores: 0,
+            graded_pairs: 0,
             cached_pairs: 0,
         };
         for shard in &self.shards {
@@ -164,6 +165,7 @@ impl Registry {
             total.hits += stats.hits;
             total.misses += stats.misses;
             total.token_scores += stats.token_scores;
+            total.graded_pairs += stats.graded_pairs;
             total.cached_pairs += stats.cached_pairs;
         }
         total
@@ -182,6 +184,7 @@ impl Registry {
             total.label_hits += s.label_hits;
             total.label_misses += s.label_misses;
             total.label_token_scores += s.label_token_scores;
+            total.label_graded_pairs += s.label_graded_pairs;
             total.label_cached_pairs += s.label_cached_pairs;
             total.index_candidates += s.index_candidates;
             total.index_filtered += s.index_filtered;

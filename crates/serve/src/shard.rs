@@ -395,6 +395,7 @@ impl Shard {
             label_hits: labels.hits,
             label_misses: labels.misses,
             label_token_scores: labels.token_scores,
+            label_graded_pairs: labels.graded_pairs,
             label_cached_pairs: labels.cached_pairs,
             index_candidates: self.index_candidates.load(Ordering::Relaxed),
             index_filtered: self.index_filtered.load(Ordering::Relaxed),
