@@ -70,7 +70,10 @@ SERVE OPTIONS:
     --shards <N>                 registry shards, one request worker each
                                  (default: 0 = all cores)
     --max-schemas <N>            LRU cap on resident prepared schemas, per
-                                 shard (default: 64)
+                                 shard (default: 64); bounds only the layouts
+                                 (waves, levels, partitions): the compact id
+                                 form of every registered schema is kept, so
+                                 a miss re-interns nothing
     --queue-depth <N>            max queued-or-executing match jobs before
                                  requests answer 429 (default: 512)
     --deadline-ms <N>            per-request budget; jobs that outlive it in

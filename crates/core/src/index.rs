@@ -236,11 +236,14 @@ impl Signature {
     /// different sessions produce identical signatures.
     pub fn of(prepared: &PreparedSchema, matcher: &NameMatcher) -> Signature {
         let thesaurus = matcher.thesaurus();
-        let folded = prepared.distinct_folded();
-        let tokens = prepared.distinct_tokens();
-        let mut features = Vec::with_capacity(folded.len() * 8);
-        for (label, label_tokens) in folded.iter().zip(tokens) {
-            push_label_features(&mut features, thesaurus, label, label_tokens);
+        let symbols = prepared.distinct_symbols();
+        let mut features = Vec::with_capacity(symbols.len() * 8);
+        {
+            let interner = prepared.ids.interner.read().expect("interner lock");
+            for &symbol in symbols {
+                let (label, tokens) = (interner.folded(symbol), interner.tokens(symbol));
+                push_label_features(&mut features, thesaurus, label, tokens);
+            }
         }
         features.sort_unstable();
         features.dedup();

@@ -7,10 +7,13 @@
 //! against a whole corpus, repeatedly. This module splits that work at a
 //! hard boundary:
 //!
-//! - [`MatchSession::prepare`] builds a [`PreparedSchema`] once per tree:
-//!   interned [`Symbol`]s and case-folded labels, [`tokenize`] output per
-//!   distinct label, the bottom-up and top-down wave schedules, the
-//!   leaf/internal partition, and the per-node property profile.
+//! - [`MatchSession::prepare`] builds a [`PreparedSchema`] once per tree in
+//!   two steps. The id step builds its [`SchemaIds`]: the interned
+//!   [`Symbol`] of each label (the interner folds and [`tokenize`]s each
+//!   distinct label once), deduplicated, and the deduplicated property
+//!   profiles. The layout step adds the bottom-up and top-down wave
+//!   schedules, the levels, parents and the leaf/internal partition; it
+//!   can run alone over kept ids ([`MatchSession::lay_out`]).
 //! - [`MatchSession::run`] runs any [`Algorithm`] over two prepared
 //!   schemas, touching only integer indices and precomputed tables;
 //!   [`MatchSession::match_corpus`] is its batch form.
@@ -44,29 +47,74 @@ use qmatch_lexicon::tokenize::Token;
 use qmatch_xsd::{NodeId, Properties, SchemaTree};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 
-/// Everything the engines need from one schema, derived once.
+/// The id form of a schema: its tree, and the tables that index the
+/// session interner by [`Symbol`] and the tree's property profiles. The id
+/// step of [`MatchSession::prepare`] builds it: it interns every label,
+/// then deduplicates the labels and the property profiles. It holds no
+/// copy of interner data — a label build reads a label's folded form and
+/// tokens from the interner by symbol — so it is small enough for a
+/// registry to keep one per schema and rebuild only the layout of an
+/// evicted schema ([`MatchSession::lay_out`]).
+pub struct SchemaIds {
+    pub(crate) tree: Arc<SchemaTree>,
+    /// The interner the symbols index: a session reads its label cache for
+    /// this schema only when it interns through the same one.
+    pub(crate) interner: Arc<RwLock<Interner>>,
+    /// Distinct symbols of this tree in first-seen (pre-order) order.
+    pub(crate) distinct: Vec<Symbol>,
+    /// Per-node index into `distinct` (the tree-local dense label id).
+    pub(crate) node_distinct: Vec<u32>,
+    /// Per-node index into `distinct_props` (the tree-local dense property
+    /// profile id) — lets the kernels score properties once per distinct
+    /// profile pair instead of once per node pair.
+    pub(crate) node_props: Vec<u32>,
+    /// One representative node per distinct property profile, in
+    /// first-seen (pre-order) order.
+    pub(crate) distinct_props: Vec<NodeId>,
+}
+
+impl SchemaIds {
+    /// The underlying tree.
+    pub fn tree(&self) -> &SchemaTree {
+        &self.tree
+    }
+
+    /// The interned symbol of a node's label.
+    pub fn symbol(&self, id: NodeId) -> Symbol {
+        self.distinct[self.node_distinct[id.index()] as usize]
+    }
+
+    /// Heap bytes of the id tables (the tree and the interner are shared,
+    /// not counted).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.distinct.capacity() * size_of::<Symbol>()
+            + (self.node_distinct.capacity() + self.node_props.capacity()) * size_of::<u32>()
+            + self.distinct_props.capacity() * size_of::<NodeId>()
+    }
+
+    /// The distinct labels of this tree as one side of a label build, read
+    /// from `interner` (the one the symbols index).
+    pub(crate) fn labels<'a>(&'a self, interner: &'a Interner) -> Labels<'a> {
+        Labels {
+            symbols: &self.distinct,
+            interner,
+        }
+    }
+}
+
+/// Everything the engines need from one schema, derived once: its
+/// [`SchemaIds`] and the layout over them — the leaf flags, levels,
+/// parents, leaf/internal partition and both wave schedules.
 ///
 /// Owns its tree through an [`Arc`], so a prepared schema has no outward
 /// lifetime: it can live in long-lived registries and move across worker
 /// threads. The artifacts are dense tables indexed by [`NodeId::index`],
 /// so the match hot path does no hashing and no string work.
 pub struct PreparedSchema {
-    pub(crate) tree: Arc<SchemaTree>,
-    /// The interner `symbols` index: a session reads its label cache for
-    /// this schema only when it interns through the same one.
-    pub(crate) interner: Arc<Mutex<Interner>>,
-    /// Per-node interned label (session-global symbol).
-    pub(crate) symbols: Vec<Symbol>,
-    /// Distinct symbols of this tree in first-seen (pre-order) order.
-    pub(crate) distinct: Vec<Symbol>,
-    /// Per-node index into `distinct` (the tree-local dense label id).
-    pub(crate) node_distinct: Vec<u32>,
-    /// Case-folded form per distinct label (owned copy from the interner).
-    pub(crate) distinct_folded: Vec<String>,
-    /// Token sequence per distinct label (owned copy from the interner).
-    pub(crate) distinct_tokens: Vec<Vec<Token>>,
+    pub(crate) ids: Arc<SchemaIds>,
     /// Bottom-up wave schedule: wave `k` holds the nodes of height `k`.
     pub(crate) waves_height: Vec<Vec<NodeId>>,
     /// Top-down wave schedule: wave `k` holds the nodes at level `k`.
@@ -81,13 +129,6 @@ pub struct PreparedSchema {
     pub(crate) internals: Vec<NodeId>,
     /// Per-node parent index (`u32::MAX` for the root).
     pub(crate) parents: Vec<u32>,
-    /// Per-node index into `distinct_props` (the tree-local dense property
-    /// profile id) — lets the kernels score properties once per distinct
-    /// profile pair instead of once per node pair.
-    pub(crate) node_props: Vec<u32>,
-    /// One representative node per distinct property profile, in
-    /// first-seen (pre-order) order.
-    pub(crate) distinct_props: Vec<NodeId>,
 }
 
 /// The name the repository benchmark (`perfbench/`) spells the prepared
@@ -96,9 +137,39 @@ pub struct PreparedSchema {
 pub type OwnedPreparedSchema = PreparedSchema;
 
 impl PreparedSchema {
+    /// The layout step: the tables the engines read besides the ids.
+    fn lay_out(ids: Arc<SchemaIds>) -> PreparedSchema {
+        let tree = &ids.tree;
+        let leaf_flags = tree.leaf_flags();
+        let (leaves, internals) = tree
+            .iter()
+            .map(|(id, _)| id)
+            .partition(|id| leaf_flags[id.index()]);
+        let parents = tree
+            .iter()
+            .map(|(_, n)| n.parent.map_or(u32::MAX, |p| p.0))
+            .collect();
+        PreparedSchema {
+            waves_height: crate::algorithms::waves_by_height(tree),
+            waves_depth: crate::algorithms::waves_by_depth(tree),
+            levels: tree.levels(),
+            leaf_flags,
+            leaves,
+            internals,
+            parents,
+            ids,
+        }
+    }
+
     /// The underlying tree.
     pub fn tree(&self) -> &SchemaTree {
-        &self.tree
+        &self.ids.tree
+    }
+
+    /// The id form this schema was laid out over, shared: a registry keeps
+    /// it and lays an evicted schema out again ([`MatchSession::lay_out`]).
+    pub fn ids(&self) -> &Arc<SchemaIds> {
+        &self.ids
     }
 
     /// Identity view of `self`. It exists only because the frozen
@@ -110,12 +181,19 @@ impl PreparedSchema {
 
     /// The interned symbol of a node's label.
     pub fn symbol(&self, id: NodeId) -> Symbol {
-        self.symbols[id.index()]
+        self.ids.symbol(id)
+    }
+
+    /// The distinct label symbols, in first-seen (pre-order) order — the
+    /// label set the candidate index signs. Their folded forms and tokens
+    /// are read through [`MatchSession::with_interner`].
+    pub fn distinct_symbols(&self) -> &[Symbol] {
+        &self.ids.distinct
     }
 
     /// Number of distinct labels in this tree.
     pub fn distinct_labels(&self) -> usize {
-        self.distinct.len()
+        self.ids.distinct.len()
     }
 
     /// The leaf nodes, in pre-order.
@@ -143,19 +221,7 @@ impl PreparedSchema {
     /// A node's property profile (dense lookup).
     #[inline]
     pub fn props(&self, id: NodeId) -> &Properties {
-        &self.tree.node(id).properties
-    }
-
-    /// Case-folded form of each distinct label, in first-seen (pre-order)
-    /// order — the label set the candidate index signs.
-    pub fn distinct_folded(&self) -> &[String] {
-        &self.distinct_folded
-    }
-
-    /// Token sequence per distinct label, parallel to
-    /// [`PreparedSchema::distinct_folded`].
-    pub fn distinct_tokens(&self) -> &[Vec<Token>] {
-        &self.distinct_tokens
+        &self.ids.tree.node(id).properties
     }
 
     pub(crate) fn waves_by_height(&self) -> &[Vec<NodeId>] {
@@ -164,15 +230,6 @@ impl PreparedSchema {
 
     pub(crate) fn waves_by_depth(&self) -> &[Vec<NodeId>] {
         &self.waves_depth
-    }
-
-    /// The distinct labels of this tree as one side of a label build.
-    pub(crate) fn labels(&self) -> Labels<'_> {
-        Labels {
-            symbols: &self.distinct,
-            folded: &self.distinct_folded,
-            tokens: &self.distinct_tokens,
-        }
     }
 
     /// Dense per-node nesting levels (kernel fast path).
@@ -192,28 +249,28 @@ impl PreparedSchema {
 
     /// Per-node dense distinct-property-profile id.
     pub(crate) fn node_props_raw(&self) -> &[u32] {
-        &self.node_props
+        &self.ids.node_props
     }
 
     /// One representative node per distinct property profile, indexed by
     /// the ids in [`PreparedSchema::node_props_raw`].
     pub(crate) fn distinct_props_raw(&self) -> &[NodeId] {
-        &self.distinct_props
+        &self.ids.distinct_props
     }
 
     /// Test support: asserts every derived table of `self` equals `other`'s,
     /// naming the first differing table. Pins two preparations of the same
-    /// tree (by value, by reference, through an `Arc`, or in another
-    /// session) to each other in tests; not part of the stable API
-    /// surface.
+    /// tree (by value, by reference, through an `Arc`, laid out again from
+    /// kept ids, or in another session) to each other in tests; not part of
+    /// the stable API surface.
     #[doc(hidden)]
     pub fn assert_structural_eq(&self, other: &PreparedSchema) {
-        assert_eq!(self.tree.len(), other.tree.len(), "tree length");
-        assert_eq!(self.symbols, other.symbols, "symbols");
-        assert_eq!(self.distinct, other.distinct, "distinct symbols");
-        assert_eq!(self.node_distinct, other.node_distinct, "node_distinct");
-        assert_eq!(self.distinct_folded, other.distinct_folded, "folded labels");
-        assert_eq!(self.distinct_tokens, other.distinct_tokens, "tokens");
+        let (a, b) = (&self.ids, &other.ids);
+        assert_eq!(a.tree.len(), b.tree.len(), "tree length");
+        assert_eq!(a.distinct, b.distinct, "distinct symbols");
+        assert_eq!(a.node_distinct, b.node_distinct, "node_distinct");
+        assert_eq!(a.node_props, b.node_props, "node_props");
+        assert_eq!(a.distinct_props, b.distinct_props, "distinct_props");
         assert_eq!(self.waves_height, other.waves_height, "waves_by_height");
         assert_eq!(self.waves_depth, other.waves_depth, "waves_by_depth");
         assert_eq!(self.levels, other.levels, "levels");
@@ -221,27 +278,38 @@ impl PreparedSchema {
         assert_eq!(self.leaves, other.leaves, "leaves");
         assert_eq!(self.internals, other.internals, "internals");
         assert_eq!(self.parents, other.parents, "parents");
-        assert_eq!(self.node_props, other.node_props, "node_props");
-        assert_eq!(self.distinct_props, other.distinct_props, "distinct_props");
     }
 }
 
-/// One side of a label build: distinct labels as parallel slices of
-/// symbols, case-folded forms and token sequences.
+/// One side of a label build: distinct labels as their symbols, with their
+/// case-folded forms and token sequences read from the interner in place.
 #[derive(Clone, Copy)]
 pub(crate) struct Labels<'a> {
     pub(crate) symbols: &'a [Symbol],
-    pub(crate) folded: &'a [String],
-    pub(crate) tokens: &'a [Vec<Token>],
+    interner: &'a Interner,
 }
 
 impl<'a> Labels<'a> {
+    /// Number of labels on this side.
+    pub(crate) fn len(self) -> usize {
+        self.symbols.len()
+    }
+
+    /// Label `k`'s case-folded form.
+    pub(crate) fn folded(self, k: usize) -> &'a str {
+        self.interner.folded(self.symbols[k])
+    }
+
+    /// Label `k`'s token sequence.
+    pub(crate) fn tokens(self, k: usize) -> &'a [Token] {
+        self.interner.tokens(self.symbols[k])
+    }
+
     /// The one-label side holding label `i` only.
     fn single(self, i: usize) -> Labels<'a> {
         Labels {
             symbols: &self.symbols[i..=i],
-            folded: &self.folded[i..=i],
-            tokens: &self.tokens[i..=i],
+            ..self
         }
     }
 }
@@ -254,6 +322,7 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<MatchSession>();
     assert_send_sync::<PreparedSchema>();
+    assert_send_sync::<SchemaIds>();
     assert_send_sync::<CacheStats>();
 };
 
@@ -312,8 +381,9 @@ pub struct MatchSession {
     config: MatchConfig,
     matcher: NameMatcher,
     /// Shared with the sessions [`MatchSession::share_interner`] joined, so
-    /// their prepared schemas carry the same symbols.
-    interner: Arc<Mutex<Interner>>,
+    /// their prepared schemas carry the same symbols. Lock order: the
+    /// interner before the label cache.
+    interner: Arc<RwLock<Interner>>,
     /// Source symbol -> [`LabelRow`], shared across every pair matched in
     /// this session. One row per source label: a build resolves each row
     /// once, and the cache grows row by row.
@@ -377,8 +447,8 @@ impl MatchSession {
     /// a foreign symbol would read another label pair's cached match.
     fn check_symbols(&self, source: &PreparedSchema, target: &PreparedSchema) {
         assert!(
-            Arc::ptr_eq(&self.interner, &source.interner)
-                && Arc::ptr_eq(&self.interner, &target.interner),
+            Arc::ptr_eq(&self.interner, &source.ids.interner)
+                && Arc::ptr_eq(&self.interner, &target.ids.interner),
             "a schema prepared through another interner; see MatchSession::share_interner"
         );
     }
@@ -451,6 +521,14 @@ impl MatchSession {
         self.arena.put_matrix(outcome.matrix);
     }
 
+    /// Runs `read` with read access to the session's interner: the raw,
+    /// folded and token forms of every symbol a schema prepared through it
+    /// carries. Do not prepare through this session inside `read` — that
+    /// needs the write lock.
+    pub fn with_interner<R>(&self, read: impl FnOnce(&Interner) -> R) -> R {
+        read(&self.interner.read().expect("interner lock"))
+    }
+
     /// Cross-schema label-cache counters so far.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
@@ -462,8 +540,11 @@ impl MatchSession {
         }
     }
 
-    /// Derives every per-schema artifact the engines consume. Labels seen in
-    /// earlier `prepare` calls reuse their interned fold/tokenize work.
+    /// Derives every per-schema artifact the engines consume, in two steps:
+    /// the id step interns the labels and deduplicates them and the
+    /// property profiles ([`SchemaIds`]), and the layout step builds the
+    /// rest over those ids. Labels seen in earlier `prepare` calls reuse
+    /// their interned fold/tokenize work.
     ///
     /// The prepared schema owns its tree: pass the tree itself, an
     /// `Arc<SchemaTree>` the caller already shares (no copy), or
@@ -476,43 +557,63 @@ impl MatchSession {
 
     fn prepare_shared(&self, tree: Arc<SchemaTree>) -> PreparedSchema {
         let t0 = self.trace.start();
+        let ids = Arc::new(self.intern_ids(tree));
+        self.traced_lay_out(t0, ids)
+    }
+
+    /// The layout step of [`MatchSession::prepare`] alone, over an id form
+    /// a prepare built before (kept from [`PreparedSchema::ids`]): no
+    /// label is interned again. The result equals a fresh prepare of the
+    /// same tree table for table. Records one [`Phase::Prepare`] span, as
+    /// a prepare does.
+    pub fn lay_out(&self, ids: Arc<SchemaIds>) -> PreparedSchema {
+        let t0 = self.trace.start();
+        self.traced_lay_out(t0, ids)
+    }
+
+    fn traced_lay_out(
+        &self,
+        t0: Option<std::time::Instant>,
+        ids: Arc<SchemaIds>,
+    ) -> PreparedSchema {
+        let prepared = PreparedSchema::lay_out(ids);
+        self.trace.finish(
+            t0,
+            Span {
+                rows: prepared.tree().len() as u64,
+                cells: prepared.distinct_labels() as u64,
+                ..Span::empty(Phase::Prepare)
+            },
+        );
+        prepared
+    }
+
+    /// The id step: interns every label, then deduplicates the labels and
+    /// the property profiles, each in first-seen (pre-order) order.
+    fn intern_ids(&self, tree: Arc<SchemaTree>) -> SchemaIds {
+        // Interning every label before deduplicating: one loop doing both
+        // measured ~15 % slower on the 3753-node PDB schema. The lock is
+        // held for the interning only.
+        let symbols: Vec<Symbol> = {
+            let mut interner = self.interner.write().expect("interner lock");
+            tree.iter()
+                .map(|(_, node)| interner.intern(&node.label))
+                .collect()
+        };
         // Tree-local dense ids in first-seen order, exactly as the
         // per-pair interning did, so the label table layout (and thus
         // every downstream float) is unchanged.
         let mut distinct: Vec<Symbol> = Vec::new();
         let mut node_distinct = Vec::with_capacity(tree.len());
-        let mut distinct_folded = Vec::new();
-        let mut distinct_tokens = Vec::new();
-        // Two passes, interning every label before deduplicating: one loop
-        // doing both measured ~15 % slower on the 3753-node PDB schema.
-        let symbols: Vec<Symbol> = {
-            let mut interner = self.interner.lock().expect("interner lock");
-            let symbols: Vec<Symbol> = tree
-                .iter()
-                .map(|(_, node)| interner.intern(&node.label))
-                .collect();
-            let mut local: SymMap<u32> = SymMap::default();
-            for &symbol in &symbols {
-                let next = local.len() as u32;
-                let id = *local.entry(symbol).or_insert(next);
-                if id == next {
-                    distinct.push(symbol);
-                    distinct_folded.push(interner.folded(symbol).to_owned());
-                    distinct_tokens.push(interner.tokens(symbol).to_vec());
-                }
-                node_distinct.push(id);
+        let mut local: SymMap<u32> = SymMap::default();
+        for symbol in symbols {
+            let next = local.len() as u32;
+            let id = *local.entry(symbol).or_insert(next);
+            if id == next {
+                distinct.push(symbol);
             }
-            symbols
-        };
-        let leaf_flags = tree.leaf_flags();
-        let (leaves, internals) = tree
-            .iter()
-            .map(|(id, _)| id)
-            .partition(|id| leaf_flags[id.index()]);
-        let parents = tree
-            .iter()
-            .map(|(_, n)| n.parent.map_or(u32::MAX, |p| p.0))
-            .collect();
+            node_distinct.push(id);
+        }
         // The distinct property-profile dedup: properties scoring is a pure
         // function of the two profiles, so the kernels only score distinct
         // pairs.
@@ -527,33 +628,14 @@ impl MatchSession {
             }
             node_props.push(k);
         }
-        let prepared = PreparedSchema {
+        SchemaIds {
             interner: Arc::clone(&self.interner),
-            symbols,
             distinct,
             node_distinct,
-            distinct_folded,
-            distinct_tokens,
-            waves_height: crate::algorithms::waves_by_height(&tree),
-            waves_depth: crate::algorithms::waves_by_depth(&tree),
-            levels: tree.levels(),
-            leaf_flags,
-            leaves,
-            internals,
-            parents,
             node_props,
             distinct_props,
             tree,
-        };
-        self.trace.finish(
-            t0,
-            Span {
-                rows: prepared.tree.len() as u64,
-                cells: prepared.distinct.len() as u64,
-                ..Span::empty(Phase::Prepare)
-            },
-        );
-        prepared
+        }
     }
 
     /// Runs any [`Algorithm`] over two prepared schemas — the one entry
@@ -774,14 +856,14 @@ impl MatchSession {
         t: NodeId,
     ) -> NameMatch {
         self.check_symbols(source, target);
-        let i = source.node_distinct[s.index()] as usize;
-        let j = target.node_distinct[t.index()] as usize;
+        let i = source.ids.node_distinct[s.index()] as usize;
+        let j = target.ids.node_distinct[t.index()] as usize;
         let cached = self
             .labels
             .lock()
             .expect("label cache lock")
-            .get(&source.distinct[i])
-            .and_then(|row| row.get(target.distinct[j]));
+            .get(&source.ids.distinct[i])
+            .and_then(|row| row.get(target.ids.distinct[j]));
         if let Some(hit) = cached {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return hit;
@@ -790,9 +872,10 @@ impl MatchSession {
         let mut computed = [UNFILLED];
         let mut misses = Misses::default();
         misses.push_row(0);
+        let interner = self.interner.read().expect("interner lock");
         self.resolve_misses(
-            source.labels().single(i),
-            target.labels().single(j),
+            source.ids.labels(&interner).single(i),
+            target.ids.labels(&interner).single(j),
             &misses,
             &mut computed,
         );
@@ -808,10 +891,10 @@ impl MatchSession {
     /// pair. Counts one cache hit or miss per distinct symbol.
     pub(crate) fn root_label_scores(&self, source: &PreparedSchema, roots: &[Symbol]) -> Vec<f64> {
         assert!(
-            Arc::ptr_eq(&self.interner, &source.interner),
+            Arc::ptr_eq(&self.interner, &source.ids.interner),
             "a schema prepared through another interner; see MatchSession::share_interner"
         );
-        let i = source.node_distinct[source.tree.root_id().index()] as usize;
+        let i = source.ids.node_distinct[source.tree().root_id().index()] as usize;
         let mut distinct = roots.to_vec();
         distinct.sort_unstable();
         distinct.dedup();
@@ -819,7 +902,7 @@ impl MatchSession {
         let mut missing: Vec<usize> = Vec::new();
         {
             let cache = self.labels.lock().expect("label cache lock");
-            let row = cache.get(&source.distinct[i]);
+            let row = cache.get(&source.ids.distinct[i]);
             for (j, &symbol) in distinct.iter().enumerate() {
                 match row.and_then(|row| row.get(symbol)) {
                     Some(hit) => found[j] = hit,
@@ -833,22 +916,16 @@ impl MatchSession {
             .fetch_add(missing.len() as u64, Ordering::Relaxed);
         if !missing.is_empty() {
             let symbols: Vec<Symbol> = missing.iter().map(|&j| distinct[j]).collect();
-            let (folded, tokens): (Vec<String>, Vec<Vec<Token>>) = {
-                let interner = self.interner.lock().expect("interner lock");
-                symbols
-                    .iter()
-                    .map(|&t| (interner.folded(t).to_owned(), interner.tokens(t).to_vec()))
-                    .unzip()
-            };
+            let interner = self.interner.read().expect("interner lock");
             let targets = Labels {
                 symbols: &symbols,
-                folded: &folded,
-                tokens: &tokens,
+                interner: &interner,
             };
             let mut all = Misses::default();
             all.push_row(0);
             let mut computed = vec![UNFILLED; symbols.len()];
-            self.resolve_misses(source.labels().single(i), targets, &all, &mut computed);
+            let source = source.ids.labels(&interner).single(i);
+            self.resolve_misses(source, targets, &all, &mut computed);
             for (&j, m) in missing.iter().zip(computed) {
                 found[j] = m;
             }
@@ -867,13 +944,13 @@ impl MatchSession {
         target: &PreparedSchema,
     ) -> LabelMatrix {
         let t0 = self.trace.start();
-        let rows = source.distinct.len();
-        let cols = target.distinct.len();
+        let rows = source.distinct_labels();
+        let cols = target.distinct_labels();
         let mut table = vec![UNFILLED; rows * cols];
         let (hits, misses) = self.fill_table(source, target, &mut table);
         let matrix = LabelMatrix::from_parts(
-            source.node_distinct.clone(),
-            target.node_distinct.clone(),
+            source.ids.node_distinct.clone(),
+            target.ids.node_distinct.clone(),
             cols,
             table,
         );
@@ -907,6 +984,7 @@ impl MatchSession {
         table: &mut [NameMatch],
     ) -> (u64, u64) {
         self.check_symbols(source, target);
+        let (source, target) = (&*source.ids, &*target.ids);
         let cols = target.distinct.len();
         let mut missing = Misses::default();
         {
@@ -936,7 +1014,11 @@ impl MatchSession {
         self.hits.fetch_add(hits, Ordering::Relaxed);
         self.misses.fetch_add(misses, Ordering::Relaxed);
         if !missing.is_empty() {
-            self.resolve_misses(source.labels(), target.labels(), &missing, table);
+            // Only a build with misses reads labels, so only it locks the
+            // interner.
+            let interner = self.interner.read().expect("interner lock");
+            let (rows, columns) = (source.labels(&interner), target.labels(&interner));
+            self.resolve_misses(rows, columns, &missing, table);
         }
         (hits, misses)
     }
@@ -1281,7 +1363,7 @@ mod tests {
         by_value.assert_structural_eq(&by_ref);
         by_value.assert_structural_eq(&by_arc);
         assert!(
-            Arc::ptr_eq(&by_arc.tree, &shared),
+            Arc::ptr_eq(&by_arc.ids.tree, &shared),
             "an Arc is kept, not copied"
         );
         let bits = |m: &SimMatrix| -> Vec<u64> {
@@ -1295,6 +1377,32 @@ mod tests {
             assert_eq!(bits(&got.matrix), bits(&want.matrix));
             assert_eq!(got.total_qom.to_bits(), want.total_qom.to_bits());
         }
+    }
+
+    /// A layout over kept ids equals a fresh prepare table for table,
+    /// shares the ids, interns nothing and records one prepare span; its
+    /// matches are bit-identical to the fresh prepare's.
+    #[test]
+    fn laying_out_kept_ids_equals_a_fresh_prepare() {
+        let recorder = Arc::new(crate::trace::Recorder::with_capacity(8));
+        let mut session = MatchSession::new(MatchConfig::default());
+        session.set_trace_sink(recorder.clone());
+        let kept = session.prepare(po()).ids().clone();
+        let interned = session.with_interner(Interner::len);
+        let laid = session.lay_out(kept.clone());
+        assert!(Arc::ptr_eq(laid.ids(), &kept), "the ids are shared");
+        assert_eq!(session.with_interner(Interner::len), interned);
+        assert_eq!(recorder.phase_stats(Phase::Prepare).count, 2);
+        let fresh = session.prepare(po());
+        laid.assert_structural_eq(&fresh);
+        let other = session.prepare(purchase_order());
+        let (got, want) = (
+            session.hybrid(&laid, &other),
+            session.hybrid(&fresh, &other),
+        );
+        assert_eq!(got.matrix, want.matrix);
+        assert_eq!(got.total_qom.to_bits(), want.total_qom.to_bits());
+        assert!(kept.heap_bytes() >= 4 * (5 + 2 * 5), "ids, per-node ids");
     }
 
     #[test]

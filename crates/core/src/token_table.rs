@@ -158,7 +158,7 @@ impl<'m> Side<'m> {
     /// also `joined` have their misses resolved by joins.
     fn new<'t>(
         matcher: &'m NameMatcher,
-        labels: &'t [Vec<Token>],
+        labels: Labels<'t>,
         used: &[bool],
         joined: &[bool],
         vocabulary: &mut Vocabulary<'t>,
@@ -173,7 +173,7 @@ impl<'m> Side<'m> {
         let mut joined_labels = Vec::new();
         // (token, label) once per joined label holding the token.
         let mut held: Vec<(u32, u32)> = Vec::new();
-        for (k, (tokens, &used)) in labels.iter().zip(used).enumerate() {
+        for (k, &used) in used.iter().enumerate() {
             start.push(ids.len() as u32);
             content_start.push(content.len() as u32);
             if !used {
@@ -183,6 +183,7 @@ impl<'m> Side<'m> {
             if joined[k] {
                 joined_labels.push(k as u32);
             }
+            let tokens = labels.tokens(k);
             acronyms.push(matcher.label_acronyms(tokens));
             let (base, first_held) = (ids.len(), held.len());
             ids.resize(base + tokens.len(), u32::MAX);
@@ -245,9 +246,11 @@ impl<'m> Side<'m> {
     }
 
     /// The joined labels with no tokens.
-    fn empty(&self, tokens: &[Vec<Token>]) -> Vec<u32> {
+    fn empty(&self, labels: Labels<'_>) -> Vec<u32> {
         let joined = self.joined.iter().copied();
-        joined.filter(|&k| tokens[k as usize].is_empty()).collect()
+        joined
+            .filter(|&k| labels.tokens(k as usize).is_empty())
+            .collect()
     }
 
     /// `(key, side, label)` for the [`NameMatcher::acronym_keys`] of every
@@ -255,15 +258,15 @@ impl<'m> Side<'m> {
     fn acronym_keys(
         &self,
         matcher: &NameMatcher,
-        tokens: &[Vec<Token>],
+        labels: Labels<'_>,
         side: u32,
     ) -> (Vec<(u64, u32, u32)>, bool) {
         let (mut keyed, mut keys, mut expansions) = (Vec::new(), Vec::new(), false);
         for &k in &self.joined {
-            let acronyms = self.acronyms[k as usize];
+            let (tokens, acronyms) = (labels.tokens(k as usize), self.acronyms[k as usize]);
             keys.clear();
-            matcher.acronym_keys(&tokens[k as usize], acronyms, &mut keys);
-            expansions |= tokens[k as usize].len() == 1 && acronyms.iter().any(|e| e.len() >= 2);
+            matcher.acronym_keys(tokens, acronyms, &mut keys);
+            expansions |= tokens.len() == 1 && acronyms.iter().any(|e| e.len() >= 2);
             keyed.extend(keys.iter().map(|&key| (key, side, k)));
         }
         (keyed, expansions)
@@ -274,14 +277,14 @@ impl<'m> Side<'m> {
     fn phrase_keys(
         &self,
         matcher: &NameMatcher,
-        tokens: &[Vec<Token>],
+        labels: Labels<'_>,
         expansions: bool,
         side: u32,
     ) -> Vec<(u64, u32, u32)> {
         let (mut keyed, mut keys) = (Vec::new(), Vec::new());
         for &k in &self.joined {
             keys.clear();
-            matcher.phrase_keys(&tokens[k as usize], expansions, &mut keys);
+            matcher.phrase_keys(labels.tokens(k as usize), expansions, &mut keys);
             keyed.extend(keys.iter().map(|&key| (key, side, k)));
         }
         keyed
@@ -345,8 +348,8 @@ impl MatchSession {
         misses: &Misses,
         out: &mut [NameMatch],
     ) -> Resolved {
-        let cols = target.symbols.len();
-        let mut row_misses: Vec<Option<Option<&[u32]>>> = vec![None; source.symbols.len()];
+        let cols = target.len();
+        let mut row_misses: Vec<Option<Option<&[u32]>>> = vec![None; source.len()];
         for (i, missing) in misses.rows() {
             row_misses[i] = Some(missing);
         }
@@ -358,16 +361,15 @@ impl MatchSession {
         };
         if self.config().lexicon == LexiconMode::ExactOnly {
             let mut by_folded: HashMap<&str, Vec<u32>> = HashMap::new();
-            for (j, folded) in target.folded.iter().enumerate() {
-                by_folded.entry(folded).or_default().push(j as u32);
+            for j in 0..cols {
+                by_folded
+                    .entry(target.folded(j))
+                    .or_default()
+                    .push(j as u32);
             }
             let mut written = Vec::new();
             for (i, _) in misses.rows() {
-                for &j in by_folded
-                    .get(source.folded[i].as_str())
-                    .into_iter()
-                    .flatten()
-                {
+                for &j in by_folded.get(source.folded(i)).into_iter().flatten() {
                     if is_missing(i, j) {
                         let idx = i * cols + j as usize;
                         out[idx] = NameMatch {
@@ -405,14 +407,8 @@ impl MatchSession {
             .collect();
         let matcher: &NameMatcher = self.matcher();
         let mut vocabulary = Vocabulary::default();
-        let rows = Side::new(matcher, source.tokens, &row_used, &joined, &mut vocabulary);
-        let columns = Side::new(
-            matcher,
-            target.tokens,
-            &col_used,
-            &col_used,
-            &mut vocabulary,
-        );
+        let rows = Side::new(matcher, source, &row_used, &joined, &mut vocabulary);
+        let columns = Side::new(matcher, target, &col_used, &col_used, &mut vocabulary);
         let forms = |side: &Side| -> Vec<&TokenForm> {
             let form = |&id: &u32| &vocabulary.forms[id as usize];
             side.form.iter().map(form).collect()
@@ -486,22 +482,22 @@ impl MatchSession {
                     }
                 }
             }
-            let (row_empty, col_empty) = (rows.empty(source.tokens), columns.empty(target.tokens));
+            let (row_empty, col_empty) = (rows.empty(source), columns.empty(target));
             for &i in &row_empty {
                 for &j in &col_empty {
                     push(i, j);
                 }
             }
-            let (row_short, row_expansions) = rows.acronym_keys(matcher, source.tokens, 0);
-            let (col_short, col_expansions) = columns.acronym_keys(matcher, target.tokens, 1);
+            let (row_short, row_expansions) = rows.acronym_keys(matcher, source, 0);
+            let (col_short, col_expansions) = columns.acronym_keys(matcher, target, 1);
             if !row_short.is_empty() {
                 let mut keyed = row_short;
-                keyed.extend(columns.phrase_keys(matcher, target.tokens, row_expansions, 1));
+                keyed.extend(columns.phrase_keys(matcher, target, row_expansions, 1));
                 cross_runs(&mut keyed, &mut push);
             }
             if !col_short.is_empty() {
                 let mut keyed = col_short;
-                keyed.extend(rows.phrase_keys(matcher, source.tokens, col_expansions, 0));
+                keyed.extend(rows.phrase_keys(matcher, source, col_expansions, 0));
                 cross_runs(&mut keyed, &mut push);
             }
         }
@@ -515,8 +511,8 @@ impl MatchSession {
                 let (i, j) = (graded[k] / cols, graded[k] % cols);
                 let (row_ids, col_ids) = (rows.ids(i), columns.ids(j));
                 matcher.compare_with(
-                    &source.tokens[i],
-                    &target.tokens[j],
+                    source.tokens(i),
+                    target.tokens(j),
                     [rows.acronyms[i], columns.acronyms[j]],
                     [rows.content(i), columns.content(j)],
                     |p, q| table.get(row_ids[p], col_ids[q]),

@@ -36,7 +36,9 @@ use std::time::{Duration, Instant};
 /// The pipeline phases a [`Span`] can belong to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// [`MatchSession::prepare`](crate::session::MatchSession::prepare):
+    /// [`MatchSession::prepare`](crate::session::MatchSession::prepare), or
+    /// its layout step alone
+    /// ([`MatchSession::lay_out`](crate::session::MatchSession::lay_out)):
     /// `rows` = nodes in the tree, `cells` = distinct labels.
     Prepare,
     /// [`LabelMatrix`](crate::algorithms::LabelMatrix) construction:

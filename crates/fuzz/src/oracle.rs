@@ -191,17 +191,23 @@ pub fn check_labels(rng: &mut SmallRng) -> Result<(), (OracleFailure, String)> {
             Err(payload) => return Err((OracleFailure::Panic(panic_message(payload)), repro())),
         };
         let (rows, cols) = (representatives(sp), representatives(tp));
-        for (i, &x) in rows.iter().enumerate() {
-            for (j, &y) in cols.iter().enumerate() {
-                let (a, b) = (&sp.distinct_tokens()[i], &tp.distinct_tokens()[j]);
-                let (got, want) = (labels.get(x, y), session.matcher().compare_tokens(a, b));
-                if got.grade != want.grade || got.score.to_bits() != want.score.to_bits() {
-                    let message = format!("{a:?} vs {b:?}: table {got:?}, from scratch {want:?}");
-                    return Err((OracleFailure::LabelDivergence(message), repro()));
+        // The reference reads each distinct label's tokens from the
+        // session interner by symbol.
+        session.with_interner(|interner| {
+            for (i, &x) in rows.iter().enumerate() {
+                for (j, &y) in cols.iter().enumerate() {
+                    let a = interner.tokens(sp.distinct_symbols()[i]);
+                    let b = interner.tokens(tp.distinct_symbols()[j]);
+                    let (got, want) = (labels.get(x, y), session.matcher().compare_tokens(a, b));
+                    if got.grade != want.grade || got.score.to_bits() != want.score.to_bits() {
+                        let message =
+                            format!("{a:?} vs {b:?}: table {got:?}, from scratch {want:?}");
+                        return Err((OracleFailure::LabelDivergence(message), repro()));
+                    }
                 }
             }
-        }
-        Ok(())
+            Ok(())
+        })
     };
     // A cold build of every pair.
     check(&session, &sp, &tp)?;

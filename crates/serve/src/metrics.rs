@@ -108,6 +108,9 @@ pub struct Metrics {
     phase_count: [AtomicU64; Phase::COUNT],
     phase_wall_us: [AtomicU64; Phase::COUNT],
     phase_cells: [AtomicU64; Phase::COUNT],
+    /// Cells the kernels' prefilters skipped, per phase (the spans'
+    /// `skipped` field).
+    phase_skipped: [AtomicU64; Phase::COUNT],
     phase_buckets: [[AtomicU64; 8]; Phase::COUNT],
 }
 
@@ -119,6 +122,9 @@ pub struct RegistrySnapshot {
     pub schemas: u64,
     /// Prepared schemas currently resident.
     pub resident: u64,
+    /// Heap bytes of the id forms the shards keep for every registered
+    /// schema (a gauge; `--max-schemas` does not bound it).
+    pub ids_bytes: u64,
     /// Prepared-schema lookups served from residence.
     pub prepare_hits: u64,
     /// Lookups that had to (re-)prepare.
@@ -237,6 +243,7 @@ impl Metrics {
         self.phase_count[i].fetch_add(1, Ordering::Relaxed);
         self.phase_wall_us[i].fetch_add(micros, Ordering::Relaxed);
         self.phase_cells[i].fetch_add(span.cells, Ordering::Relaxed);
+        self.phase_skipped[i].fetch_add(span.skipped, Ordering::Relaxed);
         self.phase_buckets[i][bucket_of(micros)].fetch_add(1, Ordering::Relaxed);
     }
 
@@ -338,6 +345,7 @@ impl Metrics {
         );
         let _ = writeln!(out, "qmatch_registry_schemas {}", registry.schemas);
         let _ = writeln!(out, "qmatch_registry_resident {}", registry.resident);
+        let _ = writeln!(out, "qmatch_registry_ids_bytes {}", registry.ids_bytes);
         let _ = writeln!(out, "qmatch_prepare_hits_total {}", registry.prepare_hits);
         let _ = writeln!(
             out,
@@ -403,6 +411,11 @@ impl Metrics {
                 out,
                 "qmatch_phase_cells_total{{phase=\"{name}\"}} {}",
                 self.phase_cells[i].load(Ordering::Relaxed)
+            );
+            let _ = writeln!(
+                out,
+                "qmatch_phase_skipped_total{{phase=\"{name}\"}} {}",
+                self.phase_skipped[i].load(Ordering::Relaxed)
             );
             let mut cumulative = 0u64;
             for (b, counter) in self.phase_buckets[i].iter().enumerate() {
@@ -535,6 +548,7 @@ mod tests {
         let snapshot = RegistrySnapshot {
             schemas: 3,
             resident: 2,
+            ids_bytes: 960,
             prepare_hits: 10,
             prepare_misses: 3,
             evictions: 1,
@@ -553,6 +567,7 @@ mod tests {
         assert!(text.contains("qmatch_bytes_ingested_total 1234"));
         assert!(text.contains("qmatch_rejected_by_limits_total 1"));
         assert!(text.contains("qmatch_registry_schemas 3"));
+        assert!(text.contains("qmatch_registry_ids_bytes 960"));
         assert!(text.contains("qmatch_label_cache_hit_rate 0.75"));
         assert!(text.contains("qmatch_label_token_scores_total 40"));
         assert!(text.contains("qmatch_label_graded_pairs_total 12"));
@@ -574,6 +589,7 @@ mod tests {
         let sink = PhaseSink::new(m.clone());
         let span = Span {
             cells: 42,
+            skipped: 7,
             wall: std::time::Duration::from_micros(250),
             ..Span::empty(Phase::HybridWave)
         };
@@ -585,6 +601,7 @@ mod tests {
         );
         assert!(text.contains("qmatch_phase_wall_us_sum{phase=\"hybrid_wave\"} 250"));
         assert!(text.contains("qmatch_phase_cells_total{phase=\"hybrid_wave\"} 42"));
+        assert!(text.contains("qmatch_phase_skipped_total{phase=\"hybrid_wave\"} 7"));
         assert!(text.contains("qmatch_phase_wall_us_bucket{phase=\"hybrid_wave\",le=\"500\"} 1"));
         // Phases that never fired are skipped entirely.
         assert!(!text.contains("phase=\"labels\""), "{text}");

@@ -178,6 +178,7 @@ impl Registry {
             let s = shard.snapshot();
             total.schemas += s.schemas;
             total.resident += s.resident;
+            total.ids_bytes += s.ids_bytes;
             total.prepare_hits += s.prepare_hits;
             total.prepare_misses += s.prepare_misses;
             total.evictions += s.evictions;

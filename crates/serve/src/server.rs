@@ -42,7 +42,10 @@ pub struct ServerConfig {
     /// Shard/worker thread count; 0 means the machine's available
     /// parallelism.
     pub threads: usize,
-    /// LRU cap on resident prepared schemas, per shard.
+    /// LRU cap on resident prepared schemas, per shard. It bounds the
+    /// layouts only (wave schedules, levels, parents, partitions): a shard
+    /// keeps the compact id form of every registered schema, and a miss
+    /// lays that form out again without interning a label.
     pub max_resident: usize,
     /// Ingestion limits applied to `PUT /schemas/{name}` bodies.
     pub limits: IngestLimits,

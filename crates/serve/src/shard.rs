@@ -1,9 +1,11 @@
 //! Shared-nothing registry shards and the worker loop that animates them.
 //!
 //! Schema ownership is static: `shard_of(name) = fnv1a(name) % shards`.
-//! Each [`Shard`] owns one partition of the name space — the compiled
-//! trees, the LRU-capped pool of prepared artifacts for *its* schemas, and
-//! its own [`MatchSession`] (label cache, matrix arena). A match on
+//! Each [`Shard`] owns one partition of the name space — the id form
+//! ([`SchemaIds`]: the compiled tree with its interned label and property
+//! tables) of every one of *its* schemas, the LRU-capped pool of prepared
+//! artifacts laid out over them, and its own [`MatchSession`] (label
+//! cache, matrix arena). A match on
 //! `source` always executes on `shard_of(source)`'s thread, so the hot
 //! per-session state is touched by exactly one thread; a cross-shard
 //! *target* costs only an `Arc` clone of the owner's prepared artifact.
@@ -21,9 +23,9 @@ use crate::handlers::{self, ServeState, TopkPlan};
 use crate::http::{Request, Response};
 use crate::metrics::{Endpoint, RegistrySnapshot};
 use qmatch_core::index::{CorpusIndex, Signature};
-use qmatch_core::session::{MatchSession, PreparedSchema};
+use qmatch_core::session::{MatchSession, PreparedSchema, SchemaIds};
 use qmatch_core::trace::{Phase, Span};
-use qmatch_core::{Algorithm, Candidate, Precision, Symbol};
+use qmatch_core::{Algorithm, Candidate, Precision};
 use qmatch_xsd::{SchemaTree, TreeProfile};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -46,10 +48,11 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 struct Entry {
-    tree: Arc<SchemaTree>,
-    /// The root label's symbol in the registry's shared interner: with the
-    /// tree's root properties, all a topk's root-QoM bound reads.
-    root: Symbol,
+    /// The id form, built once at registration and kept while the name is
+    /// registered: an LRU miss lays it out again without interning. Its
+    /// root symbol and root properties are all a topk's root-QoM bound
+    /// reads.
+    ids: Arc<SchemaIds>,
     /// Raw XSD bytes as ingested — kept for snapshot compaction dumps.
     source: Arc<[u8]>,
     nodes: usize,
@@ -126,15 +129,15 @@ impl Shard {
 
     /// Registers (or replaces) a schema this shard owns. The tree is
     /// prepared eagerly so the first match does not pay preparation
-    /// latency. A replacement is prepared and signed from scratch like a
-    /// first registration, so a re-`PUT` is equal to a fresh one by
-    /// construction.
+    /// latency, and the shard keeps its id form for as long as the name is
+    /// registered. A replacement is prepared and signed from scratch like a
+    /// first registration and replaces the id form, so a re-`PUT` is equal
+    /// to a fresh one by construction.
     pub fn register(&self, name: &str, tree: SchemaTree, source: &[u8]) -> Registered {
         let profile = TreeProfile::of(&tree);
-        let tree = Arc::new(tree);
-        let prepared = Arc::new(self.session.prepare(tree.clone()));
+        let prepared = Arc::new(self.session.prepare(tree));
         let signature = self.session.signature(&prepared);
-        let root = prepared.symbol(tree.root_id());
+        let ids = prepared.ids().clone();
         let mut inner = self.inner.write().expect("shard lock");
         inner.index.insert(name, signature);
         let tick = self.next_tick();
@@ -143,8 +146,7 @@ impl Shard {
             .insert(
                 name.to_owned(),
                 Entry {
-                    tree,
-                    root,
+                    ids,
                     source: Arc::from(source),
                     nodes: profile.nodes,
                     max_depth: profile.max_depth,
@@ -166,8 +168,8 @@ impl Shard {
         }
     }
 
-    /// Removes a schema this shard owns: the compiled tree, its resident
-    /// prepared artifact, and its index entry. Returns whether the name
+    /// Removes a schema this shard owns: its id form (with the compiled
+    /// tree), its resident prepared artifact, and its index entry. Returns whether the name
     /// was registered.
     pub fn remove(&self, name: &str) -> bool {
         let mut inner = self.inner.write().expect("shard lock");
@@ -210,8 +212,10 @@ impl Shard {
         }
     }
 
-    /// The prepared schema for `name` (owned by this shard), re-preparing
-    /// it if the LRU cap evicted it. `None` when the name is unknown.
+    /// The prepared schema for `name` (owned by this shard). If the LRU cap
+    /// evicted it, only the layout step runs again, over the id form kept
+    /// since registration ([`MatchSession::lay_out`]). `None` when the name
+    /// is unknown.
     pub fn prepared(&self, name: &str) -> Option<Arc<PreparedSchema>> {
         {
             let inner = self.inner.read().expect("shard lock");
@@ -227,12 +231,12 @@ impl Shard {
             }
         }
         self.prepare_misses.fetch_add(1, Ordering::Relaxed);
-        let tree = {
+        let ids = {
             let inner = self.inner.read().expect("shard lock");
-            inner.entries.get(name)?.tree.clone()
+            inner.entries.get(name)?.ids.clone()
         };
-        // Prepare outside any lock: pure work, possibly raced, harmless.
-        let prepared = Arc::new(self.session.prepare(tree));
+        // Lay out outside any lock: pure work, possibly raced, harmless.
+        let prepared = Arc::new(self.session.lay_out(ids));
         let mut inner = self.inner.write().expect("shard lock");
         if !inner.entries.contains_key(name) {
             return None; // deleted concurrently (future-proofing)
@@ -320,22 +324,22 @@ impl Shard {
         k: usize,
         precision: Precision,
     ) -> Vec<(String, f64)> {
-        let roots: Vec<(&str, Symbol, Arc<SchemaTree>)> = {
+        let roots: Vec<(&str, Arc<SchemaIds>)> = {
             let inner = self.inner.read().expect("shard lock");
             names
                 .iter()
-                .filter_map(|name| {
-                    let entry = inner.entries.get(name)?;
-                    Some((name.as_str(), entry.root, entry.tree.clone()))
-                })
+                .filter_map(|name| Some((name.as_str(), inner.entries.get(name)?.ids.clone())))
                 .collect()
         };
         let candidates: Vec<Candidate> = roots
             .iter()
-            .map(|(name, root, tree)| Candidate {
-                name,
-                root: *root,
-                root_props: &tree.node(tree.root_id()).properties,
+            .map(|(name, ids)| {
+                let root = ids.tree().root_id();
+                Candidate {
+                    name,
+                    root: ids.symbol(root),
+                    root_props: &ids.tree().node(root).properties,
+                }
             })
             .collect();
         let topk = self
@@ -381,14 +385,20 @@ impl Shard {
 
     /// This shard's contribution to the registry-wide counters snapshot.
     pub fn snapshot(&self) -> RegistrySnapshot {
-        let (schemas, resident) = {
+        let (schemas, resident, ids_bytes) = {
             let inner = self.inner.read().expect("shard lock");
-            (inner.entries.len() as u64, inner.resident.len() as u64)
+            let ids = inner.entries.values().map(|e| e.ids.heap_bytes() as u64);
+            (
+                inner.entries.len() as u64,
+                inner.resident.len() as u64,
+                ids.sum(),
+            )
         };
         let labels = self.session.cache_stats();
         RegistrySnapshot {
             schemas,
             resident,
+            ids_bytes,
             prepare_hits: self.prepare_hits.load(Ordering::Relaxed),
             prepare_misses: self.prepare_misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
@@ -637,6 +647,8 @@ mod tests {
         let prepared = s.prepared("po").expect("still registered");
         assert_eq!(prepared.tree().name(), "PO2");
         assert_eq!(s.snapshot().prepare_misses, 1);
+        // The miss lays out the replacement's kept id form.
+        prepared.assert_structural_eq(&s.session().prepare(tree("PO2")));
         assert_eq!(s.prepared("missing").map(|_| ()), None);
     }
 
@@ -648,14 +660,44 @@ mod tests {
                 &[("PO", None), ("OrderNumber", Some(0)), ("Qty", Some(0))],
             )
         };
-        // Cap 2 keeps the old revision resident; cap 1 lets "other" evict it.
-        for (max_resident, evicted) in [(2, false), (1, true)] {
+        let resident =
+            |s: &Shard, name: &str| s.list().iter().any(|i| i.name == name && i.resident);
+        // Cap 2 keeps the old revision resident; cap 1 lets "other" evict
+        // it, so the revision replaces an evicted name. `delete` removes
+        // "po" before registering the revision; `miss` evicts the revision
+        // again, so it is laid out from the id form the shard kept.
+        for (max_resident, delete, miss) in [
+            (2, false, false),
+            (1, false, false),
+            (1, false, true),
+            (2, true, false),
+            (1, true, true),
+        ] {
+            let case = format!("cap {max_resident}, delete {delete}, miss {miss}");
             let s = shard(max_resident);
             s.register("po", tree("PO"), b"<po/>");
             s.register("other", tree("O"), b"<o/>");
-            assert_eq!(s.snapshot().evictions, u64::from(evicted));
-            assert!(s.register("po", revised(), b"<po v2/>").replaced);
+            let evicted = max_resident == 1;
+            assert_eq!(s.snapshot().evictions, u64::from(evicted), "{case}");
+            assert_eq!(resident(&s, "po"), !evicted, "{case}");
+            if delete {
+                assert!(s.remove("po"), "{case}");
+                assert!(!s.register("po", revised(), b"<po v2/>").replaced, "{case}");
+            } else {
+                assert!(s.register("po", revised(), b"<po v2/>").replaced, "{case}");
+            }
+            if miss {
+                s.prepared("other").expect("registered");
+                assert!(!resident(&s, "po"), "{case}");
+            }
+            let misses = s.snapshot().prepare_misses;
             let prepared = s.prepared("po").expect("registered");
+            assert_eq!(
+                s.snapshot().prepare_misses - misses,
+                u64::from(miss),
+                "{case}"
+            );
+            assert!(resident(&s, "po"), "{case}");
             let scratch = s.session().prepare(revised());
             prepared.assert_structural_eq(&scratch);
             // The index answers every probe as a fresh registration's does;
@@ -669,7 +711,7 @@ mod tests {
                 assert_eq!(
                     s.candidates(&signature),
                     fresh.candidates(&signature),
-                    "evicted={evicted}"
+                    "{case}"
                 );
             }
         }

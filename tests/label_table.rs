@@ -100,6 +100,15 @@ fn word(stem: &str, k: usize) -> String {
     format!("{stem}{}{}", letter(k / 26), letter(k % 26))
 }
 
+/// The token sequence of each distinct label of `prepared`, in its
+/// distinct order, read from the session interner by symbol.
+fn distinct_tokens(s: &MatchSession, prepared: &PreparedSchema) -> Vec<Vec<Token>> {
+    s.with_interner(|interner| {
+        let symbols = prepared.distinct_symbols().iter();
+        symbols.map(|&x| interner.tokens(x).to_vec()).collect()
+    })
+}
+
 /// One node per distinct label, in the prepared schema's distinct order
 /// (first seen in pre-order).
 fn representatives(prepared: &PreparedSchema) -> Vec<NodeId> {
@@ -265,14 +274,11 @@ fn cold_label_builds_equal_the_from_scratch_reference_bit_for_bit() {
             let reference_session = session(mode, thesaurus, 1);
             let (sp, tp) = (reference_session.prepare(&a), reference_session.prepare(&b));
             let matcher = reference_session.matcher();
-            let reference: Vec<_> = sp
-                .distinct_tokens()
+            let row_tokens = distinct_tokens(&reference_session, &sp);
+            let col_tokens = distinct_tokens(&reference_session, &tp);
+            let reference: Vec<_> = row_tokens
                 .iter()
-                .flat_map(|x| {
-                    tp.distinct_tokens()
-                        .iter()
-                        .map(move |y| matcher.compare_tokens(x, y))
-                })
+                .flat_map(|x| col_tokens.iter().map(move |y| matcher.compare_tokens(x, y)))
                 .collect();
             for threads in [1, 4] {
                 let s = session(mode, thesaurus, threads);
@@ -285,8 +291,8 @@ fn cold_label_builds_equal_the_from_scratch_reference_bit_for_bit() {
                         assert!(
                             got.grade == want.grade && got.score.to_bits() == want.score.to_bits(),
                             "{name} {mode:?} threads {threads}: {:?} vs {:?}: {got:?} != {want:?}",
-                            sp.distinct_tokens()[i],
-                            tp.distinct_tokens()[j],
+                            row_tokens[i],
+                            col_tokens[j],
                         );
                     }
                 }
@@ -335,8 +341,9 @@ fn check_cold_counts(a: &SchemaTree, b: &SchemaTree, threads: usize) -> (u64, u6
     // that score above 0 (a one-token label's score is its token's).
     let mut aligned = HashSet::new();
     let mut related = 0;
-    for x in sp.distinct_tokens() {
-        for y in tp.distinct_tokens() {
+    let (row_tokens, col_tokens) = (distinct_tokens(&s, &sp), distinct_tokens(&s, &tp));
+    for x in &row_tokens {
+        for y in &col_tokens {
             for p in content_positions(x) {
                 for q in content_positions(y) {
                     aligned.insert((x[p].as_str(), y[q].as_str()));
@@ -386,10 +393,11 @@ fn check_build(
     what: &str,
 ) -> (u64, u64) {
     let labels = s.label_matrix(sp, tp);
+    let (row_tokens, col_tokens) = (distinct_tokens(s, sp), distinct_tokens(s, tp));
     let (mut hits, mut misses) = (0, 0);
     for (i, &x) in representatives(sp).iter().enumerate() {
         for (j, &y) in representatives(tp).iter().enumerate() {
-            let (a, b) = (&sp.distinct_tokens()[i], &tp.distinct_tokens()[j]);
+            let (a, b) = (&row_tokens[i], &col_tokens[j]);
             let (got, want) = (labels.get(x, y), s.matcher().compare_tokens(a, b));
             assert!(
                 got.grade == want.grade && got.score.to_bits() == want.score.to_bits(),

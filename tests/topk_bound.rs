@@ -226,21 +226,25 @@ fn bounded_topk_bodies_equal_the_unpruned_reference() {
         };
         let shards = 1 + case % 3;
         let schemas = random_registry(&mut rng, size);
-        let state = ServeState {
+        // A resident cap of 8, and of 1, under which every candidate is an
+        // LRU miss laid out from its kept id form.
+        let states = [8, 1].map(|max_resident| ServeState {
             registry: Registry::new(
                 (0..shards)
                     .map(|_| MatchSession::new(MatchConfig::default()))
                     .collect(),
-                8,
+                max_resident,
             ),
             metrics: Arc::new(Metrics::new()),
             limits: IngestLimits::default(),
             persist: None,
-        };
+        });
         let session = MatchSession::new(MatchConfig::default());
         let mut prepared = HashMap::new();
         for (name, tree) in &schemas {
-            state.registry.register(name, tree.clone(), b"");
+            for state in &states {
+                state.registry.register(name, tree.clone(), b"");
+            }
             prepared.insert(name.clone(), session.prepare(tree));
         }
         for _ in 0..8 {
@@ -253,27 +257,29 @@ fn bounded_topk_bodies_equal_the_unpruned_reference() {
                 "/v1/match/topk?source={source}&k={k}&precision={precision}&index={index}&algo={algo}"
             );
             let req = request(&target);
-            let before = state.registry.snapshot();
-            let (_, served) = handlers::handle(&req, &state);
-            let after = state.registry.snapshot();
-            assert_eq!(served.status, 200, "{target}");
-            let plan = handlers::validate_topk(&req, &state.registry).expect("valid query");
-            let (expected, candidates) = reference(&state, &session, &prepared, &plan);
-            let body = handlers::topk_render(&plan, expected).body;
-            assert_eq!(
-                String::from_utf8_lossy(&served.body),
-                String::from_utf8_lossy(&body),
-                "case {case} ({shards} shards, {size} schemas): {target}"
-            );
-            // Every candidate is either matched or pruned by its bound;
-            // CUPID has no bound.
-            let dp = after.topk_dp_runs - before.topk_dp_runs;
-            let pruned = after.topk_bound_pruned - before.topk_bound_pruned;
-            assert_eq!(dp + pruned, candidates as u64, "{target}");
-            if algo == "cupid" {
-                assert_eq!(pruned, 0, "{target}");
+            for (state, cap) in states.iter().zip([8, 1]) {
+                let before = state.registry.snapshot();
+                let (_, served) = handlers::handle(&req, state);
+                let after = state.registry.snapshot();
+                assert_eq!(served.status, 200, "{target}");
+                let plan = handlers::validate_topk(&req, &state.registry).expect("valid query");
+                let (expected, candidates) = reference(state, &session, &prepared, &plan);
+                let body = handlers::topk_render(&plan, expected).body;
+                assert_eq!(
+                    String::from_utf8_lossy(&served.body),
+                    String::from_utf8_lossy(&body),
+                    "case {case} ({shards} shards, {size} schemas, cap {cap}): {target}"
+                );
+                // Every candidate is either matched or pruned by its bound;
+                // CUPID has no bound.
+                let dp = after.topk_dp_runs - before.topk_dp_runs;
+                let pruned = after.topk_bound_pruned - before.topk_bound_pruned;
+                assert_eq!(dp + pruned, candidates as u64, "{target}");
+                if algo == "cupid" {
+                    assert_eq!(pruned, 0, "{target}");
+                }
+                pruned_any |= pruned > 0;
             }
-            pruned_any |= pruned > 0;
         }
     }
     assert!(pruned_any, "the bound pruned nothing in any case");
