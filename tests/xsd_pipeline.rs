@@ -6,7 +6,7 @@
 //! seeds, so failures reproduce from the case index in the message.
 
 use qmatch::xml::escape::escape_attr;
-use qmatch::xsd::{parse_schema, SchemaTree};
+use qmatch::xsd::{parse_schema, SchemaTree, XsdError};
 use qmatch_prng::SmallRng;
 use std::fmt::Write as _;
 
@@ -169,16 +169,25 @@ fn writer_round_trips_generated_schemas() {
 /// Every file in the malformed corpus (crashers promoted from fuzzing
 /// sessions plus hand-written pathological inputs) must be rejected with a
 /// typed error somewhere in the pipeline — parse or compile — and must
-/// never panic.
+/// never panic. Each error's message (with its `line:column`) and source
+/// byte offset are pinned in `tests/data/malformed/expected_errors.txt`,
+/// one `file<TAB>offset<TAB>message` line per corpus file (`-` where the
+/// error has no source position).
 #[test]
 fn malformed_corpus_is_rejected_with_typed_errors() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/malformed");
-    let mut checked = 0;
+    let expected_text = std::fs::read_to_string(dir.join("expected_errors.txt"))
+        .expect("malformed corpus expectations exist");
+    let expected: Vec<&str> = expected_text
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
     let mut entries: Vec<_> = std::fs::read_dir(&dir)
         .expect("malformed corpus directory exists")
         .map(|e| e.unwrap().path())
         .collect();
     entries.sort();
+    let mut actual = Vec::new();
     for path in entries {
         if path.extension().and_then(|e| e.to_str()) != Some("xsd") {
             continue;
@@ -186,15 +195,28 @@ fn malformed_corpus_is_rejected_with_typed_errors() {
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         let text = std::fs::read_to_string(&path).unwrap();
         let pipeline = parse_schema(&text).and_then(|s| SchemaTree::compile(&s));
-        assert!(
-            pipeline.is_err(),
-            "{name}: expected the pipeline to reject this input"
-        );
-        // The error formats without panicking too.
-        let _ = pipeline.unwrap_err().to_string();
-        checked += 1;
+        let Err(err) = pipeline else {
+            panic!("{name}: expected the pipeline to reject this input");
+        };
+        let offset = match &err {
+            XsdError::Xml(e) => Some(e.position().offset),
+            XsdError::Invalid { position, .. } => position.map(|p| p.offset),
+            _ => None,
+        };
+        let offset = offset.map_or("-".to_owned(), |o| o.to_string());
+        actual.push(format!("{name}\t{offset}\t{err}"));
     }
-    assert!(checked >= 10, "corpus unexpectedly small: {checked} files");
+    assert!(
+        actual.len() >= 20,
+        "corpus unexpectedly small: {} files",
+        actual.len()
+    );
+    assert_eq!(
+        actual.iter().map(String::as_str).collect::<Vec<_>>(),
+        expected,
+        "error messages or positions changed; actual:\n{}",
+        actual.join("\n")
+    );
 }
 
 #[test]
