@@ -36,7 +36,7 @@ impl Default for InstanceOptions {
 }
 
 /// Generates one valid instance of the first global element of `schema`.
-pub fn generate_instance(schema: &Schema, options: &InstanceOptions) -> Option<Element> {
+pub fn generate_instance(schema: &Schema, options: &InstanceOptions) -> Option<Element<'static>> {
     let root = schema.elements.first()?;
     let mut generator = Generator {
         schema,
@@ -51,7 +51,7 @@ pub fn generate_instance_of(
     schema: &Schema,
     root: &str,
     options: &InstanceOptions,
-) -> Option<Element> {
+) -> Option<Element<'static>> {
     let decl = schema.element_by_name(root)?;
     let mut generator = Generator {
         schema,
@@ -68,7 +68,7 @@ struct Generator<'s> {
 }
 
 impl<'s> Generator<'s> {
-    fn element(&mut self, decl: &ElementDecl, depth: u32) -> Element {
+    fn element(&mut self, decl: &ElementDecl, depth: u32) -> Element<'static> {
         let decl = match &decl.reference {
             Some(name) => self.schema.element_by_name(name).unwrap_or(decl),
             None => decl,
@@ -82,7 +82,7 @@ impl<'s> Generator<'s> {
         element
     }
 
-    fn fill(&mut self, element: &mut Element, type_ref: &TypeRef, depth: u32) {
+    fn fill(&mut self, element: &mut Element<'static>, type_ref: &TypeRef, depth: u32) {
         match type_ref {
             TypeRef::Builtin(b) => {
                 let value = self.builtin_value(*b, &[]);
@@ -109,7 +109,7 @@ impl<'s> Generator<'s> {
         }
     }
 
-    fn complex(&mut self, element: &mut Element, ct: &ComplexType, depth: u32) {
+    fn complex(&mut self, element: &mut Element<'static>, ct: &ComplexType, depth: u32) {
         let Ok((particles, attributes, groups)) =
             qmatch_xsd::resolve::effective_complex(self.schema, ct)
         else {
@@ -142,7 +142,7 @@ impl<'s> Generator<'s> {
         }
     }
 
-    fn attribute(&mut self, element: &mut Element, decl: &AttributeDecl) {
+    fn attribute(&mut self, element: &mut Element<'static>, decl: &AttributeDecl) {
         let target = match &decl.reference {
             Some(name) => self.schema.attribute_by_name(name).unwrap_or(decl),
             None => decl,
@@ -178,7 +178,7 @@ impl<'s> Generator<'s> {
 
     fn particle(
         &mut self,
-        parent: &mut Element,
+        parent: &mut Element<'static>,
         particle: &Particle,
         depth: u32,
         groups_on_path: &mut Vec<String>,

@@ -1,51 +1,57 @@
-//! A lightweight owned document tree built on the pull [`crate::reader::Reader`].
+//! A lightweight document tree built on the pull [`crate::reader::Reader`].
 //!
 //! The DOM keeps elements, attributes, and merged character data. Comments
 //! and processing instructions are dropped — schema processing never needs
 //! them. Whitespace-only text between elements is also dropped, which is the
 //! standard "element content" treatment for schema documents.
+//!
+//! A parsed tree borrows from its source text: element and attribute names
+//! are slices of it, and so are attribute values and text runs that needed
+//! no decoding. A tree built in code (`Element::new` and the builder
+//! methods) owns its strings and is `Element<'static>`.
 
 use crate::error::{Position, XmlError, XmlErrorKind, XmlResult};
 use crate::escape::{escape_attr, escape_text};
 use crate::limits::IngestLimits;
 use crate::name::QName;
 use crate::reader::{Attribute, Event, Reader};
+use std::borrow::Cow;
 use std::fmt;
 
 /// An element node: name, attributes, children, and merged text.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Element {
-    name: QName,
-    attributes: Vec<Attribute>,
-    children: Vec<Node>,
+pub struct Element<'a> {
+    name: QName<'a>,
+    attributes: Vec<Attribute<'a>>,
+    children: Vec<Node<'a>>,
     position: Position,
 }
 
 /// A child of an element.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Node {
+pub enum Node<'a> {
     /// A nested element.
-    Element(Element),
+    Element(Element<'a>),
     /// A run of character data (entity-decoded; CDATA merged in).
-    Text(String),
+    Text(Cow<'a, str>),
 }
 
 /// A parsed document holding the root element.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Document {
-    root: Element,
+pub struct Document<'a> {
+    root: Element<'a>,
 }
 
-impl Document {
+impl<'a> Document<'a> {
     /// Parses a complete XML document with the default [`IngestLimits`].
-    pub fn parse(src: &str) -> XmlResult<Document> {
+    pub fn parse(src: &'a str) -> XmlResult<Document<'a>> {
         Document::parse_with_limits(src, &IngestLimits::default())
     }
 
     /// Parses a complete XML document enforcing custom [`IngestLimits`]
     /// (`max_nodes` bounds the number of elements materialized in the DOM;
     /// the remaining limits are enforced by the underlying reader).
-    pub fn parse_with_limits(src: &str, limits: &IngestLimits) -> XmlResult<Document> {
+    pub fn parse_with_limits(src: &'a str, limits: &IngestLimits) -> XmlResult<Document<'a>> {
         let mut reader = Reader::with_limits(src, *limits);
         let mut nodes = 0usize;
         loop {
@@ -97,26 +103,26 @@ impl Document {
     }
 
     /// The root element.
-    pub fn root(&self) -> &Element {
+    pub fn root(&self) -> &Element<'a> {
         &self.root
     }
 
     /// Consumes the document, returning the root element.
-    pub fn into_root(self) -> Element {
+    pub fn into_root(self) -> Element<'a> {
         self.root
     }
 }
 
 #[allow(clippy::too_many_arguments)]
-fn build_element(
-    reader: &mut Reader<'_>,
+fn build_element<'a>(
+    reader: &mut Reader<'a>,
     limits: &IngestLimits,
     nodes: &mut usize,
-    name: QName,
-    attributes: Vec<Attribute>,
+    name: QName<'a>,
+    attributes: Vec<Attribute<'a>>,
     self_closing: bool,
     position: Position,
-) -> XmlResult<Element> {
+) -> XmlResult<Element<'a>> {
     *nodes += 1;
     if *nodes > limits.max_nodes {
         return Err(XmlError::new(
@@ -163,10 +169,10 @@ fn build_element(
             Event::EndElement { .. } => return Ok(element),
             Event::Text(t) => {
                 if !t.trim().is_empty() {
-                    element.push_text(&t);
+                    element.push_text(t);
                 }
             }
-            Event::CData(t) => element.push_text(&t),
+            Event::CData(t) => element.push_text(Cow::Borrowed(t)),
             Event::Comment(_) | Event::ProcessingInstruction { .. } | Event::Declaration(_) => {}
             // The reader reports EOF inside an element as an error; degrade
             // to a typed error rather than a panic if that ever regresses.
@@ -182,10 +188,12 @@ fn build_element(
     }
 }
 
-impl Element {
+impl Element<'static> {
     /// Creates an element programmatically (used by tests and generators).
-    pub fn new(name: &str) -> Element {
-        let name = QName::parse(name).expect("Element::new requires a valid XML name");
+    pub fn new(name: &str) -> Element<'static> {
+        let name = QName::parse(name)
+            .expect("Element::new requires a valid XML name")
+            .into_owned();
         Element {
             name,
             attributes: Vec::new(),
@@ -195,52 +203,57 @@ impl Element {
     }
 
     /// Adds or replaces an attribute (builder style).
-    pub fn with_attr(mut self, name: &str, value: &str) -> Element {
+    pub fn with_attr(mut self, name: &str, value: &str) -> Element<'static> {
         self.set_attr(name, value);
         self
     }
 
     /// Adds a child element (builder style).
-    pub fn with_child(mut self, child: Element) -> Element {
-        self.children.push(Node::Element(child));
+    pub fn with_child(mut self, child: Element<'static>) -> Element<'static> {
+        self.add_child(child);
         self
     }
 
     /// Adds a text child (builder style).
-    pub fn with_text(mut self, text: &str) -> Element {
-        self.push_text(text);
+    pub fn with_text(mut self, text: &str) -> Element<'static> {
+        self.push_text(Cow::Owned(text.to_owned()));
         self
     }
 
     /// Adds or replaces an attribute.
     pub fn set_attr(&mut self, name: &str, value: &str) {
         let qname = QName::parse(name).expect("set_attr requires a valid XML name");
+        let value = Cow::Owned(value.to_owned());
         if let Some(existing) = self.attributes.iter_mut().find(|a| a.name == qname) {
-            existing.value = value.to_owned();
+            existing.value = value;
         } else {
             self.attributes.push(Attribute {
-                name: qname,
-                value: value.to_owned(),
+                name: qname.into_owned(),
+                value,
                 position: Position::START,
             });
         }
     }
 
     /// Appends a child element.
-    pub fn add_child(&mut self, child: Element) {
+    pub fn add_child(&mut self, child: Element<'static>) {
         self.children.push(Node::Element(child));
     }
+}
 
-    fn push_text(&mut self, text: &str) {
+impl<'a> Element<'a> {
+    /// Appends character data, merging it into a directly preceding text
+    /// child (a merged run is owned; a lone run keeps its borrow).
+    fn push_text(&mut self, text: Cow<'a, str>) {
         if let Some(Node::Text(existing)) = self.children.last_mut() {
-            existing.push_str(text);
+            existing.to_mut().push_str(&text);
         } else {
-            self.children.push(Node::Text(text.to_owned()));
+            self.children.push(Node::Text(text));
         }
     }
 
     /// The element name.
-    pub fn name(&self) -> &QName {
+    pub fn name(&self) -> &QName<'a> {
         &self.name
     }
 
@@ -250,7 +263,7 @@ impl Element {
     }
 
     /// All attributes in document order.
-    pub fn attributes(&self) -> &[Attribute] {
+    pub fn attributes(&self) -> &[Attribute<'a>] {
         &self.attributes
     }
 
@@ -259,7 +272,7 @@ impl Element {
         self.attributes
             .iter()
             .find(|a| a.name.raw() == name)
-            .map(|a| a.value.as_str())
+            .map(|a| a.value.as_ref())
     }
 
     /// Looks up an attribute value by local name, ignoring any prefix.
@@ -267,16 +280,16 @@ impl Element {
         self.attributes
             .iter()
             .find(|a| a.name.local() == local)
-            .map(|a| a.value.as_str())
+            .map(|a| a.value.as_ref())
     }
 
     /// All child nodes (elements and text).
-    pub fn children(&self) -> &[Node] {
+    pub fn children(&self) -> &[Node<'a>] {
         &self.children
     }
 
     /// Iterator over child elements only.
-    pub fn child_elements(&self) -> impl Iterator<Item = &Element> {
+    pub fn child_elements(&self) -> impl Iterator<Item = &Element<'a>> {
         self.children.iter().filter_map(|n| match n {
             Node::Element(e) => Some(e),
             Node::Text(_) => None,
@@ -284,12 +297,15 @@ impl Element {
     }
 
     /// First child element with the given *local* name.
-    pub fn child_by_local(&self, local: &str) -> Option<&Element> {
+    pub fn child_by_local(&self, local: &str) -> Option<&Element<'a>> {
         self.child_elements().find(|e| e.name.local() == local)
     }
 
     /// All child elements with the given *local* name.
-    pub fn children_by_local<'e>(&'e self, local: &'e str) -> impl Iterator<Item = &'e Element> {
+    pub fn children_by_local<'e>(
+        &'e self,
+        local: &'e str,
+    ) -> impl Iterator<Item = &'e Element<'a>> {
         self.child_elements()
             .filter(move |e| e.name.local() == local)
     }
@@ -345,7 +361,7 @@ impl Element {
     }
 }
 
-impl fmt::Display for Element {
+impl fmt::Display for Element<'_> {
     /// Pretty-prints the element as indented XML; round-trips through
     /// [`Document::parse`] for element-content documents.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -353,7 +369,7 @@ impl fmt::Display for Element {
     }
 }
 
-impl fmt::Display for Document {
+impl fmt::Display for Document<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.root.fmt(f)
     }
@@ -433,7 +449,8 @@ mod tests {
             .with_child(Element::new("line").with_attr("qty", "2").with_text("bolt"));
         assert_eq!(built.attr("id"), Some("42"));
         assert_eq!(built.subtree_size(), 2);
-        let reparsed = Document::parse(&built.to_string()).unwrap();
+        let printed = built.to_string();
+        let reparsed = Document::parse(&printed).unwrap();
         assert_eq!(reparsed.root().attr("id"), Some("42"));
         assert_eq!(
             reparsed.root().child_by_local("line").unwrap().text(),

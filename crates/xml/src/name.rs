@@ -1,5 +1,6 @@
 //! Qualified names (`prefix:local`) and XML name-character rules.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A qualified XML name split into an optional prefix and a local part.
@@ -8,16 +9,23 @@ use std::fmt;
 /// at the first `:` but prefixes are not resolved to URIs. That is all the
 /// XSD layer needs — it compares the local part and treats the prefix of the
 /// XML Schema namespace as opaque.
+///
+/// A name read from a document borrows its text from the source; one built
+/// in code ([`QName::into_owned`]) owns it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct QName {
-    raw: String,
-    colon: Option<usize>,
+pub struct QName<'a> {
+    raw: Cow<'a, str>,
+    pub(crate) colon: Option<usize>,
 }
 
-impl QName {
-    /// Parses a raw name into a `QName`. Returns `None` if the name is not a
-    /// valid XML name (or has an empty prefix/local part).
-    pub fn parse(raw: &str) -> Option<QName> {
+impl<'a> QName<'a> {
+    /// Parses a raw name into a `QName` borrowing `raw`. Returns `None` if
+    /// the name is not a valid XML name (or has an empty prefix/local
+    /// part).
+    ///
+    /// This is the reference check: the reader's one-pass ASCII scan must
+    /// accept exactly the names this accepts, with the same split.
+    pub fn parse(raw: &'a str) -> Option<QName<'a>> {
         if !is_valid_name(raw) {
             return None;
         }
@@ -28,10 +36,24 @@ impl QName {
                 return None;
             }
         }
-        Some(QName {
-            raw: raw.to_owned(),
+        Some(QName::from_parts(raw, colon))
+    }
+
+    /// A name whose validity and colon position the caller has already
+    /// established.
+    pub(crate) fn from_parts(raw: &'a str, colon: Option<usize>) -> QName<'a> {
+        QName {
+            raw: Cow::Borrowed(raw),
             colon,
-        })
+        }
+    }
+
+    /// Detaches the name from the text it was read from.
+    pub fn into_owned(self) -> QName<'static> {
+        QName {
+            raw: Cow::Owned(self.raw.into_owned()),
+            colon: self.colon,
+        }
     }
 
     /// The full name as written, e.g. `xs:element`.
@@ -53,7 +75,7 @@ impl QName {
     }
 }
 
-impl fmt::Display for QName {
+impl fmt::Display for QName<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.raw)
     }
@@ -63,7 +85,7 @@ impl fmt::Display for QName {
 ///
 /// This follows the XML 1.0 `NameStartChar` production restricted to the
 /// Basic Multilingual Plane ranges that occur in practice.
-pub fn is_name_start_char(c: char) -> bool {
+pub const fn is_name_start_char(c: char) -> bool {
     matches!(c,
         ':' | '_' | 'A'..='Z' | 'a'..='z'
         | '\u{C0}'..='\u{D6}' | '\u{D8}'..='\u{F6}' | '\u{F8}'..='\u{2FF}'
@@ -74,10 +96,34 @@ pub fn is_name_start_char(c: char) -> bool {
 }
 
 /// True if `c` may continue an XML name.
-pub fn is_name_char(c: char) -> bool {
+pub const fn is_name_char(c: char) -> bool {
     is_name_start_char(c)
         || matches!(c, '-' | '.' | '0'..='9' | '\u{B7}' | '\u{300}'..='\u{36F}' | '\u{203F}'..='\u{2040}')
 }
+
+/// [`ASCII_NAME`] bit: the byte may start a name.
+pub(crate) const NAME_START: u8 = 1;
+/// [`ASCII_NAME`] bit: the byte may continue a name.
+pub(crate) const NAME_CHAR: u8 = 2;
+
+/// Name classes of the 128 ASCII bytes, derived at compile time from
+/// [`is_name_start_char`] and [`is_name_char`], so the reader checks each
+/// byte of an ASCII name with one load instead of two range matches.
+pub(crate) const ASCII_NAME: [u8; 128] = {
+    let mut table = [0u8; 128];
+    let mut b = 0;
+    while b < 128 {
+        let c = b as u8 as char;
+        if is_name_start_char(c) {
+            table[b] |= NAME_START;
+        }
+        if is_name_char(c) {
+            table[b] |= NAME_CHAR;
+        }
+        b += 1;
+    }
+    table
+};
 
 /// True if `s` is a non-empty valid XML name.
 pub fn is_valid_name(s: &str) -> bool {
@@ -144,6 +190,25 @@ mod tests {
             assert!(!is_name_start_char(c));
             assert!(is_name_char(c));
         }
+    }
+
+    #[test]
+    fn ascii_table_agrees_with_the_char_rules() {
+        for b in 0u8..128 {
+            let c = b as char;
+            let class = ASCII_NAME[b as usize];
+            assert_eq!(class & NAME_START != 0, is_name_start_char(c), "{b:#04x}");
+            assert_eq!(class & NAME_CHAR != 0, is_name_char(c), "{b:#04x}");
+        }
+    }
+
+    #[test]
+    fn into_owned_keeps_the_split() {
+        let src = String::from("xs:element");
+        let owned = QName::parse(&src).unwrap().into_owned();
+        drop(src);
+        assert_eq!(owned.prefix(), Some("xs"));
+        assert_eq!(owned.local(), "element");
     }
 
     #[test]

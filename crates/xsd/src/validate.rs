@@ -67,7 +67,7 @@ impl fmt::Display for ValidationReport {
 /// Parses instance-document text (a thin convenience over
 /// [`Document::parse`] that converts the error type for callers working in
 /// XSD terms).
-pub fn parse_document(src: &str) -> Result<Document, XsdError> {
+pub fn parse_document(src: &str) -> Result<Document<'_>, XsdError> {
     Document::parse(src).map_err(XsdError::from)
 }
 

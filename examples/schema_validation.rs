@@ -20,7 +20,8 @@ fn main() {
     println!("generated instance of {}:\n{instance}", instance.name());
 
     // 2. It validates.
-    let doc = Document::parse(&instance.to_string()).expect("generated XML parses");
+    let printed = instance.to_string();
+    let doc = Document::parse(&printed).expect("generated XML parses");
     let report = validate(&doc, &schema).expect("validation runs");
     println!("validation: {report}\n");
     assert!(report.is_valid());
