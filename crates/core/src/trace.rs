@@ -81,11 +81,16 @@ pub enum Phase {
     /// leaf init, 1 bottom-up flag pass, 2 adjust + recompute): `rows` =
     /// source nodes touched, `cells` = pairs scored in the pass.
     CupidWave,
+    /// XSD ingest of one registry `PUT` body (recorded by `qmatch-serve`):
+    /// parse plus schema-tree compile. `rows` = compiled tree nodes (0 when
+    /// the body is rejected), `cells` = body bytes. Matching never records
+    /// it.
+    Ingest,
 }
 
 impl Phase {
     /// Every phase, in pipeline order.
-    pub const ALL: [Phase; 14] = [
+    pub const ALL: [Phase; 15] = [
         Phase::Prepare,
         Phase::Labels,
         Phase::Alloc,
@@ -100,6 +105,7 @@ impl Phase {
         Phase::Shard,
         Phase::Diff,
         Phase::CupidWave,
+        Phase::Ingest,
     ];
 
     /// Number of phases (array-sizing constant for sinks).
@@ -122,6 +128,7 @@ impl Phase {
             Phase::Shard => "shard",
             Phase::Diff => "diff",
             Phase::CupidWave => "cupid_wave",
+            Phase::Ingest => "ingest",
         }
     }
 
@@ -142,6 +149,7 @@ impl Phase {
             Phase::Shard => 11,
             Phase::Diff => 12,
             Phase::CupidWave => 13,
+            Phase::Ingest => 14,
         }
     }
 }

@@ -25,6 +25,7 @@ use crate::registry::Registry;
 use qmatch_core::index::{IndexParams, IndexPolicy, Signature};
 use qmatch_core::mapping::{extract_mapping, path_of};
 use qmatch_core::session::MatchSession;
+use qmatch_core::trace::{Phase, Span};
 use qmatch_core::{
     mapping_generation_leaves, quality, Aggregation, Algorithm, Component, MatchOutcome, Precision,
     PreparedSchema,
@@ -32,6 +33,7 @@ use qmatch_core::{
 use qmatch_xsd::{parse_schema_with_limits, IngestLimits, SchemaTree, XsdError};
 use std::collections::BinaryHeap;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Longest accepted schema name.
 const MAX_NAME_LEN: usize = 128;
@@ -270,8 +272,15 @@ fn put_schema(name: &str, body: &[u8], state: &ServeState) -> Response {
     let Ok(text) = std::str::from_utf8(body) else {
         return error(400, "invalid_schema", "schema body is not UTF-8");
     };
+    let started = Instant::now();
     let tree = parse_schema_with_limits(text, &state.limits)
         .and_then(|schema| SchemaTree::compile_with_limits(&schema, &state.limits));
+    state.metrics.record_phase(&Span {
+        rows: tree.as_ref().map_or(0, |tree| tree.len() as u64),
+        cells: body.len() as u64,
+        wall: started.elapsed(),
+        ..Span::empty(Phase::Ingest)
+    });
     let tree = match tree {
         Ok(tree) => tree,
         Err(e @ XsdError::LimitExceeded { .. }) => {
@@ -1193,6 +1202,32 @@ mod tests {
         let text = body_text(&response);
         assert!(text.contains("\nqmatch_wal_live_fraction 0\n"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn metrics_expose_the_ingest_phase_of_puts() {
+        let state = state();
+        let (_, response) = handle(&get("/v1/metrics"), &state);
+        assert!(!body_text(&response).contains("phase=\"ingest\""));
+        let (_, response) = handle(&request("PUT", "/v1/schemas/po", PO.as_bytes()), &state);
+        assert_eq!(response.status, 201, "{}", body_text(&response));
+        // A rejected body is ingest work too.
+        let (_, response) = handle(&request("PUT", "/v1/schemas/bad", b"<xs:schema"), &state);
+        assert_eq!(response.status, 400);
+        let (_, response) = handle(&get("/v1/metrics"), &state);
+        let text = body_text(&response);
+        assert!(
+            text.contains("qmatch_phase_count{phase=\"ingest\"} 2\n"),
+            "{text}"
+        );
+        let bytes = PO.len() + "<xs:schema".len();
+        assert!(
+            text.contains(&format!(
+                "qmatch_phase_cells_total{{phase=\"ingest\"}} {bytes}\n"
+            )),
+            "{text}"
+        );
+        assert!(text.contains("qmatch_phase_wall_us_bucket{phase=\"ingest\",le=\"+Inf\"} 2\n"));
     }
 
     #[test]
