@@ -7,8 +7,9 @@
 //!
 //! 1. [`reader::Reader`] — a pull-based event reader (tokenizer + well-formedness
 //!    checks) that yields [`reader::Event`]s with precise source positions.
-//! 2. [`dom`] — a lightweight owned document tree built on top of the reader,
-//!    which is what the XSD layer consumes.
+//!    Events borrow their names and text from the input.
+//! 2. [`dom`] — a lightweight document tree built on top of the reader,
+//!    borrowing from the same input, which is what the XSD layer consumes.
 //! 3. Supporting utilities: [`name::QName`] handling, entity
 //!    [`escape`]/unescape, and positioned [`error::XmlError`]s.
 //!

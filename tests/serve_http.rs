@@ -10,9 +10,8 @@ use qmatch::core::mapping::extract_mapping;
 use qmatch::core::model::MatchConfig;
 use qmatch::core::{Aggregation, Algorithm, Component, MatchSession};
 use qmatch::datasets::{corpus, drift};
-use qmatch::xsd::{DataType, IngestLimits, NodeId, SchemaTree};
+use qmatch::xsd::{IngestLimits, SchemaTree};
 use qmatch_serve::{fmt_f64, Server, ServerConfig, ShutdownHandle};
-use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
@@ -118,38 +117,6 @@ fn json_field<'a>(body: &'a str, key: &str) -> &'a str {
         .find([',', '}'])
         .unwrap_or_else(|| panic!("unterminated field {key:?}"));
     &rest[..end]
-}
-
-/// Renders a tree as an XSD document with nested inline complex types
-/// (leaves keep their built-in type; empty complex leaves become strings).
-fn to_xsd(tree: &SchemaTree) -> String {
-    fn render(tree: &SchemaTree, id: NodeId, out: &mut String, depth: usize) {
-        let node = tree.node(id);
-        let pad = "  ".repeat(depth);
-        if node.children.is_empty() {
-            let ty = match &node.properties.data_type {
-                DataType::Builtin(b) => b.name(),
-                DataType::Complex(_) => "string",
-            };
-            let _ = writeln!(
-                out,
-                "{pad}<xs:element name=\"{}\" type=\"xs:{ty}\"/>",
-                node.label
-            );
-        } else {
-            let _ = writeln!(out, "{pad}<xs:element name=\"{}\">", node.label);
-            let _ = writeln!(out, "{pad}  <xs:complexType><xs:sequence>");
-            for &child in &node.children {
-                render(tree, child, out, depth + 2);
-            }
-            let _ = writeln!(out, "{pad}  </xs:sequence></xs:complexType>");
-            let _ = writeln!(out, "{pad}</xs:element>");
-        }
-    }
-    let mut out = String::from("<xs:schema xmlns:xs=\"http://www.w3.org/2001/XMLSchema\">\n");
-    render(tree, tree.root_id(), &mut out, 1);
-    out.push_str("</xs:schema>\n");
-    out
 }
 
 /// A library session prepared over the same corpus, for expectations.
@@ -519,7 +486,7 @@ fn delete_and_hot_update_evolution() {
     // Re-PUT of a drifted revision: every match and index-forced topk body
     // equals that of a fresh server that only ever saw the final revision,
     // so no posting of the old revision survives in the index.
-    let drifted = to_xsd(&drift::mutation_chain(&corpus::po1(), 1, 0.3, 7)[0]);
+    let drifted = drift::to_xsd(&drift::mutation_chain(&corpus::po1(), 1, 0.3, 7)[0]);
     let (status, body) = send(addr, "PUT", "/v1/schemas/po1", drifted.as_bytes());
     assert_eq!(status, 200, "{body}");
     assert!(body.contains(r#""replaced":true"#), "{body}");
