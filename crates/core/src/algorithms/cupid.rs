@@ -114,7 +114,14 @@ pub(crate) fn cupid_match_impl(
     let t2 = trace.start();
     let adjusted = adjust_leaf_ssim(&ctx, source, target, &leaf_ssim, &flags, threads);
     let adjusted_wsim = weighted(&ctx, source, target, &adjusted, threads);
-    let final_wsim = recompute_wsim(&ctx, source, target, &adjusted_wsim, threads);
+    match precision {
+        Precision::F64 => {
+            recompute_wsim::<f64>(&ctx, source, target, &adjusted_wsim, threads, &mut matrix)
+        }
+        Precision::F32 => {
+            recompute_wsim::<f32>(&ctx, source, target, &adjusted_wsim, threads, &mut matrix)
+        }
+    }
     trace.finish(
         t2,
         Span {
@@ -125,10 +132,6 @@ pub(crate) fn cupid_match_impl(
         },
     );
 
-    match precision {
-        Precision::F64 => fill_rows::<f64>(&final_wsim, threads, &mut matrix),
-        Precision::F32 => fill_rows::<f32>(&final_wsim, threads, &mut matrix),
-    }
     let total_qom = matrix.mean_best_per_source();
     MatchOutcome { matrix, total_qom }
 }
@@ -216,8 +219,7 @@ fn init_leaf_ssim(source: &PreparedSchema, target: &PreparedSchema, threads: usi
     let cols = target.tree().len();
     let sleaf = source.leaf_flags_raw();
     let tleaf = target.leaf_flags_raw();
-    let rows = par::map_rows(source.tree().len(), threads, |s| {
-        let mut row = vec![0.0f64; cols];
+    grid(source.tree().len(), cols, threads, |s, row| {
         if sleaf[s] {
             let sp = source.props(NodeId(s as u32));
             for (t, cell) in row.iter_mut().enumerate() {
@@ -227,9 +229,7 @@ fn init_leaf_ssim(source: &PreparedSchema, target: &PreparedSchema, threads: usi
                 }
             }
         }
-        row
-    });
-    rows.concat()
+    })
 }
 
 /// `wsim = w_struct·ssim + (1 − w_struct)·lsim` for every leaf pair.
@@ -244,8 +244,7 @@ fn weighted(
     let w = ctx.params.w_struct;
     let sleaf = source.leaf_flags_raw();
     let tleaf = target.leaf_flags_raw();
-    let rows = par::map_rows(source.tree().len(), threads, |s| {
-        let mut row = vec![0.0f64; cols];
+    grid(source.tree().len(), cols, threads, |s, row| {
         if sleaf[s] {
             for (t, cell) in row.iter_mut().enumerate() {
                 if tleaf[t] {
@@ -254,9 +253,7 @@ fn weighted(
                 }
             }
         }
-        row
-    });
-    rows.concat()
+    })
 }
 
 /// The strong-link fraction of a pair: leaves (from either subtree) that
@@ -301,8 +298,7 @@ fn flag_pass(
     let cols = ctx.cols;
     let sleaf = source.leaf_flags_raw();
     let tleaf = target.leaf_flags_raw();
-    let rows = par::map_rows(source.tree().len(), threads, |s| {
-        let mut row = vec![0i8; cols];
+    grid(source.tree().len(), cols, threads, |s, row| {
         for (t, cell) in row.iter_mut().enumerate() {
             if sleaf[s] && tleaf[t] {
                 continue;
@@ -316,9 +312,7 @@ fn flag_pass(
                 *cell = -1;
             }
         }
-        row
-    });
-    rows.concat()
+    })
 }
 
 /// Applies each leaf pair's net adjustment: one `c_inc` per flagged-up
@@ -336,8 +330,7 @@ fn adjust_leaf_ssim(
     let cols = ctx.cols;
     let sleaf = source.leaf_flags_raw();
     let tleaf = target.leaf_flags_raw();
-    let rows = par::map_rows(source.tree().len(), threads, |s| {
-        let mut row = vec![0.0f64; cols];
+    grid(source.tree().len(), cols, threads, |s, row| {
         if sleaf[s] {
             for (t, cell) in row.iter_mut().enumerate() {
                 if !tleaf[t] {
@@ -361,49 +354,48 @@ fn adjust_leaf_ssim(
                     .clamp(0.0, 1.0);
             }
         }
-        row
-    });
-    rows.concat()
+    })
 }
 
-/// The final `recompute_wsim`: non-leaf-pair ssim rebuilt from the adjusted
-/// leaf wsim, leaf pairs taking their adjusted wsim directly.
-fn recompute_wsim(
+/// The final `recompute_wsim`, written straight into the outcome matrix
+/// (rounded once per cell for `f32` storage): non-leaf-pair ssim rebuilt
+/// from the adjusted leaf wsim, leaf pairs taking their adjusted wsim
+/// directly.
+fn recompute_wsim<S: Score>(
     ctx: &CupidCtx<'_>,
     source: &PreparedSchema,
     target: &PreparedSchema,
     adjusted_leaf_wsim: &[f64],
     threads: usize,
-) -> Vec<f64> {
+    matrix: &mut SimMatrix,
+) {
     let cols = ctx.cols;
     let sleaf = source.leaf_flags_raw();
     let tleaf = target.leaf_flags_raw();
-    let rows = par::map_rows(source.tree().len(), threads, |s| {
-        let mut row = vec![0.0f64; cols];
+    let data = S::data_vec_mut(matrix).expect("matrix storage matches the kernel scalar");
+    par::for_each_row_mut(data, cols, threads, |s, row| {
         for (t, cell) in row.iter_mut().enumerate() {
-            if sleaf[s] && tleaf[t] {
-                *cell = adjusted_leaf_wsim[s * cols + t];
+            let v = if sleaf[s] && tleaf[t] {
+                adjusted_leaf_wsim[s * cols + t]
             } else {
                 let ssim = strong_link_fraction(ctx, adjusted_leaf_wsim, s, t);
                 let lsim = ctx.labels.get(NodeId(s as u32), NodeId(t as u32)).score;
-                *cell = ctx.params.w_struct * ssim + (1.0 - ctx.params.w_struct) * lsim;
-            }
-        }
-        row
-    });
-    rows.concat()
-}
-
-/// Writes the finished wsim grid into the outcome matrix, one disjoint
-/// block of rows per worker, converting once per cell for `f32` storage.
-fn fill_rows<S: Score>(wsim: &[f64], threads: usize, matrix: &mut SimMatrix) {
-    let cols = matrix.cols();
-    let data = S::data_vec_mut(matrix).expect("matrix storage matches the kernel scalar");
-    par::for_each_row_mut(data, cols, threads, |s, row| {
-        for (cell, &v) in row.iter_mut().zip(&wsim[s * cols..][..cols]) {
+                ctx.params.w_struct * ssim + (1.0 - ctx.params.w_struct) * lsim
+            };
             *cell = S::from_f64(v);
         }
     });
+}
+
+/// A zeroed `rows × cols` grid whose rows `f` fills in place, one disjoint
+/// block of rows per worker.
+fn grid<T>(rows: usize, cols: usize, threads: usize, f: impl Fn(usize, &mut [T]) + Sync) -> Vec<T>
+where
+    T: Copy + Default + Send + Sync,
+{
+    let mut out = vec![T::default(); rows * cols];
+    par::for_each_row_mut(&mut out, cols, threads, f);
+    out
 }
 
 #[cfg(test)]

@@ -8,10 +8,10 @@
 //! available in one pass — the O(n·m) behaviour the paper reports.
 //!
 //! The DP is scheduled as a level-synchronous *wavefront*: source nodes are
-//! grouped by subtree height, and every row of one wave is computed
-//! out-of-place from the (already final) rows of lower waves, so the rows of
-//! a wave can run on separate threads. Each cell's arithmetic is a pure
-//! function of child rows, so every thread count produces bit-identical
+//! grouped by subtree height, and every row of one wave is written in place
+//! from the (already final) rows of lower waves, so the rows of a wave can
+//! run on separate threads ([`par::WaveRows`]). Each cell's arithmetic is a
+//! pure function of child rows, so every thread count produces bit-identical
 //! matrices (property-tested).
 //!
 //! Two deliberate refinements of the pseudo-code (documented in DESIGN.md):
@@ -26,7 +26,7 @@
 
 use super::{compare_single_labels, matcher_for_mode, LabelMatrix, MatchOutcome};
 use crate::arena::{MatchArena, RowScratch};
-use crate::matrix::{Precision, RawRows, Score, SimMatrix};
+use crate::matrix::{Precision, Score, SimMatrix};
 use crate::model::{children_qom, MatchConfig, Weights};
 use crate::par;
 use crate::props::compare_properties;
@@ -204,10 +204,10 @@ impl<'p> PairTables<'p> {
     }
 }
 
-/// The wavefront driver, generic over the storage scalar. Rows are written
-/// in place through [`RawRows`] — no per-row `Vec`, no copy-back — and each
-/// wave reads only rows of strictly smaller height, already finalized by
-/// earlier waves, so every thread count yields bit-identical rows.
+/// The wavefront, generic over the storage scalar. Rows are written in
+/// place through [`par::WaveRows`] — no per-row `Vec`, no copy-back — and
+/// each wave reads only rows of strictly smaller height, finished by earlier
+/// waves, so every thread count yields bit-identical rows.
 #[allow(clippy::too_many_arguments)]
 fn run_waves<S: Score>(
     source: &PreparedSchema,
@@ -218,19 +218,20 @@ fn run_waves<S: Score>(
     arena: &MatchArena,
     matrix: &mut SimMatrix,
 ) {
-    let cols = matrix.cols();
-    let raw = RawRows::<S>::new(matrix).expect("matrix storage matches the kernel scalar");
+    let (rows, cols) = (matrix.rows(), matrix.cols());
+    let data = S::data_vec_mut(matrix).expect("matrix storage matches the kernel scalar");
+    let mut driver = par::WaveRows::new(data, rows, cols);
     for (w, wave) in source.waves_by_height().iter().enumerate() {
         // One span per wave, recorded by this coordinating thread after the
         // row join — never per cell. Workers lease one scratch set each and
         // count the cells their prefilter skipped.
         let t0 = trace.start();
-        let states = par::for_rows_with(
-            wave.len(),
+        let states = driver.run(
+            wave.iter().map(|s| s.index()),
             threads,
             || (arena.take_scratch(cols), 0u64),
-            |(scratch, skipped), i| {
-                *skipped += kernel_row::<S>(&raw, wave[i], source, config, tables, scratch);
+            |(scratch, skipped), s, row, done| {
+                *skipped += kernel_row::<S>(row, done, s, source, config, tables, scratch);
             },
         );
         let mut skipped = 0u64;
@@ -251,16 +252,14 @@ fn run_waves<S: Score>(
     }
 }
 
-/// One source node's full DP row, written in place. Returns the number of
-/// cells the children-pass prefilter skipped.
-///
-/// Safety of the in-place write: each source node appears exactly once in
-/// exactly one wave, so this worker holds the row exclusively; the children
-/// pass reads only rows of strictly smaller subtree height, finalized
-/// before this wave started.
+/// Source node `s`'s full DP row, written in place into `row`. `done` holds
+/// the rows of earlier waves; the children pass reads only those, as every
+/// child has a strictly smaller subtree height. Returns the number of cells
+/// the children-pass prefilter skipped.
 fn kernel_row<S: Score>(
-    raw: &RawRows<S>,
-    s: NodeId,
+    row: &mut [S],
+    done: &[&[S]],
+    s: usize,
     source: &PreparedSchema,
     config: &MatchConfig,
     tables: &PairTables,
@@ -268,15 +267,15 @@ fn kernel_row<S: Score>(
 ) -> u64 {
     let weights = config.weights;
     let cols = tables.t_label.len();
-    let lrow = tables.label_row(s.index());
-    let prow = tables.prop_row(s.index());
-    let s_level = source.levels_raw()[s.index()];
+    let row = &mut row[..cols];
+    let lrow = tables.label_row(s);
+    let prow = tables.prop_row(s);
+    let s_level = source.levels_raw()[s];
 
-    if source.leaf_flags_raw()[s.index()] {
+    if source.leaf_flags_raw()[s] {
         // Leaf source: Equation 2 against leaf targets; against a subtree
         // the children axis contributes 0 (footnote 1). Two gathers and a
         // weighted sum per cell.
-        let row = unsafe { raw.row_mut(s.index()) };
         for t in 0..cols {
             let l = lrow[tables.t_label[t] as usize];
             let p = prow[tables.t_prop[t] as usize];
@@ -295,10 +294,9 @@ fn kernel_row<S: Score>(
         return 0;
     }
 
-    let sn = source.tree().node(s);
-    let skipped = children_pass::<S>(raw, sn, source, config, tables, scratch);
+    let sn = source.tree().node(NodeId(s as u32));
+    let skipped = children_pass::<S>(done, sn, source, config, tables, scratch);
     let n_children = sn.children.len();
-    let row = unsafe { raw.row_mut(s.index()) };
     for t in 0..cols {
         let l = lrow[tables.t_label[t] as usize];
         let p = prow[tables.t_prop[t] as usize];
@@ -333,7 +331,7 @@ fn kernel_row<S: Score>(
 /// cell provably cannot clear. Returns the number of cells skipped (never
 /// read).
 fn children_pass<S: Score>(
-    raw: &RawRows<S>,
+    done: &[&[S]],
     sn: &qmatch_xsd::SchemaNode,
     source: &PreparedSchema,
     config: &MatchConfig,
@@ -349,9 +347,10 @@ fn children_pass<S: Score>(
     let scan = (cols - 1) as u64; // non-root targets per child row
     for &cs in &sn.children {
         let lmax = tables.lmax[tables.s_label[cs.index()] as usize];
-        // SAFETY: `cs` has strictly smaller subtree height than its parent,
-        // so its row was finalized by an earlier wave; nothing writes it now.
-        let child_row = unsafe { raw.row(cs.index()) };
+        // `cs` has a strictly smaller subtree height than its parent, so an
+        // earlier wave finished its row; an unfinished row is empty and
+        // this slice panics.
+        let child_row = &done[cs.index()][..cols];
         let band = &mut scratch.band[..cols];
         band.fill(-1.0);
         let cross_ub = w.label * lmax + (w.properties + w.level) + PRUNE_MARGIN;

@@ -13,7 +13,7 @@
 
 use super::{greedy_assignment, MatchOutcome};
 use crate::arena::MatchArena;
-use crate::matrix::{Precision, SimMatrix};
+use crate::matrix::{Precision, Score, SimMatrix};
 use crate::model::MatchConfig;
 use crate::par;
 use crate::props::compare_properties;
@@ -59,14 +59,16 @@ pub(crate) fn structural_match_impl(
             ..Span::empty(Phase::Alloc)
         },
     );
+    let shape = f64::data_vec_mut(&mut matrix).expect("the shape pass runs in f64");
+    let mut driver = par::WaveRows::new(shape, rows_n, cols_n);
     for (w, wave) in source.waves_by_height().iter().enumerate() {
         let t0 = trace.start();
-        let rows = par::map_rows(wave.len(), threads, |i| {
-            structural_row(source, target, wave[i], config, &matrix)
-        });
-        for (&s, row) in wave.iter().zip(&rows) {
-            matrix.set_row(s, row);
-        }
+        driver.run(
+            wave.iter().map(|s| s.index()),
+            threads,
+            || (),
+            |_, s, row, done| structural_row(source, target, NodeId(s as u32), config, row, done),
+        );
         trace.finish(
             t0,
             Span {
@@ -83,14 +85,16 @@ pub(crate) fn structural_match_impl(
     // pair's similarity disambiguates them the way CUPID's structural phase
     // propagates context. A row depends only on the parent's row, one depth
     // wave earlier.
+    let context = f64::data_vec_mut(&mut contextual).expect("the context pass runs in f64");
+    let mut driver = par::WaveRows::new(context, rows_n, cols_n);
     for (w, wave) in source.waves_by_depth().iter().enumerate() {
         let t0 = trace.start();
-        let rows = par::map_rows(wave.len(), threads, |i| {
-            context_row(source, target, wave[i], &matrix, &contextual)
-        });
-        for (&s, row) in wave.iter().zip(&rows) {
-            contextual.set_row(s, row);
-        }
+        driver.run(
+            wave.iter().map(|s| s.index()),
+            threads,
+            || (),
+            |_, s, row, done| context_row(source, target, NodeId(s as u32), &matrix, row, done),
+        );
         trace.finish(
             t0,
             Span {
@@ -108,14 +112,16 @@ pub(crate) fn structural_match_impl(
     MatchOutcome { matrix, total_qom }
 }
 
-/// One source node's row of the bottom-up shape DP.
+/// One source node's row of the bottom-up shape DP, written into `row`;
+/// `done` holds the rows of lower heights.
 fn structural_row(
     source: &PreparedSchema,
     target: &PreparedSchema,
     s: NodeId,
     config: &MatchConfig,
-    matrix: &SimMatrix,
-) -> Vec<f64> {
+    row: &mut [f64],
+    done: &[&[f64]],
+) {
     let sn = source.tree().node(s);
     let s_leaf = source.is_leaf(s);
     let s_level = source.level(s);
@@ -143,7 +149,8 @@ fn structural_row(
                     let scores: Vec<Vec<f64>> = sn
                         .children
                         .iter()
-                        .map(|&cs| tn.children.iter().map(|&ct| matrix.get(cs, ct)).collect())
+                        .map(|&cs| done[cs.index()])
+                        .map(|child| tn.children.iter().map(|&ct| child[ct.index()]).collect())
                         .collect();
                     let chosen = greedy_assignment(&scores);
                     let kept: f64 = chosen
@@ -165,17 +172,20 @@ fn structural_row(
                 }
             }
         })
-        .collect()
+        .zip(row.iter_mut())
+        .for_each(|(v, cell)| *cell = v);
 }
 
-/// One source node's row of the top-down context blend.
+/// One source node's row of the top-down context blend, written into
+/// `row`; `done` holds the rows of shallower depths.
 fn context_row(
     source: &PreparedSchema,
     target: &PreparedSchema,
     s: NodeId,
     matrix: &SimMatrix,
-    contextual: &SimMatrix,
-) -> Vec<f64> {
+    row: &mut [f64],
+    done: &[&[f64]],
+) {
     let sn = source.tree().node(s);
     (0..target.tree().len() as u32)
         .map(|t| {
@@ -184,12 +194,15 @@ fn context_row(
             let raw = matrix.get(s, t);
             match (sn.parent, tn.parent) {
                 (None, None) => raw,
-                (Some(ps), Some(pt)) => (1.0 - CONTEXT) * raw + CONTEXT * contextual.get(ps, pt),
+                (Some(ps), Some(pt)) => {
+                    (1.0 - CONTEXT) * raw + CONTEXT * done[ps.index()][pt.index()]
+                }
                 // A root never matches a non-root's context.
                 _ => (1.0 - CONTEXT) * raw,
             }
         })
-        .collect()
+        .zip(row.iter_mut())
+        .for_each(|(v, cell)| *cell = v);
 }
 
 /// Weight of the parent-pair context in the top-down pass.

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! The paper's contribution: the QoM match taxonomy, the weight-based match
 //! model, and the QMatch hybrid algorithm, together with the standalone

@@ -15,7 +15,6 @@
 //! accuracy contract.
 
 use qmatch_xsd::NodeId;
-use std::marker::PhantomData;
 
 /// Storage precision for a [`SimMatrix`].
 ///
@@ -153,73 +152,6 @@ impl Score for f32 {
             MatrixData::F32(v) => Some(v),
             MatrixData::F64(_) => None,
         }
-    }
-}
-
-/// Raw row-granular access to a [`SimMatrix`] for the hybrid wavefront
-/// (`run_waves`): rows of the current wave are written in place (no per-row
-/// `Vec` allocation + copy) while rows finalized in earlier waves are read. A
-/// wave holds every source node of one subtree height, scattered over the
-/// pre-order, so its rows are not one contiguous block that
-/// `chunks_mut` could hand out; the flat linguistic and CUPID fills, whose
-/// rows are, write through [`crate::par::for_each_row_mut`] instead.
-///
-/// # Safety contract
-///
-/// The level-synchronous wavefront guarantees the aliasing discipline:
-/// * [`RawRows::row_mut`] may only be called for a row assigned to the
-///   calling thread in the *current* wave, and each row is assigned to
-///   exactly one thread — so mutable access is unique;
-/// * [`RawRows::row`] may only be called for rows finalized in *earlier*
-///   waves, whose threads were joined before this wave started — so shared
-///   reads never alias a concurrent write.
-pub(crate) struct RawRows<'a, S> {
-    ptr: *mut S,
-    rows: usize,
-    cols: usize,
-    _marker: PhantomData<&'a mut [S]>,
-}
-
-// SAFETY: RawRows is a bounds-tracked view into the matrix buffer; the
-// wavefront discipline documented on the type keeps row accesses disjoint
-// across threads.
-unsafe impl<S: Send> Send for RawRows<'_, S> {}
-unsafe impl<S: Sync> Sync for RawRows<'_, S> {}
-
-impl<'a, S: Score> RawRows<'a, S> {
-    /// A raw view over `m`, or `None` if `m` does not store precision `S`.
-    pub(crate) fn new(m: &'a mut SimMatrix) -> Option<RawRows<'a, S>> {
-        let (rows, cols) = (m.rows, m.cols);
-        let v = S::data_vec_mut(m)?;
-        Some(RawRows {
-            ptr: v.as_mut_ptr(),
-            rows,
-            cols,
-            _marker: PhantomData,
-        })
-    }
-
-    /// A finalized row from an earlier wave.
-    ///
-    /// # Safety
-    /// `r` must index a row committed in an earlier (already joined) wave;
-    /// see the type-level contract.
-    #[inline]
-    pub(crate) unsafe fn row(&self, r: usize) -> &[S] {
-        debug_assert!(r < self.rows);
-        std::slice::from_raw_parts(self.ptr.add(r * self.cols), self.cols)
-    }
-
-    /// The writable row assigned to the calling thread in the current wave.
-    ///
-    /// # Safety
-    /// `r` must be assigned to exactly this thread in the current wave; see
-    /// the type-level contract.
-    #[inline]
-    #[allow(clippy::mut_from_ref)] // uniqueness is the documented caller contract
-    pub(crate) unsafe fn row_mut(&self, r: usize) -> &mut [S] {
-        debug_assert!(r < self.rows);
-        std::slice::from_raw_parts_mut(self.ptr.add(r * self.cols), self.cols)
     }
 }
 
@@ -395,32 +327,6 @@ impl SimMatrix {
         }
     }
 
-    /// Overwrites one source node's row. `row` must hold exactly one value
-    /// per target node. This is how the row-at-a-time engines commit rows
-    /// that were computed out-of-place (values are rounded for `f32`
-    /// storage).
-    #[inline]
-    pub fn set_row(&mut self, source: NodeId, row: &[f64]) {
-        assert_eq!(row.len(), self.cols, "row length must equal cols");
-        let r = source.index();
-        assert!(
-            r < self.rows,
-            "row {r} out of bounds for {}x{} SimMatrix",
-            self.rows,
-            self.cols
-        );
-        match &mut self.data {
-            MatrixData::F64(v) => {
-                v[r * self.cols..(r + 1) * self.cols].copy_from_slice(row);
-            }
-            MatrixData::F32(v) => {
-                for (dst, &src) in v[r * self.cols..(r + 1) * self.cols].iter_mut().zip(row) {
-                    *dst = src as f32;
-                }
-            }
-        }
-    }
-
     /// The best-scoring target for a source row, with its score. `None` for
     /// an empty matrix.
     pub fn best_for_source(&self, source: NodeId) -> Option<(NodeId, f64)> {
@@ -580,22 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn row_and_set_row_round_trip() {
-        let mut m = SimMatrix::zeros(2, 3);
-        m.set_row(NodeId(1), &[0.1, 0.2, 0.3]);
-        assert_eq!(m.row(NodeId(1)), &[0.1, 0.2, 0.3]);
-        assert_eq!(m.row(NodeId(0)), &[0.0, 0.0, 0.0]);
-        assert_eq!(m.get(NodeId(1), NodeId(2)), 0.3);
-    }
-
-    #[test]
-    #[should_panic(expected = "row length")]
-    fn set_row_rejects_wrong_length() {
-        let mut m = SimMatrix::zeros(2, 3);
-        m.set_row(NodeId(0), &[0.1, 0.2]);
-    }
-
-    #[test]
     #[should_panic(expected = "f64 storage")]
     fn row_rejects_f32_storage() {
         let m = SimMatrix::zeros_with(1, 1, Precision::F32);
@@ -654,22 +544,6 @@ mod tests {
         let cells: Vec<_> = m.iter().collect();
         assert_eq!(cells.len(), 4);
         assert!(cells.contains(&(NodeId(0), NodeId(1), 0.5)));
-    }
-
-    #[test]
-    fn raw_rows_write_and_read_back() {
-        let mut m = SimMatrix::zeros(2, 3);
-        {
-            let raw = RawRows::<f64>::new(&mut m).unwrap();
-            // SAFETY: single-threaded test; rows accessed uniquely.
-            unsafe {
-                raw.row_mut(0).copy_from_slice(&[0.1, 0.2, 0.3]);
-                raw.row_mut(1)[2] = 0.9;
-                assert_eq!(raw.row(0), &[0.1, 0.2, 0.3]);
-            }
-        }
-        assert_eq!(m.get(NodeId(1), NodeId(2)), 0.9);
-        assert!(RawRows::<f32>::new(&mut m).is_none());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Parallel-execution helpers built on scoped threads.
 //!
 //! The matching engines fan work out in *waves* of independent rows (see
-//! DESIGN.md); this module provides the small, dependency-free map primitive
-//! they share. The caller passes the worker count — a session's thread count
-//! (see [`crate::session::MatchSession::set_threads`]) — and a count of 1
+//! DESIGN.md §9). [`WaveRows`] is the one driver that writes matrix rows in
+//! place, wave by wave; [`map_rows`] maps an index range to a `Vec`. The
+//! caller passes the worker count — a session's thread count (see
+//! [`crate::session::MatchSession::set_threads`]) — and a count of 1
 //! degenerates to a plain loop on the calling thread. Every worker runs
 //! exactly the same per-cell arithmetic over contiguous index chunks, so
 //! results are bit-identical for every thread count by construction.
@@ -33,103 +34,141 @@ fn parse_threads(var: Option<&str>) -> Option<usize> {
 pub const PAR_CELL_THRESHOLD: usize = 256;
 
 /// Maps `f` over `0..n` on up to `threads` workers, preserving index order.
-/// `f` must be a pure function of its index for every thread count to agree
-/// — every caller in this crate satisfies that by writing rows out-of-place.
+/// `f` must be a pure function of its index for every thread count to agree.
 pub(crate) fn map_rows<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if threads.min(n) <= 1 {
+    let threads = threads.min(n);
+    if threads <= 1 {
         return (0..n).map(f).collect();
     }
     // Each worker collects its contiguous chunk; chunks come back in order.
-    for_rows_with(n, threads, Vec::new, |out: &mut Vec<T>, i| out.push(f(i)))
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
-/// Runs `f` over `0..n` for side effects on up to `threads` workers, giving
-/// each worker one state value built by `init` (scratch buffers, per-thread
-/// counters). The per-worker states are returned after the join so the
-/// caller can fold counters and recycle buffers — no atomics in the row
-/// loop.
-///
-/// `f` must write its results out-of-band (e.g. into disjoint matrix rows):
-/// unlike [`map_rows`] nothing is collected per index, which is what lets
-/// the wavefront kernels write rows in place without a per-row `Vec`.
-pub(crate) fn for_rows_with<S, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<S>
-where
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) + Sync,
-{
-    let threads = threads.min(n);
-    if threads <= 1 {
-        let mut state = init();
-        for i in 0..n {
-            f(&mut state, i);
-        }
-        return vec![state];
-    }
-    // Contiguous chunks, one per worker; states are returned in chunk
-    // order, so per-index results fold back deterministically.
-    let chunk = n.div_ceil(threads);
-    let (init, f) = (&init, &f);
-    let mut states = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(n);
-                scope.spawn(move || {
-                    let mut state = init();
-                    for i in lo..hi {
-                        f(&mut state, i);
-                    }
-                    state
-                })
-            })
-            .collect();
-        for handle in handles {
-            states.push(handle.join().expect("qmatch worker thread panicked"));
-        }
-    });
-    states
-}
-
-/// Calls `f(r, row)` for every `cols`-wide row `r` of `data` on up to
-/// `threads` workers. Each worker owns one contiguous block of rows, cut
-/// with `chunks_mut` in the same chunking as [`for_rows_with`], so rows are
-/// written in place through plain `&mut` slices.
-pub(crate) fn for_each_row_mut<T, F>(data: &mut [T], cols: usize, threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if cols == 0 {
-        return;
-    }
-    let n = data.len() / cols;
-    let threads = threads.min(n);
-    if threads <= 1 {
-        for (r, row) in data.chunks_mut(cols).enumerate() {
-            f(r, row);
-        }
-        return;
-    }
     let chunk = n.div_ceil(threads);
     let f = &f;
     std::thread::scope(|scope| {
-        for (w, block) in data.chunks_mut(chunk * cols).enumerate() {
-            scope.spawn(move || {
-                for (k, row) in block.chunks_mut(cols).enumerate() {
-                    f(w * chunk + k, row);
-                }
-            });
+        let handles: Vec<_> = (0..n)
+            .step_by(chunk)
+            .map(|lo| scope.spawn(move || (lo..(lo + chunk).min(n)).map(f).collect::<Vec<T>>()))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("qmatch worker thread panicked"))
+            .collect()
+    })
+}
+
+/// The rows of one `rows × cols` matrix buffer, written in place wave by
+/// wave.
+///
+/// [`WaveRows::new`] cuts the buffer once into `cols`-wide rows with
+/// `chunks_mut`. Each [`WaveRows::run`] moves the rows of one wave out to
+/// the workers as disjoint `&mut` slices and shares the rows earlier waves
+/// finished as `done: &[&[T]]`. After the join the wave's rows move into
+/// `done`. So "a row is written by one worker in one wave and read only
+/// after the join" is checked by the borrow checker: a row no wave has
+/// finished reads as an empty slice in `done`, and a row listed in two
+/// waves panics.
+pub(crate) struct WaveRows<'a, T> {
+    /// Rows not yet handed to a wave (an empty slice once taken).
+    pending: Vec<&'a mut [T]>,
+    /// Rows finished by earlier waves (an empty slice until then).
+    done: Vec<&'a [T]>,
+    /// The current wave's `(row, slice)` pairs, reused across waves.
+    wave: Vec<(usize, &'a mut [T])>,
+    cols: usize,
+}
+
+impl<'a, T: Send + Sync> WaveRows<'a, T> {
+    /// Cuts `data` into `rows` rows of `cols` cells each (`cols` ≥ 1 unless
+    /// `rows` is 0).
+    pub(crate) fn new(data: &'a mut [T], rows: usize, cols: usize) -> WaveRows<'a, T> {
+        assert_eq!(data.len(), rows * cols, "storage length must be rows*cols");
+        WaveRows {
+            pending: data.chunks_mut(cols.max(1)).collect(),
+            done: vec![&[]; rows],
+            wave: Vec::new(),
+            cols,
         }
-    });
+    }
+
+    /// Runs `f(state, r, row, done)` for every row `r` of `wave` on up to
+    /// `threads` workers and returns one state per worker, built by `init`
+    /// (scratch buffers, per-worker counters), in chunk order. Each worker
+    /// owns one contiguous chunk of the wave; a count of 1 runs on the
+    /// calling thread. The chunking depends only on the wave length and
+    /// `threads`, and `f` sees the same `done` rows on every worker, so
+    /// every thread count writes bit-identical rows.
+    pub(crate) fn run<S, I, F>(
+        &mut self,
+        wave: impl IntoIterator<Item = usize>,
+        threads: usize,
+        init: I,
+        f: F,
+    ) -> Vec<S>
+    where
+        S: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, usize, &mut [T], &[&[T]]) + Sync,
+    {
+        let WaveRows {
+            pending,
+            done,
+            wave: mine,
+            cols,
+        } = self;
+        mine.extend(wave.into_iter().map(|r| {
+            let row = std::mem::take(&mut pending[r]);
+            assert_eq!(row.len(), *cols, "row {r} is in two waves");
+            (r, row)
+        }));
+        let threads = threads.min(mine.len());
+        let done_ref: &[&[T]] = done;
+        let work = |block: &mut [(usize, &'a mut [T])]| {
+            let mut state = init();
+            for (r, row) in block {
+                f(&mut state, *r, row, done_ref);
+            }
+            state
+        };
+        let states = if threads <= 1 {
+            vec![work(mine)]
+        } else {
+            let chunk = mine.len().div_ceil(threads);
+            let work = &work;
+            std::thread::scope(|scope| {
+                let mut rest = &mut mine[..];
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        let all = std::mem::take(&mut rest);
+                        let (block, tail) = all.split_at_mut(chunk.min(all.len()));
+                        rest = tail;
+                        scope.spawn(move || work(block))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|handle| handle.join().expect("qmatch worker thread panicked"))
+                    .collect()
+            })
+        };
+        for (r, row) in mine.drain(..) {
+            done[r] = row;
+        }
+        states
+    }
+}
+
+/// Calls `f(r, row)` for every `cols`-wide row `r` of `data` on up to
+/// `threads` workers: a flat fill is one wave of every row.
+pub(crate) fn for_each_row_mut<T, F>(data: &mut [T], cols: usize, threads: usize, f: F)
+where
+    T: Send + Sync,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let rows = data.len().checked_div(cols).unwrap_or(0);
+    WaveRows::new(data, rows, cols).run(0..rows, threads, || (), |_, r, row, _| f(r, row));
 }
 
 /// Sets `out[idx[k] - idx[0]]` to `f(k)` for every `k` on up to `threads`
@@ -212,25 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn for_rows_with_covers_every_index_once() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
-        let states = for_rows_with(
-            1000,
-            4,
-            || 0u64,
-            |count, i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-                *count += i as u64;
-            },
-        );
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        // The per-worker counters together saw every index exactly once.
-        assert_eq!(states.iter().sum::<u64>(), (0..1000u64).sum());
-        assert_eq!(states.len(), 4, "one state per worker");
-    }
-
-    #[test]
     fn scatter_ascending_writes_each_index_once_on_any_thread_count() {
         let idx: Vec<usize> = (0..500).map(|k| 7 + 3 * k + k % 2).collect();
         let width = idx[idx.len() - 1] - idx[0] + 1;
@@ -267,9 +287,103 @@ mod tests {
         for_each_row_mut(&mut [0u8; 0], 3, 4, |_, _| unreachable!());
     }
 
+    /// Runs `waves` over a `rows × cols` buffer on `threads` workers. Each
+    /// cell gets `r * 100 + c` plus the sum of the first cell of every row
+    /// in `done`, and each worker's state lists the rows it wrote.
+    fn run_waves(
+        rows: usize,
+        cols: usize,
+        waves: &[Vec<usize>],
+        threads: usize,
+    ) -> (Vec<u64>, Vec<Vec<Vec<usize>>>) {
+        let mut data = vec![u64::MAX; rows * cols];
+        let mut driver = WaveRows::new(&mut data, rows, cols);
+        let states = waves
+            .iter()
+            .map(|wave| {
+                driver.run(
+                    wave.iter().copied(),
+                    threads,
+                    Vec::new,
+                    |seen: &mut Vec<usize>, r, row, done| {
+                        let below: u64 = done.iter().filter_map(|d| d.first()).sum();
+                        for (c, cell) in row.iter_mut().enumerate() {
+                            *cell = (r * 100 + c) as u64 + below;
+                        }
+                        seen.push(r);
+                    },
+                )
+            })
+            .collect();
+        (data, states)
+    }
+
     #[test]
-    fn for_rows_with_one_thread_returns_single_state() {
-        let states = for_rows_with(5, 1, Vec::new, |v: &mut Vec<usize>, i| v.push(i));
-        assert_eq!(states, vec![vec![0, 1, 2, 3, 4]]);
+    fn wave_rows_agree_bit_for_bit_on_any_worker_count() {
+        let waves = vec![vec![0, 3, 5, 6, 9], vec![1, 2, 8], vec![4], vec![7]];
+        let (one, one_states) = run_waves(10, 3, &waves, 1);
+        assert!(one.iter().all(|&v| v != u64::MAX), "every cell written");
+        // 1000 workers: more than any wave has rows.
+        for threads in [4, 1000] {
+            let (many, states) = run_waves(10, 3, &waves, threads);
+            assert_eq!(many, one, "threads {threads}");
+            for ((wave, one), many) in waves.iter().zip(&one_states).zip(&states) {
+                assert_eq!(one, &vec![wave.clone()], "one worker, one state");
+                assert_eq!(many.len(), threads.min(wave.len()), "a state per worker");
+                // The workers' states, in chunk order, list the wave in order.
+                assert_eq!(&many.concat(), wave);
+            }
+        }
+    }
+
+    #[test]
+    fn wave_rows_one_row_waves_and_one_wave_of_every_row() {
+        let single: Vec<Vec<usize>> = (0..6).map(|r| vec![r]).collect();
+        let (rows, _) = run_waves(6, 2, &single, 4);
+        // Row r sees the finished first cells of rows 0..r.
+        let mut below = 0;
+        for r in 0..6 {
+            assert_eq!(rows[r * 2], r as u64 * 100 + below);
+            below += rows[r * 2];
+        }
+        let (flat, states) = run_waves(6, 2, &[(0..6).collect()], 4);
+        let want: Vec<u64> = (0..6).flat_map(|r| [r * 100, r * 100 + 1]).collect();
+        assert_eq!(flat, want, "a flat fill sees no finished rows");
+        // Four workers over six rows: chunks of two, the last one idle.
+        assert_eq!(states[0], vec![vec![0, 1], vec![2, 3], vec![4, 5], vec![]]);
+    }
+
+    #[test]
+    fn a_row_no_wave_has_written_reads_as_empty() {
+        let mut data = vec![0u8; 4 * 2];
+        let mut driver = WaveRows::new(&mut data, 4, 2);
+        driver.run(
+            [1, 3],
+            2,
+            || (),
+            |_, _, row, done| {
+                row.fill(7);
+                assert!(done.iter().all(|d| d.is_empty()), "nothing finished yet");
+            },
+        );
+        driver.run(
+            [0],
+            1,
+            || (),
+            |_, _, _, done| {
+                let lens: Vec<usize> = done.iter().map(|d| d.len()).collect();
+                assert_eq!(lens, [0, 2, 0, 2], "only the first wave's rows are done");
+                assert_eq!(done[1], [7, 7]);
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "row 1 is in two waves")]
+    fn a_row_in_two_waves_panics() {
+        let mut data = vec![0u8; 2 * 2];
+        let mut driver = WaveRows::new(&mut data, 2, 2);
+        driver.run([1], 1, || (), |_, _, _, _| {});
+        driver.run([0, 1], 1, || (), |_, _, _, _| {});
     }
 }

@@ -347,6 +347,7 @@ struct Slot {
 // index (the fetch-add cursor hands each index out once) and read only
 // after the Release store of `ready` is observed with Acquire, so no two
 // threads ever access the cell concurrently in conflicting modes.
+#[allow(unsafe_code)]
 unsafe impl Sync for Slot {}
 
 /// The in-memory sink: an ordered span log plus per-phase aggregates,
@@ -409,6 +410,7 @@ impl Recorder {
     /// The recorded spans, in record order. Spans still being published by
     /// a racing writer are skipped; call from a quiescent point (after the
     /// match returned) for a complete log.
+    #[allow(unsafe_code)] // reads a published `Slot`; see the SAFETY note
     pub fn spans(&self) -> Vec<Span> {
         let claimed = self.cursor.load(Ordering::Acquire).min(self.slots.len());
         self.slots[..claimed]
@@ -499,6 +501,7 @@ impl Recorder {
 }
 
 impl TraceSink for Recorder {
+    #[allow(unsafe_code)] // writes a claimed `Slot`; see the SAFETY note
     fn record(&self, span: &Span) {
         let t = &self.totals[span.phase.index()];
         t.count.fetch_add(1, Ordering::Relaxed);

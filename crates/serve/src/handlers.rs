@@ -45,7 +45,7 @@ pub struct ServeState {
     pub registry: Registry,
     /// Request/latency/queue counters.
     pub metrics: Arc<Metrics>,
-    /// Ingestion limits applied to `PUT /schemas/{name}` bodies.
+    /// Ingestion limits applied to `PUT /v1/schemas/{name}` bodies.
     pub limits: IngestLimits,
     /// Registry durability (WAL + snapshots); `None` runs in-memory only.
     pub persist: Option<Persist>,
@@ -68,12 +68,13 @@ pub enum Disposition {
     Scatter,
 }
 
-/// Strips the optional `/v1` prefix; returns the effective path and
-/// whether the request used the versioned surface.
-fn strip_v1(path: &str) -> (&str, bool) {
+/// The route path of a request: what follows its `/v1` prefix. A path
+/// without the prefix routes as `""`, which matches no endpoint and answers
+/// 404 `not_found`.
+fn strip_v1(path: &str) -> &str {
     match path.strip_prefix("/v1") {
-        Some(rest) if rest.starts_with('/') => (rest, true),
-        _ => (path, false),
+        Some(rest) if rest.starts_with('/') => rest,
+        _ => "",
     }
 }
 
@@ -82,8 +83,7 @@ fn strip_v1(path: &str) -> (&str, bool) {
 /// validation failures (e.g. an unknown source schema) are fine — the
 /// worker produces the same error response the inline path would.
 pub fn disposition(req: &Request, registry: &Registry) -> Disposition {
-    let (path, _) = strip_v1(&req.path);
-    match (req.method.as_str(), path) {
+    match (req.method.as_str(), strip_v1(&req.path)) {
         ("PUT", p) if p.strip_prefix("/schemas/").is_some_and(|n| !n.is_empty()) => {
             let name = p.strip_prefix("/schemas/").expect("guard");
             Disposition::Shard {
@@ -112,28 +112,11 @@ pub fn disposition(req: &Request, registry: &Registry) -> Disposition {
     }
 }
 
-/// Adds the deprecation headers to responses served via unversioned alias
-/// paths. The canonical API surface lives under `/v1/...`; the original
-/// paths keep working but carry `Deprecation: true` and a
-/// `Link: </v1/...>; rel="successor-version"` header.
-pub fn finalize(path: &str, endpoint: Endpoint, response: Response) -> Response {
-    let (_, versioned) = strip_v1(path);
-    if versioned || endpoint == Endpoint::Other {
-        response
-    } else {
-        response
-            .with_header("deprecation", "true")
-            .with_header("link", format!("</v1{path}>; rel=\"successor-version\""))
-    }
-}
-
-/// Routes one request to its handler and applies the deprecation-header
-/// policy. This is the full synchronous path — on the server, single-shard
-/// jobs run it on their owner shard's worker thread.
+/// Routes one request to its handler. This is the full synchronous path —
+/// on the server, single-shard jobs run it on their owner shard's worker
+/// thread.
 pub fn handle(req: &Request, state: &ServeState) -> (Endpoint, Response) {
-    let (path, _) = strip_v1(&req.path);
-    let (endpoint, response) = route(req, path, state);
-    (endpoint, finalize(&req.path, endpoint, response))
+    route(req, strip_v1(&req.path), state)
 }
 
 /// Dispatches on the (already version-stripped) path.
@@ -234,7 +217,7 @@ fn list_schemas(registry: &Registry) -> Response {
                 "docs",
                 Json::str(
                     "API v1: use /v1/schemas, /v1/match, /v1/match/topk, /v1/metrics, \
-                     /v1/healthz; unversioned paths are deprecated aliases",
+                     /v1/healthz",
                 ),
             )
             .field("count", Json::UInt(registry.len() as u64))
@@ -605,7 +588,8 @@ fn parse_precision(req: &Request) -> Result<Option<Precision>, Response> {
 
 /// A validated `/match/topk` query, ready to scatter across shards.
 pub struct TopkPlan {
-    /// The original request path (for the deprecation-header policy).
+    /// The original request path. The server no longer reads it; it stays
+    /// because perfbench constructs a `TopkPlan`.
     pub path: String,
     /// Source schema name (excluded from the ranking).
     pub source: String,
@@ -681,8 +665,7 @@ impl TopkQuery {
 }
 
 /// Validates a `/match/topk` request into a [`TopkPlan`]. Runs on the
-/// reactor thread so invalid queries never occupy the match queue; the
-/// `Err` response is NOT yet finalized (the caller applies [`finalize`]).
+/// reactor thread so invalid queries never occupy the match queue.
 pub fn validate_topk(req: &Request, registry: &Registry) -> Result<TopkPlan, Response> {
     let (source, prepared) = required_schema(req, registry, "source")?;
     let session = registry.session();
@@ -752,8 +735,7 @@ impl Ord for Ranked {
 }
 
 /// The gather half of topk: merge per-shard partials through a
-/// total-order heap and render the response body. NOT yet finalized (the
-/// caller applies [`finalize`]).
+/// total-order heap and render the response body.
 pub fn topk_render(plan: &TopkPlan, partials: Vec<(String, f64)>) -> Response {
     let mut heap: BinaryHeap<Ranked> = partials
         .into_iter()
@@ -852,37 +834,39 @@ mod tests {
     #[test]
     fn healthz_and_unknown_paths() {
         let state = state();
-        let (endpoint, response) = handle(&get("/healthz"), &state);
+        let (endpoint, response) = handle(&get("/v1/healthz"), &state);
         assert_eq!(endpoint, Endpoint::Healthz);
         assert_eq!(response.status, 200);
         assert_eq!(body_text(&response), r#"{"status":"ok"}"#);
-        let (endpoint, response) = handle(&get("/nope"), &state);
+        let (endpoint, response) = handle(&get("/v1/nope"), &state);
         assert_eq!(endpoint, Endpoint::Other);
         assert_eq!(response.status, 404);
         assert!(body_text(&response).contains("not_found"));
-        let (_, response) = handle(&request("POST", "/healthz", b""), &state);
+        let (_, response) = handle(&request("POST", "/v1/healthz", b""), &state);
         assert_eq!(response.status, 405);
-        let (_, response) = handle(&request("GET", "/schemas/po", b""), &state);
+        let (_, response) = handle(&request("GET", "/v1/schemas/po", b""), &state);
         assert_eq!(response.status, 405, "schemas/{{name}} is PUT-only");
     }
 
     #[test]
     fn put_then_list_then_match() {
         let state = state();
-        let (endpoint, response) = handle(&request("PUT", "/schemas/po", PO.as_bytes()), &state);
+        let (endpoint, response) = handle(&request("PUT", "/v1/schemas/po", PO.as_bytes()), &state);
         assert_eq!(endpoint, Endpoint::SchemasPut);
         assert_eq!(response.status, 201, "{}", body_text(&response));
         assert!(body_text(&response).contains(r#""replaced":false"#));
         // Replacing the same name answers 200.
-        let (_, response) = handle(&request("PUT", "/schemas/po", PO.as_bytes()), &state);
+        let (_, response) = handle(&request("PUT", "/v1/schemas/po", PO.as_bytes()), &state);
         assert_eq!(response.status, 200);
         assert!(body_text(&response).contains(r#""replaced":true"#));
-        let (_, response) = handle(&get("/schemas"), &state);
+        let (_, response) = handle(&get("/v1/schemas"), &state);
         let listing = body_text(&response);
         assert!(listing.contains(r#""count":1"#), "{listing}");
         assert!(listing.contains(r#""name":"po""#));
-        let (endpoint, response) =
-            handle(&request("POST", "/match?source=po&target=po", b""), &state);
+        let (endpoint, response) = handle(
+            &request("POST", "/v1/match?source=po&target=po", b""),
+            &state,
+        );
         assert_eq!(endpoint, Endpoint::Match);
         assert_eq!(response.status, 200);
         let text = body_text(&response);
@@ -891,32 +875,37 @@ mod tests {
     }
 
     #[test]
-    fn v1_paths_route_and_legacy_paths_carry_deprecation() {
+    fn v1_paths_route_and_unversioned_paths_answer_404() {
         let state = state();
         let (endpoint, response) = handle(&get("/v1/healthz"), &state);
         assert_eq!(endpoint, Endpoint::Healthz);
         assert_eq!(response.status, 200);
         assert!(response.headers.is_empty(), "versioned paths are canonical");
-        let (endpoint, response) = handle(&get("/healthz"), &state);
-        assert_eq!(endpoint, Endpoint::Healthz);
-        assert!(response
-            .headers
-            .iter()
-            .any(|(k, v)| *k == "deprecation" && v == "true"));
-        assert!(response
-            .headers
-            .iter()
-            .any(|(k, v)| *k == "link" && v == "</v1/healthz>; rel=\"successor-version\""));
-        // Same body either way; only the headers differ.
         let (_, v1) = handle(&get("/v1/schemas"), &state);
-        let (_, legacy) = handle(&get("/schemas"), &state);
-        assert_eq!(v1.body, legacy.body);
-        assert!(body_text(&v1).contains("deprecated aliases"));
-        // /v1 with an unknown remainder is still a 404, without headers.
-        let (endpoint, response) = handle(&get("/v1/nope"), &state);
-        assert_eq!(endpoint, Endpoint::Other);
-        assert_eq!(response.status, 404);
-        assert!(response.headers.is_empty());
+        assert!(body_text(&v1).contains(
+            r#""docs":"API v1: use /v1/schemas, /v1/match, /v1/match/topk, /v1/metrics, /v1/healthz""#
+        ));
+        // Unversioned paths and /v1 with an unknown remainder are 404s.
+        for path in [
+            "/healthz",
+            "/schemas",
+            "/match",
+            "/metrics",
+            "/v1/nope",
+            "/v1",
+            "/v1healthz",
+        ] {
+            let (endpoint, response) = handle(&get(path), &state);
+            assert_eq!(endpoint, Endpoint::Other, "{path}");
+            assert_eq!(response.status, 404, "{path}");
+            assert!(
+                body_text(&response).contains(r#""kind":"not_found""#),
+                "{path}"
+            );
+            assert!(response.headers.is_empty(), "{path}");
+        }
+        let (_, response) = handle(&request("PUT", "/schemas/po", PO.as_bytes()), &state);
+        assert_eq!(response.status, 404, "no unversioned write path");
         // Ingest + match through the versioned surface.
         let (_, response) = handle(&request("PUT", "/v1/schemas/po", PO.as_bytes()), &state);
         assert_eq!(response.status, 201, "{}", body_text(&response));
@@ -932,14 +921,17 @@ mod tests {
     #[test]
     fn put_validation_errors() {
         let state = state();
-        let bad_name = request("PUT", "/schemas/bad%20name", PO.as_bytes());
+        let bad_name = request("PUT", "/v1/schemas/bad%20name", PO.as_bytes());
         let (_, response) = handle(&bad_name, &state);
         assert_eq!(response.status, 400);
         assert!(body_text(&response).contains("invalid_name"));
-        let (_, response) = handle(&request("PUT", "/schemas/po", b""), &state);
+        let (_, response) = handle(&request("PUT", "/v1/schemas/po", b""), &state);
         assert_eq!(response.status, 400);
         assert!(body_text(&response).contains("empty_body"));
-        let (_, response) = handle(&request("PUT", "/schemas/po", b"<not-a-schema/>"), &state);
+        let (_, response) = handle(
+            &request("PUT", "/v1/schemas/po", b"<not-a-schema/>"),
+            &state,
+        );
         assert_eq!(response.status, 400);
         assert!(body_text(&response).contains("invalid_schema"));
     }
@@ -951,7 +943,7 @@ mod tests {
             max_input_bytes: 16,
             ..IngestLimits::default()
         };
-        let (_, response) = handle(&request("PUT", "/schemas/po", PO.as_bytes()), &state);
+        let (_, response) = handle(&request("PUT", "/v1/schemas/po", PO.as_bytes()), &state);
         assert_eq!(response.status, 413);
         let text = body_text(&response);
         assert!(text.contains("limit_exceeded"), "{text}");
@@ -962,38 +954,38 @@ mod tests {
     #[test]
     fn match_parameter_errors() {
         let state = state();
-        handle(&request("PUT", "/schemas/po", PO.as_bytes()), &state);
+        handle(&request("PUT", "/v1/schemas/po", PO.as_bytes()), &state);
         let cases = [
-            ("/match", 400, "missing_parameter"),
-            ("/match?source=po", 400, "missing_parameter"),
-            ("/match?source=po&target=nope", 404, "unknown_schema"),
+            ("/v1/match", 400, "missing_parameter"),
+            ("/v1/match?source=po", 400, "missing_parameter"),
+            ("/v1/match?source=po&target=nope", 404, "unknown_schema"),
             (
-                "/match?source=po&target=po&algo=quantum",
+                "/v1/match?source=po&target=po&algo=quantum",
                 400,
                 "unknown_algo",
             ),
             (
-                "/match?source=po&target=po&threshold=2",
+                "/v1/match?source=po&target=po&threshold=2",
                 400,
                 "bad_threshold",
             ),
             (
-                "/match?source=po&target=po&algo=composite&components=psychic",
+                "/v1/match?source=po&target=po&algo=composite&components=psychic",
                 400,
                 "unknown_component",
             ),
             (
-                "/match?source=po&target=po&algo=composite&agg=median",
+                "/v1/match?source=po&target=po&algo=composite&agg=median",
                 400,
                 "unknown_aggregation",
             ),
             (
-                "/match?source=po&target=po&algo=structural&explain=1",
+                "/v1/match?source=po&target=po&algo=structural&explain=1",
                 400,
                 "bad_request",
             ),
             (
-                "/match?source=po&target=po&precision=f16",
+                "/v1/match?source=po&target=po&precision=f16",
                 400,
                 "bad_precision",
             ),
@@ -1008,11 +1000,14 @@ mod tests {
     #[test]
     fn precision_param_selects_f32_storage_and_is_echoed() {
         let state = state();
-        handle(&request("PUT", "/schemas/po", PO.as_bytes()), &state);
-        let (_, default) = handle(&request("POST", "/match?source=po&target=po", b""), &state);
+        handle(&request("PUT", "/v1/schemas/po", PO.as_bytes()), &state);
+        let (_, default) = handle(
+            &request("POST", "/v1/match?source=po&target=po", b""),
+            &state,
+        );
         assert!(body_text(&default).contains(r#""precision":"f64""#));
         let (_, lean) = handle(
-            &request("POST", "/match?source=po&target=po&precision=f32", b""),
+            &request("POST", "/v1/match?source=po&target=po&precision=f32", b""),
             &state,
         );
         assert_eq!(lean.status, 200);
@@ -1021,7 +1016,7 @@ mod tests {
         // A self-match is exact in either storage width.
         assert!(text.contains(r#""total_qom":1"#), "{text}");
         let (_, topk) = handle(
-            &request("POST", "/match/topk?source=po&precision=f32", b""),
+            &request("POST", "/v1/match/topk?source=po&precision=f32", b""),
             &state,
         );
         assert_eq!(topk.status, 200);
@@ -1031,9 +1026,9 @@ mod tests {
     #[test]
     fn explain_adds_explanations_for_accepted_pairs() {
         let state = state();
-        handle(&request("PUT", "/schemas/po", PO.as_bytes()), &state);
+        handle(&request("PUT", "/v1/schemas/po", PO.as_bytes()), &state);
         let (_, response) = handle(
-            &request("POST", "/match?source=po&target=po&explain=1", b""),
+            &request("POST", "/v1/match?source=po&target=po&explain=1", b""),
             &state,
         );
         assert_eq!(response.status, 200);
@@ -1054,13 +1049,15 @@ mod tests {
 </xs:schema>"#;
         for (name, body) in [("po", PO), ("order", &order), ("book", book)] {
             let (_, response) = handle(
-                &request("PUT", &format!("/schemas/{name}"), body.as_bytes()),
+                &request("PUT", &format!("/v1/schemas/{name}"), body.as_bytes()),
                 &state,
             );
             assert_eq!(response.status, 201, "{name}");
         }
-        let (endpoint, response) =
-            handle(&request("POST", "/match/topk?source=po&k=2", b""), &state);
+        let (endpoint, response) = handle(
+            &request("POST", "/v1/match/topk?source=po&k=2", b""),
+            &state,
+        );
         assert_eq!(endpoint, Endpoint::MatchTopk);
         assert_eq!(response.status, 200);
         let text = body_text(&response);
@@ -1070,10 +1067,13 @@ mod tests {
             order_pos < book_pos,
             "near-identical schema outranks the unrelated one: {text}"
         );
-        let (_, response) = handle(&request("POST", "/match/topk?source=ghost", b""), &state);
+        let (_, response) = handle(&request("POST", "/v1/match/topk?source=ghost", b""), &state);
         assert_eq!(response.status, 404);
         // k=0 and non-numeric k both answer a typed 400 naming the value.
-        for target in ["/match/topk?source=po&k=0", "/match/topk?source=po&k=three"] {
+        for target in [
+            "/v1/match/topk?source=po&k=0",
+            "/v1/match/topk?source=po&k=three",
+        ] {
             let (_, response) = handle(&request("POST", target, b""), &state);
             assert_eq!(response.status, 400, "{target}");
             let text = body_text(&response);
@@ -1084,16 +1084,16 @@ mod tests {
     #[test]
     fn topk_index_param_validates_and_echoes() {
         let state = state();
-        handle(&request("PUT", "/schemas/po", PO.as_bytes()), &state);
+        handle(&request("PUT", "/v1/schemas/po", PO.as_bytes()), &state);
         // The default policy is auto, echoed in every topk body.
-        let (_, response) = handle(&request("POST", "/match/topk?source=po", b""), &state);
+        let (_, response) = handle(&request("POST", "/v1/match/topk?source=po", b""), &state);
         assert_eq!(response.status, 200);
         assert!(body_text(&response).contains(r#""index":"auto""#));
         for policy in ["off", "auto", "force"] {
             let (_, response) = handle(
                 &request(
                     "POST",
-                    &format!("/match/topk?source=po&index={policy}"),
+                    &format!("/v1/match/topk?source=po&index={policy}"),
                     b"",
                 ),
                 &state,
@@ -1103,7 +1103,7 @@ mod tests {
             assert!(text.contains(&format!(r#""index":"{policy}""#)), "{text}");
         }
         let (_, response) = handle(
-            &request("POST", "/match/topk?source=po&index=banana", b""),
+            &request("POST", "/v1/match/topk?source=po&index=banana", b""),
             &state,
         );
         assert_eq!(response.status, 400);
@@ -1113,9 +1113,9 @@ mod tests {
     #[test]
     fn cupid_and_tree_edit_run_and_echo_their_algo() {
         let state = state();
-        handle(&request("PUT", "/schemas/po", PO.as_bytes()), &state);
+        handle(&request("PUT", "/v1/schemas/po", PO.as_bytes()), &state);
         let (_, response) = handle(
-            &request("POST", "/match?source=po&target=po&algo=cupid", b""),
+            &request("POST", "/v1/match?source=po&target=po&algo=cupid", b""),
             &state,
         );
         assert_eq!(response.status, 200, "{}", body_text(&response));
@@ -1130,7 +1130,7 @@ mod tests {
         // A self-match maps every leaf onto itself.
         assert!(text.contains(r#""source_path""#), "{text}");
         let (_, response) = handle(
-            &request("POST", "/match?source=po&target=po&algo=tree-edit", b""),
+            &request("POST", "/v1/match?source=po&target=po&algo=tree-edit", b""),
             &state,
         );
         assert_eq!(response.status, 200, "{}", body_text(&response));
@@ -1138,7 +1138,7 @@ mod tests {
         assert!(text.contains(r#""algo":"tree-edit""#), "{text}");
         // The unknown-algo error advertises the full algorithm list.
         let (_, response) = handle(
-            &request("POST", "/match?source=po&target=po&algo=qmatchx", b""),
+            &request("POST", "/v1/match?source=po&target=po&algo=qmatchx", b""),
             &state,
         );
         assert_eq!(response.status, 400);
@@ -1154,15 +1154,15 @@ mod tests {
         let order = PO.replace("\"PO\"", "\"Order\"");
         for (name, body) in [("po", PO), ("order", order.as_str())] {
             handle(
-                &request("PUT", &format!("/schemas/{name}"), body.as_bytes()),
+                &request("PUT", &format!("/v1/schemas/{name}"), body.as_bytes()),
                 &state,
             );
         }
-        let (_, response) = handle(&request("POST", "/match/topk?source=po", b""), &state);
+        let (_, response) = handle(&request("POST", "/v1/match/topk?source=po", b""), &state);
         assert_eq!(response.status, 200);
         assert!(body_text(&response).contains(r#""algo":"hybrid""#));
         let (_, response) = handle(
-            &request("POST", "/match/topk?source=po&algo=cupid", b""),
+            &request("POST", "/v1/match/topk?source=po&algo=cupid", b""),
             &state,
         );
         assert_eq!(response.status, 200, "{}", body_text(&response));
@@ -1172,7 +1172,7 @@ mod tests {
         // Only ranking engines are accepted on topk.
         for bad in ["structural", "banana"] {
             let (_, response) = handle(
-                &request("POST", &format!("/match/topk?source=po&algo={bad}"), b""),
+                &request("POST", &format!("/v1/match/topk?source=po&algo={bad}"), b""),
                 &state,
             );
             assert_eq!(response.status, 400, "{bad}");
@@ -1186,7 +1186,7 @@ mod tests {
     fn metrics_expose_the_wal_live_fraction() {
         // Without persistence the WAL is vacuously all-live.
         let bare = state();
-        let (_, response) = handle(&get("/metrics"), &bare);
+        let (_, response) = handle(&get("/v1/metrics"), &bare);
         assert_eq!(response.status, 200);
         let text = body_text(&response);
         assert!(text.contains("\nqmatch_wal_live_fraction 1\n"), "{text}");
@@ -1198,7 +1198,7 @@ mod tests {
         persist.append_tombstone("po").unwrap();
         let mut state = state();
         state.persist = Some(persist);
-        let (_, response) = handle(&get("/metrics"), &state);
+        let (_, response) = handle(&get("/v1/metrics"), &state);
         let text = body_text(&response);
         assert!(text.contains("\nqmatch_wal_live_fraction 0\n"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1260,7 +1260,7 @@ mod tests {
         ] {
             for s in [&single, &sharded] {
                 let (_, response) = handle(
-                    &request("PUT", &format!("/schemas/{name}"), body.as_bytes()),
+                    &request("PUT", &format!("/v1/schemas/{name}"), body.as_bytes()),
                     s,
                 );
                 assert_eq!(response.status, 201, "{name}");
@@ -1270,8 +1270,8 @@ mod tests {
         // candidate sets equals the single-shard set: indexed rankings are
         // byte-identical across partitionings.
         for target in [
-            "/match/topk?source=po&k=5&index=force",
-            "/match/topk?source=po&k=2&index=force",
+            "/v1/match/topk?source=po&k=5&index=force",
+            "/v1/match/topk?source=po&k=2&index=force",
         ] {
             let (_, a) = handle(&request("POST", target, b""), &single);
             let (_, b) = handle(&request("POST", target, b""), &sharded);
@@ -1281,11 +1281,11 @@ mod tests {
         // The near-duplicates all survive the prefilter, so the forced
         // ranking matches the exhaustive one apart from the echoed policy.
         let (_, off) = handle(
-            &request("POST", "/match/topk?source=po&k=3&index=off", b""),
+            &request("POST", "/v1/match/topk?source=po&k=3&index=off", b""),
             &single,
         );
         let (_, force) = handle(
-            &request("POST", "/match/topk?source=po&k=3&index=force", b""),
+            &request("POST", "/v1/match/topk?source=po&k=3&index=force", b""),
             &single,
         );
         assert_eq!(
@@ -1317,16 +1317,16 @@ mod tests {
         ] {
             for s in [&single, &sharded] {
                 let (_, response) = handle(
-                    &request("PUT", &format!("/schemas/{name}"), body.as_bytes()),
+                    &request("PUT", &format!("/v1/schemas/{name}"), body.as_bytes()),
                     s,
                 );
                 assert_eq!(response.status, 201, "{name}");
             }
         }
         for target in [
-            "/match/topk?source=po&k=5",
-            "/match/topk?source=po&k=1",
-            "/match?source=po&target=order",
+            "/v1/match/topk?source=po&k=5",
+            "/v1/match/topk?source=po&k=1",
+            "/v1/match?source=po&target=order",
         ] {
             let (_, a) = handle(&request("POST", target, b""), &single);
             let (_, b) = handle(&request("POST", target, b""), &sharded);
@@ -1335,7 +1335,7 @@ mod tests {
         // The same partials merged through the gather heap in any arrival
         // order render identically.
         let plan = validate_topk(
-            &request("POST", "/match/topk?source=po&k=5", b""),
+            &request("POST", "/v1/match/topk?source=po&k=5", b""),
             &sharded.registry,
         )
         .expect("valid");
@@ -1358,23 +1358,29 @@ mod tests {
             8,
         ));
         let registry = &state.registry;
-        assert_eq!(disposition(&get("/healthz"), registry), Disposition::Inline);
-        assert_eq!(disposition(&get("/metrics"), registry), Disposition::Inline);
         assert_eq!(
-            disposition(&request("PUT", "/schemas/po", b"<x/>"), registry),
+            disposition(&get("/v1/healthz"), registry),
+            Disposition::Inline
+        );
+        assert_eq!(
+            disposition(&get("/v1/metrics"), registry),
+            Disposition::Inline
+        );
+        assert_eq!(
+            disposition(&request("PUT", "/v1/schemas/po", b"<x/>"), registry),
             Disposition::Shard {
                 shard: registry.shard_of("po"),
                 endpoint: Endpoint::SchemasPut,
             }
         );
-        // The /v1 alias dispatches identically.
+        // An unversioned path dispatches nowhere: it answers 404 inline.
         assert_eq!(
-            disposition(&request("PUT", "/v1/schemas/po", b"<x/>"), registry),
             disposition(&request("PUT", "/schemas/po", b"<x/>"), registry),
+            Disposition::Inline,
         );
         assert_eq!(
             disposition(
-                &request("POST", "/match?source=abc&target=x", b""),
+                &request("POST", "/v1/match?source=abc&target=x", b""),
                 registry
             ),
             Disposition::Shard {
@@ -1383,29 +1389,18 @@ mod tests {
             }
         );
         assert_eq!(
-            disposition(&request("POST", "/match", b""), registry),
+            disposition(&request("POST", "/v1/match", b""), registry),
             Disposition::Inline,
             "a 400 must not occupy the match queue"
         );
         assert_eq!(
-            disposition(&request("POST", "/match/topk?source=abc", b""), registry),
+            disposition(&request("POST", "/v1/match/topk?source=abc", b""), registry),
             Disposition::Scatter
         );
         // Wrong-method hits stay inline (they answer 405/404).
         assert_eq!(
-            disposition(&request("GET", "/match", b""), registry),
+            disposition(&request("GET", "/v1/match", b""), registry),
             Disposition::Inline
         );
-    }
-
-    #[test]
-    fn finalize_marks_only_legacy_recognized_endpoints() {
-        let plain = || Response::json(200, "{}".to_owned());
-        let legacy = finalize("/healthz", Endpoint::Healthz, plain());
-        assert!(legacy.headers.iter().any(|(k, _)| *k == "deprecation"));
-        let versioned = finalize("/v1/healthz", Endpoint::Healthz, plain());
-        assert!(versioned.headers.is_empty());
-        let unknown = finalize("/nope", Endpoint::Other, plain());
-        assert!(unknown.headers.is_empty());
     }
 }

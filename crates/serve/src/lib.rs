@@ -33,10 +33,8 @@
 //!
 //! # Endpoints
 //!
-//! The canonical surface is versioned under `/v1/`; the original
-//! unversioned paths keep working as aliases but answer with
-//! `Deprecation: true` and a `Link: </v1/...>; rel="successor-version"`
-//! header.
+//! Every endpoint is versioned under `/v1/`; any other path answers 404
+//! `not_found`.
 //!
 //! | Route | Meaning |
 //! |---|---|
@@ -51,7 +49,7 @@
 //! a server-minted `q-N` — threaded through the queue/shard/request trace
 //! spans, and a [`metrics::PhaseSink`] installed on every shard session
 //! feeds per-phase span data (prepares, label-matrix builds, wavefront
-//! passes) into `GET /metrics`.
+//! passes) into `GET /v1/metrics`.
 //!
 //! Match responses are deterministic functions of the registry and the
 //! query (no counters inside), and every number is rendered with

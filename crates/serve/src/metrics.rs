@@ -1,7 +1,7 @@
 //! Lock-free server counters and their plain-text rendering.
 //!
 //! Everything is an atomic, so the hot path (one [`Metrics::record`] per
-//! request) never blocks; `GET /metrics` and the shutdown summary read the
+//! request) never blocks; `GET /v1/metrics` and the shutdown summary read the
 //! same counters. The exposition format is Prometheus-flavoured plain text
 //! (`qmatch_`-prefixed), simple enough to scrape with `grep`.
 //!
@@ -9,7 +9,7 @@
 //! [`TraceSink`]: installed on the shared
 //! match session, it folds every pipeline span (label-matrix builds,
 //! wavefront passes, prepares) into per-phase counters and wall-time
-//! histograms that `GET /metrics` exposes next to the request counters.
+//! histograms that `GET /v1/metrics` exposes next to the request counters.
 
 use crate::json::fmt_f64;
 use qmatch_core::trace::{Phase, Span, TraceSink};
@@ -20,19 +20,19 @@ use std::sync::Arc;
 /// The endpoints the server distinguishes in its counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Endpoint {
-    /// `GET /healthz`.
+    /// `GET /v1/healthz`.
     Healthz,
-    /// `GET /metrics`.
+    /// `GET /v1/metrics`.
     Metrics,
-    /// `PUT /schemas/{name}`.
+    /// `PUT /v1/schemas/{name}`.
     SchemasPut,
-    /// `DELETE /schemas/{name}`.
+    /// `DELETE /v1/schemas/{name}`.
     SchemasDelete,
-    /// `GET /schemas`.
+    /// `GET /v1/schemas`.
     SchemasList,
-    /// `POST /match`.
+    /// `POST /v1/match`.
     Match,
-    /// `POST /match/topk`.
+    /// `POST /v1/match/topk`.
     MatchTopk,
     /// Anything else (404s, bad requests, unknown paths).
     Other,
@@ -152,7 +152,7 @@ pub struct RegistrySnapshot {
     /// Topk candidates whose root-QoM bound ruled them out before any
     /// prepare or DP.
     pub topk_bound_pruned: u64,
-    /// Schemas removed via `DELETE /schemas/{name}`.
+    /// Schemas removed via `DELETE /v1/schemas/{name}`.
     pub deletes: u64,
 }
 
@@ -255,7 +255,7 @@ impl Metrics {
             .sum()
     }
 
-    /// Renders the exposition text for `GET /metrics`.
+    /// Renders the exposition text for `GET /v1/metrics`.
     pub fn render(&self, registry: &RegistrySnapshot) -> String {
         let mut out = String::with_capacity(1024);
         let total = self.total_requests();
@@ -496,7 +496,7 @@ impl Metrics {
 ///
 /// `Server::bind` installs one on the shared match session, so every
 /// prepare, label-matrix build, and wavefront pass run on behalf of a
-/// request lands in the `qmatch_phase_*` series of `GET /metrics`.
+/// request lands in the `qmatch_phase_*` series of `GET /v1/metrics`.
 /// Recording is a handful of relaxed atomic adds — safe from any worker
 /// thread, and the spans never influence match scores.
 #[derive(Debug, Clone)]

@@ -1,4 +1,4 @@
-//! Registry durability: an append-only WAL of `PUT /schemas/{name}` bodies
+//! Registry durability: an append-only WAL of `PUT /v1/schemas/{name}` bodies
 //! plus periodic compacted snapshots, replayed on boot.
 //!
 //! Two files live in the data directory:
@@ -17,7 +17,7 @@
 //! [u32le name_len][u32le body_len][u32le crc32(name ++ body)][name][body]
 //! ```
 //!
-//! A `DELETE /schemas/{name}` appends a *tombstone*: the same frame with
+//! A `DELETE /v1/schemas/{name}` appends a *tombstone*: the same frame with
 //! the sentinel `body_len == u32::MAX`, zero body bytes, and the CRC taken
 //! over the name alone. Old logs (which cannot contain the sentinel — a
 //! 4 GiB body would be rejected long before the WAL) replay unchanged, so

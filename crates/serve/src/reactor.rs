@@ -660,7 +660,6 @@ impl Reactor {
                 let plan = match handlers::validate_topk(&req, &self.state.registry) {
                     Ok(plan) => plan,
                     Err(response) => {
-                        let response = handlers::finalize(&req.path, endpoint, response);
                         self.respond(
                             token,
                             endpoint,
@@ -720,7 +719,6 @@ impl Reactor {
             "the match queue is full; retry shortly",
         )
         .with_header("retry-after", "1");
-        let response = handlers::finalize(&req.path, endpoint, response);
         self.respond(
             token,
             endpoint,

@@ -47,7 +47,7 @@ pub struct ServerConfig {
     /// keeps the compact id form of every registered schema, and a miss
     /// lays that form out again without interning a label.
     pub max_resident: usize,
-    /// Ingestion limits applied to `PUT /schemas/{name}` bodies.
+    /// Ingestion limits applied to `PUT /v1/schemas/{name}` bodies.
     pub limits: IngestLimits,
     /// Match configuration for every shard session (including the default
     /// matrix precision the `precision=` query parameter overrides).

@@ -524,14 +524,10 @@ pub fn run_worker(
                     ..Span::empty(Phase::Queue)
                 });
                 let (endpoint, response) = if Instant::now() >= ctx.deadline {
-                    let response = handlers::finalize(
-                        &req.path,
-                        endpoint,
-                        handlers::error(
-                            503,
-                            "deadline_exceeded",
-                            "request exceeded its deadline budget in the match queue",
-                        ),
+                    let response = handlers::error(
+                        503,
+                        "deadline_exceeded",
+                        "request exceeded its deadline budget in the match queue",
                     );
                     (endpoint, response)
                 } else {
@@ -596,8 +592,6 @@ pub fn run_worker(
                         );
                         handlers::topk_render(&scatter.plan, partials)
                     };
-                    let response =
-                        handlers::finalize(&scatter.plan.path, Endpoint::MatchTopk, response);
                     done.send(Completion {
                         ctx: scatter.ctx.clone(),
                         endpoint: Endpoint::MatchTopk,

@@ -97,7 +97,7 @@ pub struct Reader<'a> {
     root_closed: bool,
     /// Whether any root element has been seen at all.
     seen_root: bool,
-    /// Whether EOF has been returned.
+    /// Whether EOF has been returned, or an error through the iterator.
     done: bool,
 }
 
@@ -594,13 +594,19 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Yields every event up to (not including) [`Event::Eof`]. The iteration
+/// ends after the first error, so `collect` terminates on malformed input.
 impl<'a> Iterator for Reader<'a> {
     type Item = XmlResult<Event<'a>>;
 
     fn next(&mut self) -> Option<Self::Item> {
         match self.next_event() {
             Ok(Event::Eof) => None,
-            other => Some(other),
+            Err(e) => {
+                self.done = true;
+                Some(Err(e))
+            }
+            ok => Some(ok),
         }
     }
 }
@@ -934,6 +940,23 @@ mod tests {
         let r: XmlResult<Vec<_>> =
             Reader::with_limits("<a x=\"&lt;v&gt;\">&amp;</a>", one).collect();
         assert!(r.is_ok());
+    }
+
+    #[test]
+    fn iteration_ends_after_the_first_error() {
+        for src in ["<a", "", "<a></b>", "<a/><b/>"] {
+            let items: Vec<_> = Reader::new(src).collect();
+            let errors = items.iter().filter(|item| item.is_err()).count();
+            assert_eq!(errors, 1, "{src:?}: {items:?}");
+            assert!(items.last().unwrap().is_err(), "{src:?} ends on its error");
+        }
+        let limits = IngestLimits {
+            max_input_bytes: 2,
+            ..IngestLimits::default()
+        };
+        let items: Vec<_> = Reader::with_limits("<a/>", limits).collect();
+        assert_eq!(items.len(), 1);
+        assert!(items[0].is_err());
     }
 
     #[test]

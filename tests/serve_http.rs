@@ -102,7 +102,12 @@ fn send_raw(
 
 fn register_corpus(addr: SocketAddr) {
     for (name, xsd) in CORPUS {
-        let (status, body) = send(addr, "PUT", &format!("/schemas/{name}"), xsd().as_bytes());
+        let (status, body) = send(
+            addr,
+            "PUT",
+            &format!("/v1/schemas/{name}"),
+            xsd().as_bytes(),
+        );
         assert_eq!(status, 201, "registering {name}: {body}");
     }
 }
@@ -136,16 +141,16 @@ fn library() -> (MatchSession, Vec<(&'static str, SchemaTree)>) {
 #[test]
 fn health_listing_and_hybrid_bit_identity() {
     let (addr, shutdown, runner) = boot();
-    let (status, body) = send(addr, "GET", "/healthz", b"");
+    let (status, body) = send(addr, "GET", "/v1/healthz", b"");
     assert_eq!(status, 200);
     assert_eq!(body, r#"{"status":"ok"}"#);
     register_corpus(addr);
-    let (status, listing) = send(addr, "GET", "/schemas", b"");
+    let (status, listing) = send(addr, "GET", "/v1/schemas", b"");
     assert_eq!(status, 200);
     assert!(listing.contains(r#""count":6"#), "{listing}");
     assert!(listing.contains(r#""name":"po1""#));
 
-    let (status, body) = send(addr, "POST", "/match?source=po1&target=po2", b"");
+    let (status, body) = send(addr, "POST", "/v1/match?source=po1&target=po2", b"");
     assert_eq!(status, 200, "{body}");
     // Library expectation, formatted through the same float writer.
     let (session, trees) = library();
@@ -222,7 +227,7 @@ fn algorithm_variants_match_the_library() {
         let (status, body) = send(
             addr,
             "POST",
-            &format!("/match?source=article&target=book&algo={algo}"),
+            &format!("/v1/match?source=article&target=book&algo={algo}"),
             b"",
         );
         assert_eq!(status, 200, "{algo}: {body}");
@@ -240,13 +245,18 @@ fn algorithm_variants_match_the_library() {
     let (status, body) = send(
         addr,
         "POST",
-        "/match?source=article&target=book&algo=composite&components=hybrid&agg=max",
+        "/v1/match?source=article&target=book&algo=composite&components=hybrid&agg=max",
         b"",
     );
     assert_eq!(status, 200, "{body}");
     assert_eq!(json_field(&body, "total_qom"), fmt_f64(max_qom));
     // explain=1 produces per-pair explanations under hybrid.
-    let (status, body) = send(addr, "POST", "/match?source=po1&target=po2&explain=1", b"");
+    let (status, body) = send(
+        addr,
+        "POST",
+        "/v1/match?source=po1&target=po2&explain=1",
+        b"",
+    );
     assert_eq!(status, 200);
     assert!(body.contains(r#""explanations":["#), "{body}");
     shutdown.shutdown();
@@ -257,7 +267,7 @@ fn algorithm_variants_match_the_library() {
 fn topk_ranks_the_registry_like_the_library() {
     let (addr, shutdown, runner) = boot();
     register_corpus(addr);
-    let (status, body) = send(addr, "POST", "/match/topk?source=po1&k=10", b"");
+    let (status, body) = send(addr, "POST", "/v1/match/topk?source=po1&k=10", b"");
     assert_eq!(status, 200, "{body}");
     let (session, trees) = library();
     let po1 = trees.iter().find(|(n, _)| *n == "po1").unwrap().1.clone();
@@ -298,29 +308,29 @@ fn topk_ranks_the_registry_like_the_library() {
 fn error_paths_404_400_405_413() {
     let (addr, shutdown, runner) = boot();
     register_corpus(addr);
-    let (status, body) = send(addr, "GET", "/no-such-path", b"");
+    let (status, body) = send(addr, "GET", "/v1/no-such-path", b"");
     assert_eq!(status, 404);
     assert!(body.contains("not_found"));
-    let (status, body) = send(addr, "POST", "/match?source=po1&target=ghost", b"");
+    let (status, body) = send(addr, "POST", "/v1/match?source=po1&target=ghost", b"");
     assert_eq!(status, 404);
     assert!(body.contains("unknown_schema"));
-    let (status, body) = send(addr, "POST", "/match?source=po1", b"");
+    let (status, body) = send(addr, "POST", "/v1/match?source=po1", b"");
     assert_eq!(status, 400);
     assert!(body.contains("missing_parameter"));
     let (status, body) = send(
         addr,
         "POST",
-        "/match?source=po1&target=po2&algo=psychic",
+        "/v1/match?source=po1&target=po2&algo=psychic",
         b"",
     );
     assert_eq!(status, 400);
     assert!(body.contains("unknown_algo"));
-    let (status, _) = send(addr, "PATCH", "/schemas/po1", b"");
+    let (status, _) = send(addr, "PATCH", "/v1/schemas/po1", b"");
     assert_eq!(status, 405);
-    let (status, body) = send(addr, "DELETE", "/schemas/ghost", b"");
+    let (status, body) = send(addr, "DELETE", "/v1/schemas/ghost", b"");
     assert_eq!(status, 404, "{body}");
     assert!(body.contains("unknown_schema"), "{body}");
-    let (status, body) = send(addr, "PUT", "/schemas/bad%20name", b"<x/>");
+    let (status, body) = send(addr, "PUT", "/v1/schemas/bad%20name", b"<x/>");
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("invalid_name"));
     shutdown.shutdown();
@@ -337,11 +347,11 @@ fn error_paths_404_400_405_413() {
         },
         ..ServerConfig::default()
     });
-    let (status, body) = send(addr, "PUT", "/schemas/po1", corpus::po1_xsd().as_bytes());
+    let (status, body) = send(addr, "PUT", "/v1/schemas/po1", corpus::po1_xsd().as_bytes());
     assert_eq!(status, 413, "{body}");
     assert!(body.contains("limit_exceeded"), "{body}");
     assert!(body.contains("first offending byte at offset"), "{body}");
-    let (_, metrics) = send(addr, "GET", "/metrics", b"");
+    let (_, metrics) = send(addr, "GET", "/v1/metrics", b"");
     assert!(
         metrics.contains("qmatch_rejected_by_limits_total 1"),
         "{metrics}"
@@ -356,7 +366,12 @@ fn error_paths_404_400_405_413() {
         },
         ..ServerConfig::default()
     });
-    let (status, body) = send(addr2, "PUT", "/schemas/po1", corpus::po1_xsd().as_bytes());
+    let (status, body) = send(
+        addr2,
+        "PUT",
+        "/v1/schemas/po1",
+        corpus::po1_xsd().as_bytes(),
+    );
     assert_eq!(status, 413, "{body}");
     assert!(body.contains("max_input_bytes"), "{body}");
     shutdown.shutdown();
@@ -369,14 +384,14 @@ fn error_paths_404_400_405_413() {
 fn concurrent_clients_get_byte_identical_responses() {
     let (addr, shutdown, runner) = boot();
     register_corpus(addr);
-    let (status, baseline) = send(addr, "POST", "/match?source=po1&target=po2", b"");
+    let (status, baseline) = send(addr, "POST", "/v1/match?source=po1&target=po2", b"");
     assert_eq!(status, 200);
     let workers: Vec<_> = (0..8)
         .map(|_| {
             let baseline = baseline.clone();
             std::thread::spawn(move || {
                 for _ in 0..5 {
-                    let (status, body) = send(addr, "POST", "/match?source=po1&target=po2", b"");
+                    let (status, body) = send(addr, "POST", "/v1/match?source=po1&target=po2", b"");
                     assert_eq!(status, 200);
                     assert_eq!(body, baseline, "concurrent response diverged");
                 }
@@ -388,7 +403,7 @@ fn concurrent_clients_get_byte_identical_responses() {
     }
     // Repeated matching drove the shared label cache: the hit rate metric
     // must be visible and positive.
-    let (status, metrics) = send(addr, "GET", "/metrics", b"");
+    let (status, metrics) = send(addr, "GET", "/v1/metrics", b"");
     assert_eq!(status, 200);
     let rate_line = metrics
         .lines()
@@ -425,18 +440,14 @@ fn v1_surface_request_ids_and_phase_metrics() {
         );
         assert_eq!(status, 201, "registering {name} via /v1: {body}");
     }
-    // The unversioned alias answers identically but is marked deprecated.
-    let (status, head, body) = send_raw(addr, "GET", "/schemas", "", b"");
+    // The unversioned paths are gone: they answer 404 `not_found`.
+    let (status, _, body) = send_raw(addr, "GET", "/schemas", "", b"");
+    assert_eq!(status, 404, "{body}");
+    assert!(body.contains(r#""kind":"not_found""#), "{body}");
+    let (status, head, body) = send_raw(addr, "GET", "/v1/schemas", "", b"");
     assert_eq!(status, 200);
-    assert!(head.contains("deprecation: true"), "{head}");
-    assert!(
-        head.contains("link: </v1/schemas>; rel=\"successor-version\""),
-        "{head}"
-    );
-    let (_, head_v1, body_v1) = send_raw(addr, "GET", "/v1/schemas", "", b"");
-    assert!(!head_v1.contains("deprecation:"), "{head_v1}");
-    assert_eq!(body, body_v1, "alias and versioned bodies must agree");
-    assert!(body.contains("deprecated aliases"), "{body}");
+    assert!(!head.contains("deprecation:"), "{head}");
+    assert!(!body.contains("deprecated"), "{body}");
     // Server-minted request ids ride on every response...
     assert!(head.contains("x-request-id: q-"), "{head}");
     // ...and a client-supplied id is echoed verbatim.
@@ -581,7 +592,7 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
     };
     for _ in 0..3 {
         stream
-            .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
+            .write_all(b"GET /v1/healthz HTTP/1.1\r\nhost: t\r\n\r\n")
             .expect("write");
         let (status, body) = read_one(&mut stream);
         assert_eq!(status, 200);

@@ -130,17 +130,16 @@ fn saturated_queue_sheds_load_with_429_and_retry_after() {
     let (status, head, body) = send(addr, "POST", "/v1/match/topk?source=po1&k=3", b"");
     assert_eq!(status, 429, "{body}");
     assert!(head.contains("retry-after: 1"), "{head}");
-    // The deprecated alias keeps its deprecation marking even when shed.
-    let (status, head, _) = send(addr, "POST", "/match?source=po1&target=po2", b"");
-    assert_eq!(status, 429);
-    assert!(head.contains("deprecation: true"), "{head}");
+    // An unversioned path answers 404 inline; it is never queued or shed.
+    let (status, _, body) = send(addr, "POST", "/match?source=po1&target=po2", b"");
+    assert_eq!(status, 404, "{body}");
     // Inline endpoints never occupy the queue and still answer.
     let (status, _, _) = send(addr, "GET", "/v1/healthz", b"");
     assert_eq!(status, 200);
     let (status, _, metrics) = send(addr, "GET", "/v1/metrics", b"");
     assert_eq!(status, 200);
     assert!(
-        metrics.contains("qmatch_rejected_backpressure_total 3"),
+        metrics.contains("qmatch_rejected_backpressure_total 2"),
         "{metrics}"
     );
     shutdown.shutdown();
